@@ -20,7 +20,7 @@ import numpy as np
 
 from . import carleson, galerkin, gram, powers, seqs
 from ._svg import polyline_chart
-from .errors import NumericIntegrityError, ValidationError
+from .errors import ConstructionError, NumericIntegrityError, ValidationError
 from .geometry import disk_family, eksy_build, profile_make
 from .gram import CheckResult, _check
 
@@ -125,13 +125,16 @@ def _run_cusp_gram(args) -> int:
         log.check("entries_stable_under_order_doubling", M.doubling_residual,
                   gram.DOUBLING_RTOL, "<=", "quadrature")
     tec = gram.tec_report(M)
-    for name, margin in (
-            ("diag_floor", tec.diag_floor_margin),
-            ("diag_window", tec.diag_window_margin),
-            ("offdiag_decay", tec.offdiag_margin),
-            ("nu_decay", tec.nu_margin),
-            ("nu_row_sums", tec.row_sum_margin),
-            ("nu_col_sums", tec.col_sum_margin)):
+    margins = [("diag_floor", tec.diag_floor_margin),
+               ("diag_window", tec.diag_window_margin)]
+    if n > 1:
+        margins += [("offdiag_decay", tec.offdiag_margin),
+                    ("nu_decay", tec.nu_margin),
+                    ("nu_row_sums", tec.row_sum_margin),
+                    ("nu_col_sums", tec.col_sum_margin)]
+    else:
+        log.info("n=1: no off-diagonal entries, off-diagonal checks skipped")
+    for name, margin in margins:
         log.check(f"gram_{name}_min_margin", float(np.min(margin)), 0.0,
                   ">=", "gram inequalities")
     cert = gram.bernstein_certificate(M)
@@ -392,7 +395,7 @@ def main(argv=None) -> int:
             return run(argv[1])
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError) as exc:

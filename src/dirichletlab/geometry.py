@@ -164,7 +164,8 @@ class DiskFamily:
     @property
     def eps_prime(self) -> np.ndarray:
         """eps'_i = r_i / (1 - c_i^2) = eps_i / (4 (1 - delta^i))."""
-        return np.array(self.eps.values) / (4.0 * (1.0 - self.delta_pows))
+        return (np.array(self.eps.values[:self.n])
+                / (4.0 * (1.0 - self.delta_pows)))
 
     def to_json(self) -> dict:
         return {
@@ -292,6 +293,10 @@ class RectilinearDomain:
 
 
 def _as_l_values(M, n_max: int) -> list[int]:
+    if not callable(M) and len(M) < n_max:
+        raise ValidationError(
+            f"target sequence has {len(M)} terms; levels 1..{n_max} need"
+            f" {n_max}")
     vals = []
     for n in range(1, n_max + 1):
         v = M(n) if callable(M) else M[n - 1]

@@ -262,8 +262,10 @@ def bernstein_certificate(M: GramMatrix) -> CertificateReport:
     cert = (1.0 - beta) * float(d.min())
     q = max(0.5, beta)
     nb = spectra.neumann_lower(d, nu, q)
-    checks = (
-        _check("schur_bound_le_half", beta, 0.5, "<=", "schur"),
+    # a single disk has no off-diagonal part, so no Schur bound to check
+    checks = ((_check("schur_bound_le_half", beta, 0.5, "<=", "schur"),)
+              if n > 1 else ())
+    checks += (
         _check("lambda_min_ge_target", lam_min, target_sq, ">=", "eigensolver"),
         _check("sqrt_lambda_min_ge_target", np.sqrt(max(lam_min, 0.0)), target,
                ">=", "eigensolver"),

@@ -11,14 +11,13 @@ Coefficient series are plain 1-D complex arrays c_0..c_d.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyWarning, ValidationError
+from .errors import ValidationError
 from .geometry import CuspProfile, RectilinearDomain
-from .quad import ORDER_CAP, _cusp_nodes
+from .quad import ORDER_CAP, _cusp_doubling
 
 DEGREE_CAP = 1 << 20
 MOMENT_RTOL = 1e-10
@@ -97,21 +96,9 @@ def _cusp_abs_moment(profile: CuspProfile, q: int, m: int = 64) -> float:
     # (x^2 + y^2)^q has total degree 2q; the t-split rule at order q + 1
     # is already exact, so the doubling check only corroborates.
     order = max(min(m, ORDER_CAP), q + 1, 1)
-
-    def value(mm: int) -> float:
-        pts, wts = _cusp_nodes(profile, mm, mm)
-        return float(wts @ (pts.real ** 2 + pts.imag ** 2) ** q)
-
-    val = value(order)
-    while True:
-        if 2 * order > ORDER_CAP:
-            warnings.warn("cusp moment did not stabilize below order cap",
-                          AccuracyWarning, stacklevel=2)
-            return val
-        check = value(2 * order)
-        if abs(check - val) <= MOMENT_RTOL * max(abs(check), 1e-300):
-            return check
-        order, val = 2 * order, check
+    return float(_cusp_doubling(
+        profile, lambda w: (w.real ** 2 + w.imag ** 2) ** q, order,
+        MOMENT_RTOL))
 
 
 def region_moment(region, q: int) -> float:

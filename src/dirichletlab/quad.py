@@ -8,6 +8,7 @@ moment integrals over the cusp domain.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .geometry import CuspProfile, DiskFamily
 
 ORDER_CAP = 512
 DOUBLING_RTOL = 1e-8
+_CUSP_GRID_SLOTS = 4    # one order-512 grid on 9 profile pieces is ~56 MB
 
 
 @dataclass(frozen=True)
@@ -31,11 +33,23 @@ class QuadratureRule:
     order: int
 
 
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(m: int) -> QuadratureRule:
+    x, w = _readonly(*np.polynomial.legendre.leggauss(m))
+    return QuadratureRule(nodes=x, weights=w, order=m)
+
+
 def gauss_nodes(m: int) -> QuadratureRule:
+    """The order-m rule, built once per process; its arrays are read-only."""
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValidationError(f"order {m} must be an integer >= 1")
-    x, w = np.polynomial.legendre.leggauss(int(m))
-    return QuadratureRule(nodes=x, weights=w, order=int(m))
+    return _gauss_rule(int(m))
 
 
 def _gl(a: float, b: float, m: int):
@@ -162,19 +176,51 @@ def _cusp_nodes(profile: CuspProfile, mt: int, my: int):
     w.r.t. dA, substituting x = 1 - t and splitting t at the profile knots.
 
     Exact (up to rounding) for integrands polynomial in (w, conj(w)) of
-    total degree <= min(2 mt - 2, 2 my - 1).
+    total degree <= min(2 mt - 2, 2 my - 1).  Grids are memoised on the
+    breakpoint values (a few recent ones) and returned read-only.
     """
-    u, wu = np.polynomial.legendre.leggauss(my)   # y = theta(t) * u
-    knots = profile.knots
+    return _cusp_grid(np.asarray(profile.knots, dtype=float).tobytes(),
+                      np.asarray(profile.thetas, dtype=float).tobytes(),
+                      int(mt), int(my))
+
+
+@functools.lru_cache(maxsize=_CUSP_GRID_SLOTS)
+def _cusp_grid(knots: bytes, thetas: bytes, mt: int, my: int):
+    knots, thetas = np.frombuffer(knots), np.frombuffer(thetas)
+    rule = gauss_nodes(my)                  # y = theta(t) * u
+    u, wu = rule.nodes, rule.weights
     pts, wts = [], []
     for a, b in zip(knots[:-1], knots[1:]):
         t, wt = _gl(float(a), float(b), mt)
-        th = np.asarray(profile.eval(t))
+        th = np.interp(t, knots, thetas)    # as CuspProfile.eval(t)
         w = (1.0 - t)[:, None] + 1j * (th[:, None] * u[None, :])
         wgt = (wt * th / math.pi)[:, None] * wu[None, :]
         pts.append(w.ravel())
         wts.append(wgt.ravel())
-    return np.concatenate(pts), np.concatenate(wts)
+    return _readonly(np.concatenate(pts), np.concatenate(wts))
+
+
+def _cusp_doubling(profile: CuspProfile, integrand, order: int, rtol: float):
+    """Cusp-domain integral of integrand(w) w.r.t. dA by order doubling.
+
+    Starts at ``order`` and doubles until two successive orders agree to
+    ``rtol`` relative; past ORDER_CAP it warns and returns the last value.
+    """
+
+    def value(mm: int):
+        pts, wts = _cusp_nodes(profile, mm, mm)
+        return wts @ integrand(pts)
+
+    val = value(order)
+    while True:
+        if 2 * order > ORDER_CAP:
+            warnings.warn("cusp moment did not stabilize below order cap",
+                          AccuracyWarning, stacklevel=3)
+            return val
+        check = value(2 * order)
+        if abs(check - val) <= rtol * max(abs(check), 1e-300):
+            return check
+        order, val = 2 * order, check
 
 
 def cusp_moment(profile: CuspProfile, j: int, k: int, m: int = 64) -> complex:
@@ -188,18 +234,5 @@ def cusp_moment(profile: CuspProfile, j: int, k: int, m: int = 64) -> complex:
         raise ValidationError("moment degrees must lie in 0..400")
     need = (j + k + 3) // 2          # ceil((j + k + 2) / 2)
     order = max(min(m, ORDER_CAP), need, 1)
-
-    def value(mm: int) -> complex:
-        pts, wts = _cusp_nodes(profile, mm, mm)
-        return complex(wts @ (pts ** k * np.conj(pts) ** j))
-
-    val = value(order)
-    while True:
-        if 2 * order > ORDER_CAP:
-            warnings.warn("cusp moment did not stabilize below order cap",
-                          AccuracyWarning, stacklevel=2)
-            return val
-        check = value(2 * order)
-        if abs(check - val) <= DOUBLING_RTOL * max(abs(check), 1e-300):
-            return check
-        order, val = 2 * order, check
+    return complex(_cusp_doubling(
+        profile, lambda w: w ** k * np.conj(w) ** j, order, DOUBLING_RTOL))

@@ -173,3 +173,31 @@ def test_file_based_sequences(tmp_path):
     m_file.write_text("1 1 2 2\n")
     assert cli.main(["eksy-windows", "--nmax", "4", "--threshold", "0.5",
                      "--M", f"file:{m_file}", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cusp_gram_family_shorter_than_eps(tmp_path, n):
+    # families shorter than their eps sequence; a lone disk has no
+    # off-diagonal entries, so it gets no off-diagonal lines
+    code = cli.main(["cusp-gram", "--eps", "dyadic:8", "--n", str(n),
+                     "--order", "8", "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "certificates.txt").read_text()
+    assert text.strip().endswith("RESULT PASS")
+    offdiag = ("offdiag_decay", "nu_decay", "nu_row_sums", "nu_col_sums",
+               "schur_bound_le_half")
+    assert all((name in text) == (n > 1) for name in offdiag)
+
+
+@pytest.mark.parametrize("experiment,flag,spec", [
+    ("cusp-gram", "--eps", "dyadic:130"),        # disk 124 leaves the cusp
+    ("eksy-growth", "--M", "file:{empty}"),      # no targets for the levels
+])
+def test_construction_and_short_targets_exit_two(tmp_path, capsys,
+                                                  experiment, flag, spec):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    argv = [experiment, flag, spec.format(empty=empty), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

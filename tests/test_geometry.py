@@ -119,6 +119,13 @@ def test_disk_family_eps_prime_bracket():
     assert math.isclose(ep[0], 2.0**-8 / (4.0 * (1.0 - DELTA)), rel_tol=1e-15)
 
 
+def test_eps_prime_uses_first_n_terms():
+    # a family shorter than its eps sequence pairs eps_i with delta^i only
+    fam = disk_family(dyadic(8), DELTA, 2)
+    assert fam.eps_prime.shape == (2,)
+    assert fam.eps_prime[1] == 2.0**-9 / (4.0 * (1.0 - fam.delta_pows[1]))
+
+
 def test_disks_inside_cusp_sampled():
     fam = disk_family(dyadic(6), DELTA, 6)
     prof = profile_make(dyadic(6), DELTA)
@@ -201,6 +208,8 @@ def test_eksy_validates_targets():
         eksy_build([3, 2, 1], 3)            # decreasing
     with pytest.raises(ValidationError):
         eksy_build(lambda n: 0, 3)
+    with pytest.raises(ValidationError):
+        eksy_build([1, 1], 3)               # too short for levels 1..3
     with pytest.raises(ValidationError):
         eksy_build(lambda n: 1.5, 3)
     with pytest.raises(ValidationError):

@@ -135,6 +135,20 @@ def test_certificate_diagonal_matrix_is_tight():
     assert rep.passed
 
 
+def test_tec_report_family_shorter_than_eps():
+    # n = 2 disks from an 8-term sequence; closed-form entries
+    # m_ij = r_i r_j / s_ij^2 keep the test free of quadrature
+    fam = disk_family(dyadic(8), DELTA, 2)
+    entries = np.array([[fam.radii[i] * fam.radii[j] / fam.s(i + 1, j + 1) ** 2
+                         for j in range(2)] for i in range(2)])
+    M = GramMatrix(n=2, entries=entries, family=fam, order=1,
+                   doubling_residual=None)
+    tec = tec_report(M)
+    assert tec.eps_prime.shape == (2,)
+    assert tec.diag_window_margin.shape == (2,)
+    assert tec.all_pass
+
+
 def test_build_gram_validations():
     fam = disk_family(dyadic(2), DELTA, 2)
     with pytest.raises(ValidationError):
