@@ -10,29 +10,28 @@ rectilinear domain.  All measures are w.r.t. dA = dx dy / pi.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyWarning, ValidationError
+from .errors import ValidationError
 from .geometry import CuspProfile, RectilinearDomain
-from .quad import _gl
+from .quad import MOMENT_RTOL, _gl, doubling
 
 
 # ---------------------------------------------------------------------------
 # cusp windows S(xi, h)
 
 
-def _crossing(profile, h: float, t_hi: float) -> float | None:
-    """Unique root of theta(t)^2 + t^2 = h^2 on (0, t_hi), if any."""
+def _crossing(profile, h: float, t_hi: float) -> float:
+    """Unique root of theta(t)^2 + t^2 = h^2 on (0, t_hi), else t_hi."""
 
     def g(t):
         th = float(profile.eval(t))
         return th * th + t * t - h * h
 
     if g(t_hi) <= 0.0:
-        return None
+        return t_hi
     lo, hi = 0.0, t_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -83,18 +82,9 @@ def window_area_cusp(profile, h: float, xi: complex = 1.0,
     if abs(xi - 1.0) < 1e-15:
         t_hi = min(h, 1.0)
         cross = _crossing(profile, h, t_hi)
-
-        def total(m: int) -> float:
-            if cross is None:
-                return _profile_part(profile, 0.0, t_hi, m)
-            return (_profile_part(profile, 0.0, cross, m)
-                    + _circle_part(h, cross, t_hi, m))
-
-        val, check = total(32), total(64)
-        if abs(check - val) > 1e-10 * max(abs(check), 1e-300):
-            warnings.warn("cusp window area did not stabilize",
-                          AccuracyWarning, stacklevel=2)
-        return check
+        return doubling(lambda m: _profile_part(profile, 0.0, cross, m)
+                        + _circle_part(h, cross, t_hi, m),
+                        32, MOMENT_RTOL).check
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
     ymax = profile.sup_half_width()

@@ -31,11 +31,20 @@ EXIT_OK, EXIT_CERT, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2, 3
 # parameter mini-languages
 
 
+def _number(kind, text: str, what: str):
+    """kind(text), with malformed text reported as a usage error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(
+            f"{what}: malformed {kind.__name__} {text!r}") from None
+
+
 def _parse_eps(spec: str) -> seqs.DecaySequence:
     if spec.startswith("dyadic:"):
-        return seqs.dyadic(int(spec[len("dyadic:"):]))
+        return seqs.dyadic(_number(int, spec[len("dyadic:"):], "eps"))
     if spec.startswith("file:"):
-        raw = [float(s) for s in
+        raw = [_number(float, s, spec) for s in
                Path(spec[len("file:"):]).read_text().split()]
         return seqs.slow_decay(seqs.clamp_monotone(raw))
     raise ValidationError(f"unknown eps spec {spec!r}; use dyadic:n or file:path")
@@ -45,12 +54,13 @@ def _parse_targets(spec: str):
     if spec == "log2":
         return powers.log2_targets
     if spec.startswith("const:"):
-        k = int(spec[len("const:"):])
+        k = _number(int, spec[len("const:"):], "M")
         if k < 1:
             raise ValidationError("constant target must be >= 1")
         return lambda n: k
     if spec.startswith("file:"):
-        return [int(s) for s in Path(spec[len("file:"):]).read_text().split()]
+        return [_number(int, s, spec)
+                for s in Path(spec[len("file:"):]).read_text().split()]
     raise ValidationError(
         f"unknown M spec {spec!r}; use log2, const:k or file:path")
 
@@ -186,7 +196,7 @@ def _run_cusp_rho(args) -> int:
 def _run_cusp_galerkin(args) -> int:
     eps = _parse_eps(args.eps)
     profile = profile_make(eps, args.delta)
-    Ks = sorted({int(s) for s in args.Ks.split(",")})
+    Ks = sorted({_number(int, s, "Ks") for s in args.Ks.split(",")})
     scan = galerkin.compression_scan(profile, Ks)
     floors = [e / 8.0 for e in eps]
     out = _outdir(args)
@@ -370,6 +380,8 @@ def run(config) -> int:
     """Dispatch a JSON config: {"experiment": name, other flag fields}."""
     if isinstance(config, (str, Path)):
         config = json.loads(Path(config).read_text())
+    if not isinstance(config, dict):
+        raise ValidationError("config must be a JSON object")
     config = dict(config)
     try:
         name = config.pop("experiment")

@@ -55,14 +55,6 @@ class CuspProfile:
         # sup of theta on (0, 1)
         return float(self.thetas[-1])
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "cusp_profile",
-            "delta": self.delta,
-            "eps": list(self.eps),
-            "anchors": [[float(a), float(b)] for a, b in self.anchors],
-        }
-
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -86,9 +78,6 @@ class PowerProfile:
 
     def sup_half_width(self) -> float:
         return self.scale
-
-    def to_json(self) -> dict:
-        return {"kind": "power_profile", "alpha": self.alpha, "scale": self.scale}
 
 
 def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
@@ -166,16 +155,6 @@ class DiskFamily:
         """eps'_i = r_i / (1 - c_i^2) = eps_i / (4 (1 - delta^i))."""
         return (np.array(self.eps.values[:self.n])
                 / (4.0 * (1.0 - self.delta_pows)))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "disk_family",
-            "delta": self.delta,
-            "eps": list(self.eps),
-            "n": self.n,
-            "centers": self.centers.tolist(),
-            "radii": self.radii.tolist(),
-        }
 
 
 def disk_family(eps: DecaySequence, delta: float, n: int) -> DiskFamily:
@@ -279,17 +258,6 @@ class RectilinearDomain:
         x = 1.0 / 16.0
         N = self.n_max
         return x ** (N + 1) * ((N + 1) - N * x) / (1.0 - x) ** 2
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "rectilinear_domain",
-            "n_max": self.n_max,
-            "l": list(self.l),
-            "rectangles": [
-                [r.x1, r.x2, r.y1, r.y2, r.tag, r.k, r.index]
-                for r in self.rectangles
-            ],
-        }
 
 
 def _as_l_values(M, n_max: int) -> list[int]:

@@ -14,19 +14,18 @@ part, and the resulting smallest-eigenvalue floor.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectra
-from .errors import AccuracyWarning, NumericIntegrityError, ValidationError
+from .errors import NumericIntegrityError, ValidationError
 from .geometry import DiskFamily
-from .quad import ORDER_CAP, _disk_rule, integrate_disk, kernel_centered
+from .quad import (DOUBLING_RTOL, ORDER_CAP, _disk_rule, doubling,
+                   kernel_centered)
 
 MAX_N = 12              # kernel guard stays far above underflow through here
 IMAG_RTOL = 1e-12
-DOUBLING_RTOL = 1e-8
 _BLOCK = 1 << 23        # elements per kernel chunk (keeps buffers recyclable)
 
 
@@ -49,31 +48,17 @@ class GramMatrix:
         return out
 
 
-def _inner_over_xi(i, j, zeta_block, xi, wxi, family):
-    K = kernel_centered(i, j, xi[:, None], zeta_block[None, :], family)
-    return wxi @ K
-
-
 def _entry_raw(i, j, family, m, half):
-    """Quadrature value of the double disk integral of the centered kernel."""
+    """Quadrature value of the double disk integral of the centered kernel:
+    the full order-m rule in xi, the full or conjugate-folded rule in zeta."""
     xi, wxi = _disk_rule(m)
+    zeta, wz = _disk_rule(m, half)
     block = max(1, _BLOCK // xi.size)
-    if half:
-        zeta, wz = _disk_rule(m, half=True)
-        acc = 0.0 + 0.0j
-        for lo in range(0, zeta.size, block):
-            inner = _inner_over_xi(i, j, zeta[lo:lo + block], xi, wxi, family)
-            acc += inner @ wz[lo:lo + block]
-        return acc
-
-    def inner_all(zeta_nodes):
-        out = np.empty(zeta_nodes.size, dtype=complex)
-        for lo in range(0, zeta_nodes.size, block):
-            out[lo:lo + block] = _inner_over_xi(
-                i, j, zeta_nodes[lo:lo + block], xi, wxi, family)
-        return out
-
-    return integrate_disk(inner_all, 0.0 + 0.0j, 1.0, m)
+    inner = np.concatenate([
+        wxi @ kernel_centered(i, j, xi[:, None], zeta[None, lo:lo + block],
+                              family)
+        for lo in range(0, zeta.size, block)])
+    return wz @ inner
 
 
 def _assemble(family: DiskFamily, m: int, half: bool) -> np.ndarray:
@@ -104,21 +89,12 @@ def build_gram(family: DiskFamily, m: int = 32, verify: bool = True) -> GramMatr
         raise ValidationError(f"family size must lie in 1..{MAX_N}")
     if not (1 <= m <= ORDER_CAP):
         raise ValidationError(f"order must lie in 1..{ORDER_CAP}")
-    order = m
-    entries = _assemble(family, order, half=False)
-    residual = None
-    while verify:
-        if 2 * order > ORDER_CAP:
-            warnings.warn("Gram entries did not stabilize below order cap",
-                          AccuracyWarning, stacklevel=2)
-            break
-        check = _assemble(family, 2 * order, half=True)
-        residual = float(np.max(np.abs(check - entries)
-                                / np.maximum(np.abs(check), 1e-300)))
-        if residual <= DOUBLING_RTOL:
-            break
-        order *= 2
-        entries = check
+    if verify:
+        d = doubling(lambda k: _assemble(family, k, half=k > m), m,
+                     DOUBLING_RTOL)
+        entries, order, residual = d.value, d.order, d.residual
+    else:
+        entries, order, residual = _assemble(family, m, half=False), m, None
     lam = spectra.eigh(entries)
     if lam[-1] < -1e-14 * np.trace(entries):
         raise NumericIntegrityError(

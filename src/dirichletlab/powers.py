@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CuspProfile, RectilinearDomain
-from .quad import ORDER_CAP, _cusp_doubling
+from .quad import MOMENT_RTOL, _cusp_integral, doubling
 
 DEGREE_CAP = 1 << 20
-MOMENT_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +91,12 @@ def _exp_drop(s: float, x1, x2):
     return -np.exp(-s * x1) * np.expm1(-s * (x2 - x1))
 
 
-def _cusp_abs_moment(profile: CuspProfile, q: int, m: int = 64) -> float:
+def _cusp_abs_moment(profile: CuspProfile, q: int) -> float:
     # (x^2 + y^2)^q has total degree 2q; the t-split rule at order q + 1
     # is already exact, so the doubling check only corroborates.
-    order = max(min(m, ORDER_CAP), q + 1, 1)
-    return float(_cusp_doubling(
-        profile, lambda w: (w.real ** 2 + w.imag ** 2) ** q, order,
-        MOMENT_RTOL))
+    return float(doubling(lambda mm: _cusp_integral(
+        profile, lambda w: (w.real ** 2 + w.imag ** 2) ** q, mm),
+        max(64, q + 1), MOMENT_RTOL).check)
 
 
 def region_moment(region, q: int) -> float:

@@ -8,6 +8,7 @@ moment integrals over the cusp domain.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import warnings
@@ -19,8 +20,35 @@ from .errors import AccuracyWarning, NumericIntegrityError, ValidationError
 from .geometry import CuspProfile, DiskFamily
 
 ORDER_CAP = 512
-DOUBLING_RTOL = 1e-8
+DOUBLING_RTOL = 1e-8    # Gram entries and cusp_moment
+MOMENT_RTOL = 1e-10     # cusp |w|^2q moments and the cusp window area
 _CUSP_GRID_SLOTS = 4    # one order-512 grid on 9 profile pieces is ~56 MB
+
+
+Doubling = collections.namedtuple("Doubling", "value check order residual")
+
+
+def doubling(value, order: int, rtol: float) -> Doubling:
+    """Verify ``value(order)`` by order doubling: double k until value(k)
+    and value(2k) (scalars or arrays) agree to ``rtol`` in the largest
+    relative difference, and return (value(k), value(2k), k, residual).
+    No order above ORDER_CAP is evaluated; when the next doubling would
+    pass it, the last value comes back unverified (check = value, the last
+    residual or None) with one AccuracyWarning."""
+    if not (1 <= order <= ORDER_CAP):
+        raise ValidationError(f"order {order} must lie in 1..{ORDER_CAP}")
+    val, residual = value(order), None
+    while 2 * order <= ORDER_CAP:
+        check = value(2 * order)
+        residual = float(np.max(np.abs(check - val)
+                                / np.maximum(np.abs(check), 1e-300)))
+        if residual <= rtol:
+            return Doubling(val, check, order, residual)
+        order, val = 2 * order, check
+    warnings.warn(f"order doubling did not stabilize below order cap "
+                  f"{ORDER_CAP} (residual {residual})",
+                  AccuracyWarning, stacklevel=3)
+    return Doubling(val, val, order, residual)
 
 
 @dataclass(frozen=True)
@@ -200,27 +228,10 @@ def _cusp_grid(knots: bytes, thetas: bytes, mt: int, my: int):
     return _readonly(np.concatenate(pts), np.concatenate(wts))
 
 
-def _cusp_doubling(profile: CuspProfile, integrand, order: int, rtol: float):
-    """Cusp-domain integral of integrand(w) w.r.t. dA by order doubling.
-
-    Starts at ``order`` and doubles until two successive orders agree to
-    ``rtol`` relative; past ORDER_CAP it warns and returns the last value.
-    """
-
-    def value(mm: int):
-        pts, wts = _cusp_nodes(profile, mm, mm)
-        return wts @ integrand(pts)
-
-    val = value(order)
-    while True:
-        if 2 * order > ORDER_CAP:
-            warnings.warn("cusp moment did not stabilize below order cap",
-                          AccuracyWarning, stacklevel=3)
-            return val
-        check = value(2 * order)
-        if abs(check - val) <= rtol * max(abs(check), 1e-300):
-            return check
-        order, val = 2 * order, check
+def _cusp_integral(profile: CuspProfile, integrand, order: int):
+    """Cusp-domain integral of integrand(w) w.r.t. dA at one tensor order."""
+    pts, wts = _cusp_nodes(profile, order, order)
+    return wts @ integrand(pts)
 
 
 def cusp_moment(profile: CuspProfile, j: int, k: int, m: int = 64) -> complex:
@@ -234,5 +245,6 @@ def cusp_moment(profile: CuspProfile, j: int, k: int, m: int = 64) -> complex:
         raise ValidationError("moment degrees must lie in 0..400")
     need = (j + k + 3) // 2          # ceil((j + k + 2) / 2)
     order = max(min(m, ORDER_CAP), need, 1)
-    return complex(_cusp_doubling(
-        profile, lambda w: w ** k * np.conj(w) ** j, order, DOUBLING_RTOL))
+    return complex(doubling(lambda mm: _cusp_integral(
+        profile, lambda w: w ** k * np.conj(w) ** j, mm),
+        order, DOUBLING_RTOL).check)

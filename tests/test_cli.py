@@ -118,13 +118,30 @@ def test_threshold_failure_flips_exit_code(tmp_path):
     assert text.strip().endswith("RESULT FAIL")
 
 
-def test_usage_errors_return_two(tmp_path):
+def test_usage_errors_return_two(tmp_path, capsys):
     assert cli.main(["cusp-gram", "--eps", "nonsense:3",
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"out": str(tmp_path)}))   # no experiment
     assert cli.main(["--config", str(bad)]) == 2
+    # malformed numbers in flag specs and a config that is not an object
+    eps_file, m_file = tmp_path / "eps.txt", tmp_path / "m.txt"
+    eps_file.write_text("0.01 x\n")
+    m_file.write_text("1 2.5\n")
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps(["experiment", "seq-demo"]))
+    out = ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    for argv in (["cusp-rho", "--eps", "dyadic:x"] + out,
+                 ["cusp-rho", "--eps", f"file:{eps_file}"] + out,
+                 ["eksy-growth", "--M", "const:x"] + out,
+                 ["eksy-growth", "--M", f"file:{m_file}"] + out,
+                 ["cusp-galerkin", "--Ks", "32,a"] + out,
+                 ["--config", str(listed)]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -1,0 +1,53 @@
+"""Behaviour lock: the six experiments at small sizes against stored outputs.
+
+tests/golden/<experiment>/ holds the certificates.txt and CSV files each
+run below wrote before the order-doubling routes were merged into one
+verifier.  Text between numbers must match exactly; each number must
+agree to 1e-12 relative, or both it and its stored value must lie within
+1e-15 of zero.
+"""
+
+import math
+import re
+from pathlib import Path
+
+from dirichletlab import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+RUNS = {
+    "cusp-gram": ["--eps", "dyadic:2", "--order", "4"],
+    "cusp-rho": [],
+    "cusp-galerkin": ["--Ks", "8,16"],
+    "eksy-growth": ["--nmax", "6", "--pmax", "256"],
+    "eksy-windows": ["--nmax", "6", "--threshold", "2"],
+    "seq-demo": [],
+}
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _split(text):
+    """(non-numeric pieces, numbers) of a file's text."""
+    return NUMBER.split(text), [float(x) for x in NUMBER.findall(text)]
+
+
+def _agree(got, want):
+    # The absolute 1e-15 covers rounding-noise numbers (a doubling residual
+    # of 0 against 2e-16); applied to every number it would accept any
+    # change to the 1e-7 Gram entries or the 1e-42 window masses.
+    return (math.isclose(got, want, rel_tol=1e-12)
+            or max(abs(got), abs(want)) <= 1e-15)
+
+
+def test_experiments_match_golden_outputs(tmp_path):
+    for name, flags in RUNS.items():
+        out = tmp_path / name
+        assert cli.main([name, *flags, "--out", str(out)]) == 0, name
+        want_files = sorted(p.name for p in (GOLDEN / name).iterdir())
+        assert sorted(p.name for p in out.iterdir()) == want_files, name
+        for fname in want_files:
+            got_text, got = _split((out / fname).read_text())
+            want_text, want = _split((GOLDEN / name / fname).read_text())
+            where = f"{name}/{fname}"
+            assert got_text == want_text, where
+            for g, w in zip(got, want):
+                assert _agree(g, w), (where, g, w)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from dirichletlab import powers, quad
-from dirichletlab.errors import ValidationError
+from dirichletlab.errors import AccuracyWarning, ValidationError
 from dirichletlab.geometry import cusp_area, disk_family, profile_make
 from dirichletlab.quad import (
     _cusp_nodes,
     cusp_moment,
+    doubling,
     gauss_nodes,
     integrate_disk,
     integrate_rect,
@@ -214,3 +215,57 @@ def test_cusp_grid_cache_is_keyed_on_values_and_bounded():
         _cusp_nodes(profile_make(dyadic(3), DELTA * (1.0 - k / 40.0)), 4, 4)
     info = quad._cusp_grid.cache_info()
     assert info.currsize <= info.maxsize == quad._CUSP_GRID_SLOTS
+
+
+# -- order-doubling verifier -------------------------------------------------
+
+
+def _recording(fn):
+    orders = []
+
+    def value(k):
+        orders.append(k)
+        return fn(k)
+
+    return value, orders
+
+
+def test_doubling_never_settles_stops_at_cap():
+    value, orders = _recording(lambda k: 1.0 / k)
+    with pytest.warns(AccuracyWarning) as caught:
+        d = doubling(value, 8, 1e-8)
+    assert len(caught) == 1
+    assert orders == [8, 16, 32, 64, 128, 256, 512]
+    assert max(orders) == quad.ORDER_CAP
+    assert d.value == d.check == 1.0 / 512
+    assert d.order == 512
+    assert d.residual == pytest.approx(1.0)     # |1/512 - 1/256| / (1/512)
+
+
+def test_doubling_settles_one_doubling_late():
+    # the value doubles between orders 8 and 16, then moves by 1e-12
+    # relative: the order-16 value is confirmed by order 32
+    base = np.array([1.0, -3.0])
+    scale = {8: 1.0, 16: 2.0}
+    value, orders = _recording(lambda k: base * scale.get(k, 2.0 + 2e-12))
+    d = doubling(value, 8, 1e-8)
+    assert orders == [8, 16, 32]
+    assert d.order == 16
+    assert d.value.tolist() == (2.0 * base).tolist()
+    assert d.check.tolist() == ((2.0 + 2e-12) * base).tolist()
+    assert d.residual == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_doubling_start_above_half_cap_evaluates_once():
+    value, orders = _recording(lambda k: 3.0 + 0.0j)
+    with pytest.warns(AccuracyWarning) as caught:
+        d = doubling(value, quad.ORDER_CAP // 2 + 1, 1e-8)
+    assert len(caught) == 1
+    assert orders == [quad.ORDER_CAP // 2 + 1]
+    assert d == (3.0 + 0.0j, 3.0 + 0.0j, quad.ORDER_CAP // 2 + 1, None)
+
+
+def test_doubling_validates_start_order():
+    for order in (0, quad.ORDER_CAP + 1):
+        with pytest.raises(ValidationError):
+            doubling(lambda k: 1.0, order, 1e-8)
