@@ -24,9 +24,8 @@ from .geometry import DiskFamily
 from .quad import (DOUBLING_RTOL, ORDER_CAP, _disk_rule, doubling,
                    kernel_centered)
 
-MAX_N = 12              # kernel guard stays far above underflow through here
+MAX_N = 12              # witness size: n(n+1)/2 quadrature entries
 IMAG_RTOL = 1e-12
-_BLOCK = 1 << 23        # elements per kernel chunk (keeps buffers recyclable)
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,7 @@ def _entry_raw(i, j, family, m, half):
     the full order-m rule in xi, the full or conjugate-folded rule in zeta."""
     xi, wxi = _disk_rule(m)
     zeta, wz = _disk_rule(m, half)
-    block = max(1, _BLOCK // xi.size)
-    inner = np.concatenate([
-        wxi @ kernel_centered(i, j, xi[:, None], zeta[None, lo:lo + block],
-                              family)
-        for lo in range(0, zeta.size, block)])
-    return wz @ inner
+    return wz @ kernel_centered(i, j, xi, zeta, family, wxi)
 
 
 def _assemble(family: DiskFamily, m: int, half: bool) -> np.ndarray:

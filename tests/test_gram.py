@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dirichletlab.errors import ValidationError
-from dirichletlab.geometry import disk_family
+from dirichletlab import gram
+from dirichletlab.errors import NumericIntegrityError, ValidationError
+from dirichletlab.geometry import DiskFamily, disk_family
 from dirichletlab.gram import (
     GramMatrix,
     bernstein_certificate,
@@ -156,3 +157,41 @@ def test_build_gram_validations():
     big = disk_family(dyadic(13), DELTA, 13)
     with pytest.raises(ValidationError):
         build_gram(big, m=4)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-12])
+def test_witness_in_range_at_max_n(delta):
+    # the kernel is evaluated over delta^i, so deep disks neither underflow
+    # nor overflow: every one of the n(n+1)/2 entries matches r_i r_j / s_ij^2
+    fam = disk_family(dyadic(gram.MAX_N), delta, gram.MAX_N)
+    E = build_gram(fam, m=8).entries
+    assert np.all(np.isfinite(E))
+    for i in range(1, fam.n + 1):
+        for j in range(i, fam.n + 1):
+            expected = fam.radii[i - 1] * fam.radii[j - 1] / fam.s(i, j) ** 2
+            assert math.isclose(E[i - 1, j - 1], expected, rel_tol=1e-13)
+
+
+def test_build_gram_floor_guard_trips_on_corrupted_s(monkeypatch):
+    # s_ij is about 4 delta^i on the diagonal; a tenth of it drives the
+    # denominator below its floor delta^i
+    s = DiskFamily.s
+    monkeypatch.setattr(DiskFamily, "s", lambda self, i, j: 0.1 * s(self, i, j))
+    fam = disk_family(dyadic(2), DELTA, 2)
+    with pytest.raises(NumericIntegrityError, match="floor"):
+        build_gram(fam, m=4)
+
+
+def test_build_gram_imag_check_trips_on_asymmetric_rule(monkeypatch):
+    # dropping the node at angle 2 pi / 4m breaks the conjugation symmetry
+    # of the full rule, so the order-m entries keep an imaginary part
+    rule = gram._disk_rule
+
+    def lopsided(m, half=False):
+        pts, wts = rule(m, half)
+        return (pts, wts) if half else (np.delete(pts, 1), np.delete(wts, 1))
+
+    monkeypatch.setattr(gram, "_disk_rule", lopsided)
+    fam = disk_family(dyadic(2), DELTA, 2)
+    with pytest.raises(NumericIntegrityError, match="imaginary residue"):
+        build_gram(fam, m=4)

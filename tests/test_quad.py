@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,39 @@ def test_kernel_validates_arguments():
         kernel_centered(1, 1, np.array([1.5 + 0.0j]), np.array([0.0j]), fam)
 
 
+def test_weighted_kernel_is_the_weighted_pointwise_sum():
+    # with 2^15-point blocks, 3000 xi points make blocks of 10 zeta points,
+    # so 25 zeta points span two full blocks and a partial one; points
+    # include the boundary circle
+    fam = disk_family(dyadic(8), DELTA, 8)
+    rng = np.random.default_rng(11)
+
+    def disk_points(size):
+        angle = 2.0 * math.pi * rng.uniform(0, 1, size)
+        p = np.sqrt(rng.uniform(0, 1, size)) * np.exp(1j * angle)
+        p[:4] /= np.abs(p[:4])
+        return p
+
+    xi, zeta = disk_points(3000), disk_points(25)
+    w = rng.uniform(0.1, 1.0, xi.size)
+    for (i, j) in ((1, 1), (1, 2), (2, 5), (3, 8), (8, 8)):
+        got = kernel_centered(i, j, xi, zeta, fam, w)
+        want = w @ kernel_centered(i, j, xi[:, None], zeta[None, :], fam)
+        assert got.shape == zeta.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_weighted_kernel_validates_arguments():
+    fam = disk_family(dyadic(4), DELTA, 4)
+    pts = np.array([0.0j, 0.5j])
+    for xi, zeta, w in ((pts, pts, np.ones(3)),
+                        (pts[:, None], pts, np.ones((2, 1))),
+                        (pts, pts[None, :], np.ones(2)),
+                        (np.array([1.5 + 0.0j, 0.0j]), pts, np.ones(2))):
+        with pytest.raises(ValidationError):
+            kernel_centered(1, 2, xi, zeta, fam, w)
+
+
 def test_cusp_moment_low_orders():
     prof = profile_make(dyadic(4), DELTA)
     m00 = cusp_moment(prof, 0, 0)
@@ -256,13 +290,27 @@ def test_doubling_settles_one_doubling_late():
     assert d.residual == pytest.approx(1e-12, rel=1e-3)
 
 
-def test_doubling_start_above_half_cap_evaluates_once():
+def test_doubling_start_above_half_cap_checks_at_cap():
+    # one doubling would pass the cap, so the start value is checked
+    # against order ORDER_CAP instead of coming back unverified
+    value, orders = _recording(lambda k: 3.0 + 0.0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        d = doubling(value, quad.ORDER_CAP // 2 + 1, 1e-8)
+        # the order-301 rule is exact for |w|^600; order 512 confirms it
+        profile = profile_make(dyadic(8), DELTA)
+        powers.region_moment(profile, 300)
+    assert orders == [quad.ORDER_CAP // 2 + 1, quad.ORDER_CAP]
+    assert d == (3.0 + 0.0j, 3.0 + 0.0j, quad.ORDER_CAP // 2 + 1, 0.0)
+
+
+def test_doubling_start_at_cap_evaluates_once():
     value, orders = _recording(lambda k: 3.0 + 0.0j)
     with pytest.warns(AccuracyWarning) as caught:
-        d = doubling(value, quad.ORDER_CAP // 2 + 1, 1e-8)
+        d = doubling(value, quad.ORDER_CAP, 1e-8)
     assert len(caught) == 1
-    assert orders == [quad.ORDER_CAP // 2 + 1]
-    assert d == (3.0 + 0.0j, 3.0 + 0.0j, quad.ORDER_CAP // 2 + 1, None)
+    assert orders == [quad.ORDER_CAP]
+    assert d == (3.0 + 0.0j, 3.0 + 0.0j, quad.ORDER_CAP, None)
 
 
 def test_doubling_validates_start_order():
