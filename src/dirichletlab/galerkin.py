@@ -6,7 +6,8 @@ mu_hat_jk = int w^k conj(w)^j dmu.  Truncations are Gram matrices of the
 e_k in L^2(mu), hence PSD, and their eigenvalues grow with the
 truncation size by Cauchy interlacing, approaching the operator's
 singular values from below.  Quadrature orders are chosen so every
-moment is integrated exactly.
+moment is integrated exactly.  The moment table is assembled in real
+arithmetic as one symmetric product (see _moment_table).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .quad import _cusp_nodes, _disk_rule
 
 K_CAP = 400
 PSD_RTOL = 1e-12
+_TABLE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,38 @@ def _region_nodes(region, K: int, m):
     raise ValidationError("region must be a cusp profile or None (unit disk)")
 
 
-def _moment_table(pts, wts, K: int) -> np.ndarray:
-    H = np.zeros((K, K), dtype=complex)
-    block = max(1, (1 << 21) // K)
+def _moment_table(pts, wts, K: int):
+    """(Re H, Im H) of the table H_jk = sum_i w_i conj(z_i)^j z_i^k.
+
+    With u_k = sqrt(w) z^k = a_k + i b_k, built row by row as
+    u_(k+1) = u_k z, H_jk = sum conj(u_j) u_k, so Re H = A A^T + B B^T and
+    Im H = A B^T - B A^T: one real product X X^T of the stacked rows
+    X = [A; B], which BLAS forms as a SYRK.  X holds a block of nodes at a
+    time (16 MB).
+    """
+    if np.any(wts < 0.0):
+        raise NumericIntegrityError("negative quadrature weight; the moment"
+                                    " table needs sqrt(w)")
+    block = max(1, _TABLE_BYTES // (16 * K))
+    X = np.empty((2 * K, min(block, pts.size)))
+    tmp = np.empty(X.shape[1])
+    G = np.zeros((2 * K, 2 * K))
     for lo in range(0, pts.size, block):
-        V = np.vander(pts[lo:lo + block], K, increasing=True)
-        H += (V.conj() * wts[lo:lo + block, None]).T @ V
-    return 0.5 * (H + H.conj().T)
+        z = pts[lo:lo + block]
+        x, y, tz = z.real.copy(), z.imag.copy(), tmp[:z.size]
+        Xb = X[:, :z.size]
+        a, b = Xb[:K], Xb[K:]
+        np.sqrt(wts[lo:lo + block], out=a[0])
+        b[0] = 0.0
+        for k in range(K - 1):
+            np.multiply(a[k], x, out=a[k + 1])
+            a[k + 1] -= np.multiply(b[k], y, out=tz)
+            np.multiply(a[k], y, out=b[k + 1])
+            b[k + 1] += np.multiply(b[k], x, out=tz)
+        G += Xb @ Xb.T
+    re = G[:K, :K] + G[K:, K:]
+    im = G[:K, K:] - G[K:, :K]
+    return 0.5 * (re + re.T), 0.5 * (im - im.T)
 
 
 def moment_matrix(region, K: int, m: int = None) -> MomentMatrix:
@@ -74,13 +101,12 @@ def moment_matrix(region, K: int, m: int = None) -> MomentMatrix:
     if not (1 <= K <= K_CAP):
         raise ValidationError(f"K must lie in 1..{K_CAP}")
     pts, wts, order = _region_nodes(region, K, m)
-    H = _moment_table(pts, wts, K)
-    scale = np.max(np.abs(H))
-    if np.max(np.abs(H.imag)) > 1e-10 * max(scale, 1e-300):
+    moments, imag = _moment_table(pts, wts, K)
+    scale = np.max(np.hypot(moments, imag))
+    if np.max(np.abs(imag)) > 1e-10 * max(scale, 1e-300):
         raise NumericIntegrityError(
             "moment table has an imaginary residue; the regions here are"
             " conjugation-symmetric, so this signals a quadrature bug")
-    moments = H.real
     root = np.sqrt(np.arange(1, K + 1, dtype=float))
     entries = root[:, None] * moments * root[None, :]
     spectrum = spectra.eigh(entries)

@@ -75,6 +75,21 @@ def test_cusp_galerkin_artifacts(tmp_path):
     assert "PASS trace_identity_rel_error" in text
 
 
+def test_cusp_galerkin_single_truncation(tmp_path):
+    # one K leaves nothing nested to compare: an INFO line stands in for
+    # the interlacing check
+    code = cli.main(["cusp-galerkin", "--Ks", "32", "--out", str(tmp_path)])
+    assert code == 0
+    header, rows = _read_csv(tmp_path / "galerkin.csv")
+    assert [int(r[1]) for r in rows] == [32] * 8
+    text = (tmp_path / "certificates.txt").read_text()
+    assert ("INFO K=32 only: no nested truncation, "
+            "eigenvalues_nondecreasing_in_K skipped") in text
+    assert "PASS eigenvalues_nondecreasing_in_K" not in text
+    assert "PASS trace_identity_rel_error" in text
+    assert text.strip().endswith("RESULT PASS")
+
+
 def test_eksy_growth_artifacts(tmp_path):
     code = cli.main(["eksy-growth", "--nmax", "6", "--pmax", "64",
                      "--out", str(tmp_path)])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dirichletlab.errors import ValidationError
+from dirichletlab import galerkin
+from dirichletlab.errors import NumericIntegrityError, ValidationError
 from dirichletlab.galerkin import compression_scan, floor_crossings, moment_matrix
 from dirichletlab.geometry import profile_make
-from dirichletlab.quad import cusp_moment
+from dirichletlab.quad import _cusp_nodes, cusp_moment
 from dirichletlab.seqs import dyadic
 
 DELTA = 1.0 / 200.0
@@ -101,3 +102,47 @@ def test_floor_crossings_structure():
     assert out[0][1] == 4
     # an unreachable floor reports None instead of failing
     assert out[3][1] is None
+
+
+def test_moment_table_matches_complex_formula():
+    # the real SYRK table against the complex Vandermonde product it
+    # replaced, H_jk = sum_i w_i conj(z_i)^j z_i^k; without one node of a
+    # conjugate pair the imaginary part is no longer rounding noise
+    prof = profile_make(dyadic(8), DELTA)
+    pts, wts = _cusp_nodes(prof, 16, 16)
+    drop = int(np.argmax(wts))
+    for z, w in ((pts, wts), (np.delete(pts, drop), np.delete(wts, drop))):
+        re, im = galerkin._moment_table(z, w, 16)
+        V = np.vander(z, 16, increasing=True)
+        H = (V.conj() * w[:, None]).T @ V
+        assert np.all(np.abs(re - H.real) <= 1e-14 * np.abs(H.real))
+        assert np.max(np.abs(im - H.imag)) <= 1e-14 * np.max(np.abs(H))
+
+
+def test_moment_table_blocks_and_weights(monkeypatch):
+    # a table built over several node blocks equals the one-block table;
+    # a negative weight has no square root and is refused
+    prof = profile_make(dyadic(3), DELTA)
+    pts, wts = _cusp_nodes(prof, 8, 8)           # 256 nodes
+    whole = galerkin._moment_table(pts, wts, 8)
+    monkeypatch.setattr(galerkin, "_TABLE_BYTES", 16 * 8 * 100)
+    blocked = galerkin._moment_table(pts, wts, 8)  # 100, 100, 56 nodes
+    scale = np.max(np.abs(whole[0]))
+    for a, b in zip(whole, blocked):
+        assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * scale)
+    bad = wts.copy()
+    bad[3] = -bad[3]
+    with pytest.raises(NumericIntegrityError):
+        galerkin._moment_table(pts, bad, 8)
+
+
+def test_imaginary_residue_trips_without_conjugate_pairs(monkeypatch):
+    # drop one node of a conjugate pair: the table keeps an imaginary part
+    prof = profile_make(dyadic(3), DELTA)
+    pts, wts = _cusp_nodes(prof, 8, 8)
+    drop = int(np.argmax(wts))
+    assert pts[drop].imag != 0.0
+    monkeypatch.setattr(galerkin, "_cusp_nodes", lambda *args: (
+        np.delete(pts, drop), np.delete(wts, drop)))
+    with pytest.raises(NumericIntegrityError, match="imaginary residue"):
+        moment_matrix(prof, 8)

@@ -123,3 +123,80 @@ def test_neumann_lower_inapplicable_and_validation():
         neumann_lower([0.0], np.zeros((1, 1)), q=0.1)
     with pytest.raises(ValidationError):
         neumann_lower([1.0, 2.0], np.zeros((3, 3)), q=0.1)
+
+
+def test_eigh_cusp_moment_matrix_matches_lapack():
+    # the K = 128 moment matrix of criterion 9: the eigenvalues that
+    # cusp-galerkin prints (the top 8) agree with LAPACK
+    from dirichletlab.galerkin import moment_matrix
+    from dirichletlab.geometry import profile_make
+    from dirichletlab.seqs import dyadic
+    M = moment_matrix(profile_make(dyadic(8), 1.0 / 200.0), 128)
+    ref = np.linalg.eigvalsh(M.entries)[::-1]
+    assert np.all(np.abs(M.spectrum[:8] - ref[:8]) <= 1e-10 * ref[:8])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 13, 31])
+def test_eigh_matches_lapack_at_any_size(n):
+    # odd n leaves one index idle in every step of a sweep
+    rng = np.random.default_rng(300 + n)
+    B = rng.standard_normal((n, n))
+    A = B + B.T
+    vals = eigh(A)
+    ref = np.linalg.eigvalsh(A)[::-1]
+    assert vals.shape == (n,)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.linalg.norm(A))
+
+
+def _single_rotation(A):
+    """Eigenvalues of a 2x2 matrix by the one Jacobi rotation of the
+    original cyclic solver, sorted non-increasing."""
+    app, aqq, apq = A[0, 0], A[1, 1], A[0, 1]
+    if apq != 0.0:
+        theta = 0.5 * (aqq - app) / apq
+        if abs(theta) > 1e150:
+            t = 0.5 / theta
+        else:
+            t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+            if theta == 0.0:
+                t = 1.0
+        app, aqq = app - t * apq, aqq + t * apq
+    return np.array([app, aqq]) if aqq <= app else np.array([aqq, app])
+
+
+def test_eigh_2x2_is_the_single_rotation_bit_for_bit():
+    # a 2-disk Gram matrix (cusp-gram --eps dyadic:2) keeps its lambda_min
+    from dirichletlab.geometry import disk_family
+    from dirichletlab.gram import build_gram
+    from dirichletlab.seqs import dyadic
+    gram2 = build_gram(disk_family(dyadic(2), 1.0 / 200.0, 2), m=4).entries
+    cases = [gram2,
+             np.array([[2.0, 1.0], [1.0, 2.0]]),          # theta = 0
+             np.array([[2.0, -1.0], [-1.0, 2.0]]),
+             np.array([[1e-8, 1e-13], [1e-13, 1e-16]]),   # graded
+             np.array([[1.0, 1e-160], [1e-160, 0.0]]),    # theta > 1e150
+             np.array([[3.0, 0.0], [0.0, 5.0]])]          # a_pq = 0
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        B = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-30, 30, (2, 2))
+        cases.append(B + B.T)
+    for A in cases:
+        assert np.array_equal(eigh(A), _single_rotation(A)), A
+
+
+def test_eigh_graded_smallest_eigenvalue_against_mpmath():
+    # D B D with B well conditioned: the smallest eigenvalue (~1e-22 next
+    # to 1) is determined to about cond(B) * 2^-53 relative, and Jacobi
+    # must deliver that, not just 1e-16 * ||A|| absolute
+    mpmath = pytest.importorskip("mpmath")
+    n = 12
+    rng = np.random.default_rng(12)
+    C = rng.standard_normal((n, n))
+    B = np.eye(n) + 0.1 * (C + C.T)
+    for d in (10.0 ** -np.arange(n), 10.0 ** -np.arange(n)[::-1]):
+        A = d[:, None] * B * d[None, :]
+        with mpmath.workdps(50):
+            ref = min(mpmath.eigsy(mpmath.matrix(A.tolist()),
+                                   eigvals_only=True))
+            rel = abs((mpmath.mpf(float(eigh(A)[-1])) - ref) / ref)
+        assert rel <= 1e-12, (d[0], float(rel))
