@@ -16,7 +16,8 @@ from .quad import (QuadratureRule, cusp_moment, gauss_nodes, integrate_disk,
 from .spectra import (NeumannBounds, eigh, neumann_lower, schur_bound,
                       singular_values)
 from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
-                   bernstein_certificate, build_gram, nu_bound, tec_report)
+                   bernstein_certificate, build_gram, closed_form_gram,
+                   nu_bound, tec_report)
 from .carleson import (BoundednessSummary, WindowMeasureReport,
                        boundedness_index, cusp_window_report,
                        eksy_window_measure, eksy_window_table,
@@ -43,7 +44,8 @@ __all__ = [
     "NeumannBounds", "eigh", "neumann_lower", "schur_bound",
     "singular_values",
     "CertificateReport", "CheckResult", "GramMatrix", "TecReport",
-    "bernstein_certificate", "build_gram", "nu_bound", "tec_report",
+    "bernstein_certificate", "build_gram", "closed_form_gram", "nu_bound",
+    "tec_report",
     "BoundednessSummary", "WindowMeasureReport", "boundedness_index",
     "cusp_window_report", "eksy_window_measure", "eksy_window_table",
     "half_window_area", "rho", "window_area_cusp", "window_report",

@@ -6,10 +6,15 @@ pairing,
 
     m_ij = (1/(r_i r_j)) double integral over D_i x D_j of 1/(1 - w conj(z))^2,
 
-is assembled by tensor disk quadrature in centered coordinates.  The
-report and certificate operations verify the diagonal floors, the
-geometric off-diagonal decay, the Schur bound on the scaled off-diagonal
-part, and the resulting smallest-eigenvalue floor.
+has the closed form r_i r_j / s_ij^2: the kernel is holomorphic in one
+slot and anti-holomorphic in the other, so both disk averages collapse
+to its value at the centres.  ``closed_form_gram`` builds the matrix
+from that form for any family; ``build_gram`` assembles it by tensor
+disk quadrature in centered coordinates and stays as the independent
+witness (acceptance criterion 1).  The report and certificate
+operations verify the diagonal floors, the geometric off-diagonal
+decay, the Schur bound on the scaled off-diagonal part, and the
+resulting smallest-eigenvalue floor.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class GramMatrix:
     n: int
     entries: np.ndarray
     family: DiskFamily
-    order: int
+    order: int | None               # None for the closed form
     doubling_residual: float | None
 
     @property
@@ -45,6 +50,40 @@ class GramMatrix:
         out = self.entries / self.diag[:, None]
         np.fill_diagonal(out, 0.0)
         return out
+
+
+def closed_form_gram(family: DiskFamily) -> GramMatrix:
+    """Gram matrix from its closed form m_ij = r_i r_j / s_ij^2, O(n^2).
+
+    With r_i = eps_i delta^i and s_ij = 2 delta^i (1 + (1 - 2 delta^i)
+    delta^(j-i)) for i <= j, the upper triangle is filled from the ratio
+
+        m_ij = eps_i eps_j delta^(j-i) / (4 (1 + (1 - 2 delta^i) delta^(j-i))^2)
+
+    and mirrored.  It never forms r_i r_j or s_ij^2, which underflow long
+    before m_ij does: at delta = 1/200 and dyadic eps the corner entry
+    m_1n is about 9.5e-264 at n = 100, a normal float; beyond n = 117 it
+    is subnormal.  A non-finite or non-positive entry raises
+    ``NumericIntegrityError``.
+    """
+    n = family.n
+    eps = np.array(family.eps.values[:n])
+    pows = np.concatenate(([1.0], family.delta_pows))   # delta^0 .. delta^n
+    iu, ju = np.triu_indices(n)
+    d_ji = pows[ju - iu]                                 # delta^(j-i)
+    with np.errstate(all="ignore"):         # the guard below reports it
+        vals = (eps[iu] * eps[ju] * d_ji
+                / (4.0 * (1.0 + (1.0 - 2.0 * pows[iu + 1]) * d_ji) ** 2))
+    bad = ~(np.isfinite(vals) & (vals > 0.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericIntegrityError(
+            f"closed-form Gram entry ({iu[k] + 1},{ju[k] + 1}) is {vals[k]!r}")
+    entries = np.zeros((n, n))
+    entries[iu, ju] = vals
+    entries[ju, iu] = vals
+    return GramMatrix(n=n, entries=entries, family=family, order=None,
+                      doubling_residual=None)
 
 
 def _entry_raw(i, j, family, m, half):
@@ -136,11 +175,11 @@ def tec_report(M: GramMatrix) -> TecReport:
     fam = M.family
     n = M.n
     eps = np.array(fam.eps.values[:n])
-    pows = fam.delta_pows
     d = M.diag
     ep = fam.eps_prime
-    # 32 r_i^3 / (1 - c_i)^3 with 1 - c_i = 2 delta^i, kept in power form
-    window = 32.0 * fam.radii ** 3 / (8.0 * pows ** 3)
+    # 32 r_i^3 / (1 - c_i)^3 with r_i = eps_i delta^i and 1 - c_i = 2 delta^i;
+    # the powers cancel, and r_i^3 and delta^3i would underflow at large i
+    window = 4.0 * eps ** 3
     nu = M.nu()
     iu, ju = np.triu_indices(n, k=1)
     off_bound = eps[iu] * eps[ju] * fam.delta ** (ju - iu)

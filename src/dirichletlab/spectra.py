@@ -21,6 +21,7 @@ happens at operation entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,21 +95,31 @@ def _step(S, R, o: int):
     lower[p] = 0.0
 
 
+def _frobenius(A, unit: float) -> float:
+    """||A||_F computed on A / unit, so that squaring the entries neither
+    underflows (entries below about 1e-154) nor overflows (above 1e154);
+    ``unit`` is a power of two near max |a_ij|, which keeps the scaling exact."""
+    return unit * float(np.linalg.norm(A / unit))
+
+
 def eigh(A) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted non-increasing.
 
     Round-robin Jacobi sweeps until the off-diagonal Frobenius norm drops
     below 1e-13 times the Frobenius norm of the input and every
-    off-diagonal entry below 1e-13 sqrt(|a_pp a_qq|).
+    off-diagonal entry below 1e-13 sqrt(|a_pp a_qq|).  Both norms are
+    taken on the matrix scaled by a power of two near its largest entry.
     """
     S = _as_real_symmetric(A).copy()    # C order: views below write to it
     n = S.shape[0]
     if n == 1:
         return S[0, :1].copy()
-    frob = float(np.linalg.norm(S))
-    trace = float(np.trace(S))
-    if frob == 0.0:
+    amax = float(np.max(np.abs(S)))
+    if amax == 0.0:
         return np.zeros(n)
+    unit = math.ldexp(1.0, math.frexp(amax)[1] - 1)   # unit <= amax < 2 unit
+    frob = _frobenius(S, unit)
+    trace = float(np.trace(S))
     threshold = OFF_RTOL * frob
     diag = S.reshape(-1)[::n + 1]
     R = np.empty_like(S)
@@ -116,7 +127,7 @@ def eigh(A) -> np.ndarray:
     for _ in range(MAX_SWEEPS):
         off = S - np.diag(diag)
         root = np.sqrt(np.abs(diag))
-        if (np.linalg.norm(off) <= threshold and np.all(
+        if (_frobenius(off, unit) <= threshold and np.all(
                 np.abs(off) <= OFF_RTOL * (root[:, None] * root[None, :]))):
             break
         for _ in range(n):

@@ -2,9 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dirichletlab import cli
+from dirichletlab import cli, geometry, gram, seqs
 from dirichletlab.errors import NumericIntegrityError
 
 
@@ -153,6 +154,7 @@ def test_usage_errors_return_two(tmp_path, capsys):
                  ["eksy-growth", "--M", "const:x"] + out,
                  ["eksy-growth", "--M", f"file:{m_file}"] + out,
                  ["cusp-galerkin", "--Ks", "32,a"] + out,
+                 ["cusp-gram", "--order", "0"] + out,
                  ["--config", str(listed)]):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -168,7 +170,7 @@ def test_argparse_rejects_unknown_subcommand():
 def test_numeric_integrity_returns_three(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise NumericIntegrityError("synthetic failure")
-    monkeypatch.setattr("dirichletlab.gram.build_gram", boom)
+    monkeypatch.setattr("dirichletlab.gram.closed_form_gram", boom)
     code = cli.main(["cusp-gram", "--eps", "dyadic:2", "--order", "4",
                      "--out", str(tmp_path)])
     assert code == 3
@@ -233,3 +235,36 @@ def test_construction_and_short_targets_exit_two(tmp_path, capsys,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cusp_gram_at_n100(tmp_path):
+    # corner entries are about 9.5e-264, still normal floats (they turn
+    # subnormal beyond n of about 117)
+    assert cli.main(["cusp-gram", "--eps", "dyadic:100",
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "certificates.txt").read_text()
+    assert all(line.startswith(("PASS", "INFO")) for line in
+               text.splitlines()[1:-1])
+    _, rows = _read_csv(tmp_path / "gram.csv")
+    assert len(rows) == 10_000
+    E = np.zeros((100, 100))
+    for i, j, m in rows:
+        E[int(i) - 1, int(j) - 1] = float(m)
+    assert np.all(E != 0.0)
+    lapack = float(np.linalg.eigvalsh(E)[0])
+    fam = geometry.disk_family(seqs.dyadic(100), 0.005, 100)
+    lam = gram.bernstein_certificate(gram.closed_form_gram(fam)).lambda_min
+    assert math.isclose(lam, lapack, rel_tol=1e-10)
+    assert f"lambda_min={lam:.6e}" in text
+
+
+def test_cusp_gram_order_has_no_effect(tmp_path):
+    runs = []
+    for order in ("4", "32"):
+        out = tmp_path / order
+        assert cli.main(["cusp-gram", "--eps", "dyadic:3", "--order", order,
+                         "--out", str(out)]) == 0
+        runs.append(((out / "certificates.txt").read_text()
+                     .replace(f"order={order}", "order=*"),
+                     (out / "gram.csv").read_bytes()))
+    assert runs[0] == runs[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from dirichletlab.gram import (
     GramMatrix,
     bernstein_certificate,
     build_gram,
+    closed_form_gram,
     nu_bound,
     tec_report,
 )
@@ -137,14 +139,9 @@ def test_certificate_diagonal_matrix_is_tight():
 
 
 def test_tec_report_family_shorter_than_eps():
-    # n = 2 disks from an 8-term sequence; closed-form entries
-    # m_ij = r_i r_j / s_ij^2 keep the test free of quadrature
+    # n = 2 disks from an 8-term sequence
     fam = disk_family(dyadic(8), DELTA, 2)
-    entries = np.array([[fam.radii[i] * fam.radii[j] / fam.s(i + 1, j + 1) ** 2
-                         for j in range(2)] for i in range(2)])
-    M = GramMatrix(n=2, entries=entries, family=fam, order=1,
-                   doubling_residual=None)
-    tec = tec_report(M)
+    tec = tec_report(closed_form_gram(fam))
     assert tec.eps_prime.shape == (2,)
     assert tec.diag_window_margin.shape == (2,)
     assert tec.all_pass
@@ -195,3 +192,65 @@ def test_build_gram_imag_check_trips_on_asymmetric_rule(monkeypatch):
     fam = disk_family(dyadic(2), DELTA, 2)
     with pytest.raises(NumericIntegrityError, match="imaginary residue"):
         build_gram(fam, m=4)
+
+
+# ---------------------------------------------------------------------------
+# closed-form product path
+
+
+def _naive(fam):
+    """r_i r_j / s_ij^2 as written; it underflows past n of about 40."""
+    n = fam.n
+    r = fam.radii
+    return np.array([[r[i] * r[j] / fam.s(min(i, j) + 1, max(i, j) + 1) ** 2
+                      for j in range(n)] for i in range(n)])
+
+
+def test_closed_form_matches_quadrature_witness(small_gram, gram8):
+    # order 8 at n = 4, and order 32 (checked against 64) at n = 8, whose
+    # leading 2 x 2 block is the n = 2 instance
+    for W, rtol in ((small_gram, 1e-14), (gram8, 1e-13)):
+        C = closed_form_gram(W.family)
+        assert C.order is None and C.doubling_residual is None
+        assert np.allclose(C.entries, W.entries, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 40])
+def test_closed_form_matches_naive_form_to_ulps(n):
+    fam = disk_family(dyadic(n), DELTA, n)
+    E = closed_form_gram(fam).entries
+    naive = _naive(fam)
+    assert np.all(np.abs(E - naive) <= 8 * np.spacing(naive))
+    assert np.array_equal(E, E.T)
+
+
+def test_closed_form_has_no_size_cap():
+    # delta = 1/200 admits families up to n = 123; past n = 117 the corner
+    # entries are subnormal but still positive
+    fam = disk_family(dyadic(123), DELTA, 123)
+    E = closed_form_gram(fam).entries
+    assert np.all(np.isfinite(E)) and np.all(E > 0.0)
+    assert np.array_equal(E, E.T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5])
+def test_closed_form_guard_trips_on_corrupted_powers(bad):
+    # a NaN power makes entries NaN; a negative delta^1 makes the entries
+    # one step off the diagonal negative
+    fam = disk_family(dyadic(3), DELTA, 3)
+    pows = fam.delta_pows.copy()
+    pows[0] = bad
+    fam = dataclasses.replace(fam, delta_pows=pows)
+    with pytest.raises(NumericIntegrityError, match="closed-form Gram entry"):
+        closed_form_gram(fam)
+
+
+def test_tec_report_margins_at_n100():
+    # r_i^3 and delta^3i underflow here; the window bound 4 eps_i^3 does not
+    fam = disk_family(dyadic(100), DELTA, 100)
+    rep = tec_report(closed_form_gram(fam))
+    margins = (rep.diag_floor_margin, rep.diag_window_margin,
+               rep.offdiag_margin, rep.nu_margin,
+               rep.row_sum_margin, rep.col_sum_margin)
+    assert all(np.all(np.isfinite(m)) and np.all(m > 0.0) for m in margins)
+    assert rep.all_pass

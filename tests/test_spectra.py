@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def test_eigh_graded_diagonal_relative_accuracy():
     lo = det / hi
     assert math.isclose(vals[1], hi, rel_tol=1e-12)
     assert math.isclose(vals[2], lo, rel_tol=1e-10)
+
+
+def test_eigh_entries_below_the_squaring_underflow():
+    # squaring 1e-300 underflows to 0, so an unscaled Frobenius norm of
+    # this matrix is 0 and would pass it off as the zero matrix
+    vals = eigh([[0.0, 1e-300], [1e-300, 0.0]])
+    assert list(vals) == [1e-300, -1e-300]
+
+
+def test_eigh_entries_above_the_squaring_overflow():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6))
+    A = A + A.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = eigh(1e200 * A)
+    assert np.allclose(vals, 1e200 * np.linalg.eigvalsh(A)[::-1],
+                       rtol=1e-12, atol=0.0)
 
 
 def test_eigh_random_properties():
