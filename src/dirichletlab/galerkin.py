@@ -6,8 +6,10 @@ mu_hat_jk = int w^k conj(w)^j dmu.  Truncations are Gram matrices of the
 e_k in L^2(mu), hence PSD, and their eigenvalues grow with the
 truncation size by Cauchy interlacing, approaching the operator's
 singular values from below.  Quadrature orders are chosen so every
-moment is integrated exactly.  The moment table is assembled in real
-arithmetic as one symmetric product (see _moment_table).
+moment is integrated exactly.  The regions are symmetric under
+conjugation, so the moments are real: the table is assembled in real
+arithmetic from one node of each conjugate pair, as one symmetric product
+(see _conjugate_half and _moment_table).
 """
 
 from __future__ import annotations
@@ -40,56 +42,83 @@ class MomentMatrix:
 
 
 def _region_nodes(region, K: int, m):
+    """Conjugation-folded nodes and weights, as 2-D arrays (rows of nodes)."""
     if region is None:
         # unit disk calibration: radial degree K-1 needs order >= K/2,
         # and 4m angular points alias only differences >= 4m > K-1
         order = int(m) if m else (K + 1) // 2
         if not (2 * order >= K and 4 * order > K - 1):
             raise ValidationError(f"order {order} cannot resolve K = {K}")
-        pts, wts = _disk_rule(order)
-        return pts, wts, order
+        pts, wts = _disk_rule(order, half=True)
+        return pts.reshape(order, -1), wts.reshape(order, -1), order
     if isinstance(region, CuspProfile):
         # monomial total degree reaches 2K - 2; mt = my = K is exact
         order = int(m) if m else max(K, 8)
         if order < K:
             raise ValidationError(f"order {order} below exactness floor {K}")
-        pts, wts = _cusp_nodes(region, order, order)
+        pts, wts = _conjugate_half(*_cusp_nodes(region, order, order), order)
         return pts, wts, order
     raise ValidationError("region must be a cusp profile or None (unit disk)")
 
 
-def _moment_table(pts, wts, K: int):
-    """(Re H, Im H) of the table H_jk = sum_i w_i conj(z_i)^j z_i^k.
+def _conjugate_half(pts, wts, my: int):
+    """The u >= 0 half of a cusp tensor grid, with doubled weights.
 
-    With u_k = sqrt(w) z^k = a_k + i b_k, built row by row as
-    u_(k+1) = u_k z, H_jk = sum conj(u_j) u_k, so Re H = A A^T + B B^T and
-    Im H = A B^T - B A^T: one real product X X^T of the stacked rows
-    X = [A; B], which BLAS forms as a SYRK.  X holds a block of nodes at a
-    time (16 MB).
+    The grid is rows of my nodes x + i theta u_l at the Gauss nodes u_l,
+    which leggauss makes symmetric, so a mirrored row is the conjugate row
+    with the same weights.  The fold is exact only if that holds bit for
+    bit, so it is checked here.  For odd my the middle column (u = 0) is
+    its own conjugate and keeps its weight.  The nodes are a view.
+    """
+    if pts.size % my:
+        raise NumericIntegrityError(
+            f"cusp grid of {pts.size} nodes is not made of rows of {my}")
+    P, W = pts.reshape(-1, my), wts.reshape(-1, my)
+    if not (np.array_equal(P.real[:, ::-1], P.real)
+            and np.array_equal(P.imag[:, ::-1], -P.imag)
+            and np.array_equal(W[:, ::-1], W)):
+        raise NumericIntegrityError(
+            "cusp grid lost its conjugate symmetry; the moment table needs"
+            " every node's mirror to be its exact conjugate")
+    mult = np.full(my - my // 2, 2.0)
+    if my % 2:
+        mult[0] = 1.0
+    return P[:, my // 2:], W[:, my // 2:] * mult
+
+
+def _moment_table(pts, wts, K: int):
+    """Re H for H_jk = sum_i w_i conj(z_i)^j z_i^k on the full grid.
+
+    ``pts``, ``wts`` hold one node of each conjugate pair, in rows, with
+    the pair's weight.  The full grid's H is real (a pair's terms are
+    conjugates), so only Re H is formed: with u_k = sqrt(w) z^k =
+    a_k + i b_k, built row by row as u_(k+1) = u_k z, Re H = A A^T + B B^T,
+    one real product X X^T of X = [A B], which BLAS forms as a SYRK.
+    X holds a block of node rows at a time (16 MB).
     """
     if np.any(wts < 0.0):
         raise NumericIntegrityError("negative quadrature weight; the moment"
                                     " table needs sqrt(w)")
-    block = max(1, _TABLE_BYTES // (16 * K))
-    X = np.empty((2 * K, min(block, pts.size)))
-    tmp = np.empty(X.shape[1])
-    G = np.zeros((2 * K, 2 * K))
-    for lo in range(0, pts.size, block):
-        z = pts[lo:lo + block]
-        x, y, tz = z.real.copy(), z.imag.copy(), tmp[:z.size]
-        Xb = X[:, :z.size]
-        a, b = Xb[:K], Xb[K:]
-        np.sqrt(wts[lo:lo + block], out=a[0])
+    rows = max(1, _TABLE_BYTES // (16 * K * pts.shape[1]))
+    n = min(rows, pts.shape[0]) * pts.shape[1]
+    X = np.empty((K, 2 * n))
+    tmp = np.empty(n)
+    H = np.zeros((K, K))
+    for lo in range(0, pts.shape[0], rows):
+        z = pts[lo:lo + rows]
+        x, y = z.real.ravel(), z.imag.ravel()
+        nb = x.size
+        a, b, tz = X[:, :nb], X[:, nb:2 * nb], tmp[:nb]
+        np.sqrt(wts[lo:lo + rows].ravel(), out=a[0])
         b[0] = 0.0
         for k in range(K - 1):
             np.multiply(a[k], x, out=a[k + 1])
             a[k + 1] -= np.multiply(b[k], y, out=tz)
             np.multiply(a[k], y, out=b[k + 1])
             b[k + 1] += np.multiply(b[k], x, out=tz)
-        G += Xb @ Xb.T
-    re = G[:K, :K] + G[K:, K:]
-    im = G[:K, K:] - G[K:, :K]
-    return 0.5 * (re + re.T), 0.5 * (im - im.T)
+        Xb = X[:, :2 * nb]
+        H += Xb @ Xb.T
+    return 0.5 * (H + H.T)
 
 
 def moment_matrix(region, K: int, m: int = None) -> MomentMatrix:
@@ -101,12 +130,7 @@ def moment_matrix(region, K: int, m: int = None) -> MomentMatrix:
     if not (1 <= K <= K_CAP):
         raise ValidationError(f"K must lie in 1..{K_CAP}")
     pts, wts, order = _region_nodes(region, K, m)
-    moments, imag = _moment_table(pts, wts, K)
-    scale = np.max(np.hypot(moments, imag))
-    if np.max(np.abs(imag)) > 1e-10 * max(scale, 1e-300):
-        raise NumericIntegrityError(
-            "moment table has an imaginary residue; the regions here are"
-            " conjugation-symmetric, so this signals a quadrature bug")
+    moments = _moment_table(pts, wts, K)
     root = np.sqrt(np.arange(1, K + 1, dtype=float))
     entries = root[:, None] * moments * root[None, :]
     spectrum = spectra.eigh(entries)

@@ -138,7 +138,8 @@ def _disk_rule(m: int, half: bool = False):
     angle; weights sum to 1.  With ``half=True`` the angular range is
     folded onto [0, pi] with doubled interior weights; by conjugation
     symmetry the real part of the folded sum equals the full sum, at half
-    the cost (used only for verification passes).
+    the cost (used by the Gram witness's verification pass and the
+    Galerkin disk calibration).
     """
     rule = gauss_nodes(m)
     s = 0.5 * (rule.nodes + 1.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirichletlab import galerkin
+from dirichletlab import cli, galerkin
 from dirichletlab.errors import NumericIntegrityError, ValidationError
 from dirichletlab.galerkin import compression_scan, floor_crossings, moment_matrix
 from dirichletlab.geometry import profile_make
@@ -15,11 +15,13 @@ DELTA = 1.0 / 200.0
 
 def test_disk_calibration_is_identity():
     # on the unit disk the normalized monomials are orthonormal, so the
-    # moment matrix is the K x K identity up to quadrature rounding
-    M = moment_matrix(None, 16)
-    assert M.K == 16
-    assert np.max(np.abs(M.entries - np.eye(16))) < 1e-10
-    assert np.all(np.abs(M.spectrum - 1.0) < 1e-10)
+    # moment matrix is the K x K identity up to quadrature rounding; the
+    # table runs on the conjugation-folded disk rule
+    for K in (1, 2, 7, 16):
+        M = moment_matrix(None, K)
+        assert M.K == K
+        assert np.max(np.abs(M.entries - np.eye(K))) < 1e-13
+        assert np.all(np.abs(M.spectrum - 1.0) < 1e-13)
 
 
 def test_disk_calibration_order_floor():
@@ -105,44 +107,54 @@ def test_floor_crossings_structure():
 
 
 def test_moment_table_matches_complex_formula():
-    # the real SYRK table against the complex Vandermonde product it
-    # replaced, H_jk = sum_i w_i conj(z_i)^j z_i^k; without one node of a
-    # conjugate pair the imaginary part is no longer rounding noise
+    # the table on the folded half grid against the real part of the
+    # complex Vandermonde product over the full grid,
+    # H_jk = sum_i w_i conj(z_i)^j z_i^k; odd my has a self-conjugate
+    # middle column
     prof = profile_make(dyadic(8), DELTA)
-    pts, wts = _cusp_nodes(prof, 16, 16)
-    drop = int(np.argmax(wts))
-    for z, w in ((pts, wts), (np.delete(pts, drop), np.delete(wts, drop))):
-        re, im = galerkin._moment_table(z, w, 16)
-        V = np.vander(z, 16, increasing=True)
-        H = (V.conj() * w[:, None]).T @ V
+    for my in (16, 17):
+        pts, wts = _cusp_nodes(prof, my, my)
+        half, hw, _ = galerkin._region_nodes(prof, 16, my)
+        assert half.shape == (pts.size // my, (my + 1) // 2)
+        re = galerkin._moment_table(half, hw, 16)
+        V = np.vander(pts, 16, increasing=True)
+        H = (V.conj() * wts[:, None]).T @ V
         assert np.all(np.abs(re - H.real) <= 1e-14 * np.abs(H.real))
-        assert np.max(np.abs(im - H.imag)) <= 1e-14 * np.max(np.abs(H))
 
 
 def test_moment_table_blocks_and_weights(monkeypatch):
-    # a table built over several node blocks equals the one-block table;
-    # a negative weight has no square root and is refused
+    # a table built over several blocks of node rows equals the one-block
+    # table; a negative weight has no square root and is refused
     prof = profile_make(dyadic(3), DELTA)
-    pts, wts = _cusp_nodes(prof, 8, 8)           # 256 nodes
+    pts, wts, _ = galerkin._region_nodes(prof, 8, None)   # 32 rows of 4
     whole = galerkin._moment_table(pts, wts, 8)
-    monkeypatch.setattr(galerkin, "_TABLE_BYTES", 16 * 8 * 100)
-    blocked = galerkin._moment_table(pts, wts, 8)  # 100, 100, 56 nodes
-    scale = np.max(np.abs(whole[0]))
-    for a, b in zip(whole, blocked):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * scale)
+    monkeypatch.setattr(galerkin, "_TABLE_BYTES", 16 * 8 * 4 * 10)
+    blocked = galerkin._moment_table(pts, wts, 8)  # 10, 10, 10, 2 rows
+    scale = np.max(np.abs(whole))
+    assert np.allclose(whole, blocked, rtol=1e-13, atol=1e-13 * scale)
     bad = wts.copy()
-    bad[3] = -bad[3]
+    bad[3, 1] = -bad[3, 1]
     with pytest.raises(NumericIntegrityError):
         galerkin._moment_table(pts, bad, 8)
 
 
-def test_imaginary_residue_trips_without_conjugate_pairs(monkeypatch):
-    # drop one node of a conjugate pair: the table keeps an imaginary part
+def test_symmetry_guard_refuses_asymmetric_grids(tmp_path, monkeypatch):
+    # the fold is exact only on an exactly conjugation-symmetric grid: a
+    # dropped node, or a node or weight moved by one ulp, is refused (exit
+    # 3 from the CLI, not a reshape error)
     prof = profile_make(dyadic(3), DELTA)
     pts, wts = _cusp_nodes(prof, 8, 8)
-    drop = int(np.argmax(wts))
-    assert pts[drop].imag != 0.0
-    monkeypatch.setattr(galerkin, "_cusp_nodes", lambda *args: (
-        np.delete(pts, drop), np.delete(wts, drop)))
-    with pytest.raises(NumericIntegrityError, match="imaginary residue"):
-        moment_matrix(prof, 8)
+    i = int(np.argmax(wts))
+    assert pts[i].imag != 0.0
+    moved = pts.copy()
+    moved[i] = complex(moved[i].real, np.nextafter(moved[i].imag, np.inf))
+    heavier = wts.copy()
+    heavier[i] = np.nextafter(heavier[i], np.inf)
+    dropped = (np.delete(pts, i), np.delete(wts, i))
+    for grid in (dropped, (moved, wts), (pts, heavier)):
+        monkeypatch.setattr(galerkin, "_cusp_nodes", lambda *args: grid)
+        with pytest.raises(NumericIntegrityError, match="cusp grid"):
+            moment_matrix(prof, 8)
+    monkeypatch.setattr(galerkin, "_cusp_nodes", lambda *args: dropped)
+    assert cli.main(["cusp-galerkin", "--Ks", "8",
+                     "--out", str(tmp_path)]) == 3
