@@ -8,16 +8,14 @@ from .errors import (AccuracyWarning, ConstructionError, NumericIntegrityError,
                      ValidationError)
 from .seqs import CAP, DecaySequence, clamp_monotone, dyadic, slow_decay
 from .geometry import (CuspProfile, DiskFamily, PowerProfile, Rect,
-                       RectilinearDomain, CountingFunction, count_preimages,
-                       cusp_area, cusp_contains, disk_family, eksy_build,
-                       eksy_contains, eps_exp, profile_eval, profile_make)
-from .quad import (QuadratureRule, cusp_moment, gauss_nodes, integrate_disk,
-                   integrate_rect, kernel_centered)
+                       RectilinearDomain, disk_family, eksy_build, eps_exp,
+                       profile_make)
+from .quad import QuadratureRule, cusp_moment, gauss_nodes, integrate_rect
 from .spectra import (NeumannBounds, eigh, neumann_lower, schur_bound,
                       singular_values)
 from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
                    bernstein_certificate, build_gram, closed_form_gram,
-                   nu_bound, tec_report)
+                   kernel_centered, nu_bound, tec_report)
 from .carleson import (BoundednessSummary, WindowMeasureReport,
                        boundedness_index, cusp_window_report,
                        eksy_window_measure, eksy_window_table,
@@ -36,16 +34,13 @@ __all__ = [
     "ValidationError",
     "CAP", "DecaySequence", "clamp_monotone", "dyadic", "slow_decay",
     "CuspProfile", "DiskFamily", "PowerProfile", "Rect", "RectilinearDomain",
-    "CountingFunction", "count_preimages", "cusp_area", "cusp_contains",
-    "disk_family", "eksy_build", "eksy_contains", "eps_exp", "profile_eval",
-    "profile_make",
-    "QuadratureRule", "cusp_moment", "gauss_nodes", "integrate_disk",
-    "integrate_rect", "kernel_centered",
+    "disk_family", "eksy_build", "eps_exp", "profile_make",
+    "QuadratureRule", "cusp_moment", "gauss_nodes", "integrate_rect",
     "NeumannBounds", "eigh", "neumann_lower", "schur_bound",
     "singular_values",
     "CertificateReport", "CheckResult", "GramMatrix", "TecReport",
-    "bernstein_certificate", "build_gram", "closed_form_gram", "nu_bound",
-    "tec_report",
+    "bernstein_certificate", "build_gram", "closed_form_gram",
+    "kernel_centered", "nu_bound", "tec_report",
     "BoundednessSummary", "WindowMeasureReport", "boundedness_index",
     "cusp_window_report", "eksy_window_measure", "eksy_window_table",
     "half_window_area", "rho", "window_area_cusp", "window_report",

@@ -10,6 +10,7 @@ integrity failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import json
 import math
@@ -82,8 +83,8 @@ def _write_csv(path: Path, header, rows):
 class CertLog:
     """Accumulates certificate lines; any FAIL flips the exit code."""
 
-    def __init__(self, title: str):
-        self.lines = [title]
+    def __init__(self):
+        self.lines = []
         self.failed = False
 
     def info(self, text: str):
@@ -99,23 +100,18 @@ class CertLog:
     def check(self, name, value, bound, op, source):
         self.add(_check(name, value, bound, op, source))
 
-    def write(self, path: Path) -> int:
-        self.lines.append("RESULT " + ("FAIL" if self.failed else "PASS"))
-        path.write_text("\n".join(self.lines) + "\n")
+    def write(self, path: Path, title: str) -> int:
+        result = "RESULT " + ("FAIL" if self.failed else "PASS")
+        path.write_text("\n".join([title, *self.lines, result]) + "\n")
         return EXIT_CERT if self.failed else EXIT_OK
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: a body adds its checks to the log and returns its title, its
+# tables (file, header, rows) and its plots (file, series, chart options)
 
 
-def _run_cusp_gram(args) -> int:
+def _cusp_gram(args, log):
     # --order is validated but unused: the entries come from their closed form
     if not (1 <= args.order <= ORDER_CAP):
         raise ValidationError(f"order must lie in 1..{ORDER_CAP}")
@@ -123,17 +119,14 @@ def _run_cusp_gram(args) -> int:
     n = args.n if args.n else len(eps)
     fam = disk_family(eps, args.delta, n)
     M = gram.closed_form_gram(fam)
-    out = _outdir(args)
-    log = CertLog(f"cusp-gram delta={args.delta} eps={args.eps} n={n} "
-                  f"order={args.order}")
-
-    _write_csv(out / "gram.csv", ("i", "j", "m_ij"),
-               [(i, j, M.entries[i - 1, j - 1])
-                for i in range(1, n + 1) for j in range(1, n + 1)])
     nu = M.nu()
-    _write_csv(out / "nu.csv", ("i", "j", "nu_ij", "bound"),
-               [(i, j, nu[i - 1, j - 1], gram.nu_bound(i, j, fam.delta))
-                for i in range(1, n + 1) for j in range(1, n + 1) if i != j])
+    tables = [
+        ("gram.csv", ("i", "j", "m_ij"),
+         [(i, j, M.entries[i - 1, j - 1])
+          for i in range(1, n + 1) for j in range(1, n + 1)]),
+        ("nu.csv", ("i", "j", "nu_ij", "bound"),
+         [(i, j, nu[i - 1, j - 1], gram.nu_bound(i, j, fam.delta))
+          for i in range(1, n + 1) for j in range(1, n + 1) if i != j])]
 
     log.info("entries from the closed form r_i r_j / s_ij^2 "
              "(gram.closed_form_gram); quadrature witness gram.build_gram, "
@@ -156,16 +149,17 @@ def _run_cusp_gram(args) -> int:
         log.add(c)
     log.info(f"beta_hat={cert.beta_hat:.6e} lambda_min={cert.lambda_min:.6e} "
              f"certified_lower={cert.certified_lower} target={cert.target:.6e}")
-    if args.plot:
-        idx = list(range(1, n + 1))
-        (out / "gram.svg").write_text(polyline_chart(
-            [("lambda", idx, cert.eigenvalues.tolist()),
-             ("floor", idx, [cert.target_sq] * n)],
-            title="gram spectrum", log_y=True))
-    return log.write(out / "certificates.txt")
+    idx = range(1, n + 1)
+    plots = [("gram.svg", [("lambda", idx, cert.eigenvalues),
+                           ("floor", idx, [cert.target_sq] * n)],
+              dict(title="gram spectrum", log_y=True))]
+    return (f"cusp-gram delta={args.delta} eps={args.eps} n={n} "
+            f"order={args.order}", tables, plots)
 
 
-def _run_cusp_rho(args) -> int:
+def _cusp_rho(args, log):
+    if args.xi_grid < 1:
+        raise ValidationError(f"xi-grid {args.xi_grid} must be >= 1")
     eps = _parse_eps(args.eps)
     profile = profile_make(eps, args.delta)
     xis = [complex(math.cos(2 * math.pi * k / args.xi_grid),
@@ -174,11 +168,6 @@ def _run_cusp_rho(args) -> int:
     xis[0] = 1.0 + 0.0j
     report = carleson.cusp_window_report(
         profile, range(1, profile.n + 1), xis, args.resolution)
-    out = _outdir(args)
-    log = CertLog(f"cusp-rho delta={args.delta} eps={args.eps} "
-                  f"xi_grid={args.xi_grid} resolution={args.resolution}")
-    _write_csv(out / "rho.csv", ("h", "rho", "index", "bound"),
-               zip(report.hs, report.rho, report.index, report.bound))
     summary = carleson.boundedness_index(report)
     log.check("index_below_decay_bound", float(np.min(summary.bound_margins)),
               0.0, ">=", "window quadrature")
@@ -189,28 +178,26 @@ def _run_cusp_rho(args) -> int:
         log.check(f"rho_le_h_theta_h_at_{h:.3e}", float(r),
                   float(h * profile.eval(h)), "<=", "window quadrature")
     log.info(f"max_index={summary.max_index:.6e}")
-    if args.plot:
-        (out / "rho.svg").write_text(polyline_chart(
-            [("index", report.hs.tolist(), report.index.tolist()),
-             ("bound", report.hs.tolist(), report.bound.tolist())],
-            title="window index", log_x=True, log_y=True))
-    return log.write(out / "certificates.txt")
+    return (f"cusp-rho delta={args.delta} eps={args.eps} "
+            f"xi_grid={args.xi_grid} resolution={args.resolution}",
+            [("rho.csv", ("h", "rho", "index", "bound"),
+              zip(report.hs, report.rho, report.index, report.bound))],
+            [("rho.svg", [("index", report.hs, report.index),
+                          ("bound", report.hs, report.bound)],
+              dict(title="window index", log_x=True, log_y=True))])
 
 
-def _run_cusp_galerkin(args) -> int:
+def _cusp_galerkin(args, log):
     eps = _parse_eps(args.eps)
     profile = profile_make(eps, args.delta)
     Ks = sorted({_number(int, s, "Ks") for s in args.Ks.split(",")})
     scan = galerkin.compression_scan(profile, Ks)
     floors = [e / 8.0 for e in eps]
-    out = _outdir(args)
-    log = CertLog(f"cusp-galerkin delta={args.delta} eps={args.eps} Ks={Ks}")
     rows = []
     for K in scan.Ks:
         lam = scan.spectrum_by_K[K]
         for i in range(min(len(eps), K)):
             rows.append((i + 1, K, lam[i], floors[i]))
-    _write_csv(out / "galerkin.csv", ("n", "K", "lambda", "floor"), rows)
 
     if len(scan.Ks) > 1:
         worst = math.inf
@@ -230,49 +217,44 @@ def _run_cusp_galerkin(args) -> int:
     for n, K in galerkin.floor_crossings(scan, floors):
         log.info(f"floor_crossing n={n}: "
                  + (f"K={K}" if K else "not reached (converges from below)"))
-    if args.plot:
-        series = [(f"K={K}", list(range(1, len(eps) + 1)),
-                   [scan.eigenvalue(i + 1, K) for i in range(len(eps))])
-                  for K in scan.Ks]
-        (out / "galerkin.svg").write_text(
-            polyline_chart(series, title="compression spectra", log_y=True))
-    return log.write(out / "certificates.txt")
+    series = [(f"K={K}", range(1, len(eps) + 1),
+               [scan.eigenvalue(i + 1, K) for i in range(len(eps))])
+              for K in scan.Ks]
+    return (f"cusp-galerkin delta={args.delta} eps={args.eps} Ks={Ks}",
+            [("galerkin.csv", ("n", "K", "lambda", "floor"), rows)],
+            [("galerkin.svg", series,
+              dict(title="compression spectra", log_y=True))])
 
 
-def _run_eksy_growth(args) -> int:
+def _eksy_growth(args, log):
     M = _parse_targets(args.M)
     F = eksy_build(M, args.nmax)
     report = powers.eksy_growth_report(F, M, args.pmax)
-    out = _outdir(args)
-    log = CertLog(f"eksy-growth M={args.M} nmax={args.nmax} pmax={args.pmax}")
-    _write_csv(out / "growth.csv", ("p", "norm", "majorant", "Mp", "ratio"),
-               zip(report.ps, report.norm, report.majorant, report.mp,
-                   report.ratio))
     if args.pmax >= 2:
         half = powers.eksy_growth_report(F, M, args.pmax // 2)
         log.check("sup_ratio_stable_under_pmax_halving",
                   abs(report.sup_ratio - half.sup_ratio), 0.05 * half.sup_ratio,
                   "<=", "closed-form norms")
+    else:
+        log.info(f"pmax={args.pmax}: no halved grid, "
+                 "sup_ratio_stable_under_pmax_halving skipped")
     log.info(f"sup_ratio={report.sup_ratio:.6e} k_const={report.k_const:.6e} "
              f"tail={report.tail:.6e}")
-    if args.plot:
-        ps = report.ps.tolist()
-        (out / "growth.svg").write_text(polyline_chart(
-            [("norm", ps, report.norm.tolist()),
-             ("Mp", ps, report.mp.tolist())],
-            title="power norm growth", log_x=True))
-    return log.write(out / "certificates.txt")
+    return (f"eksy-growth M={args.M} nmax={args.nmax} pmax={args.pmax}",
+            [("growth.csv", ("p", "norm", "majorant", "Mp", "ratio"),
+              zip(report.ps, report.norm, report.majorant, report.mp,
+                  report.ratio))],
+            [("growth.svg", [("norm", report.ps, report.norm),
+                             ("Mp", report.ps, report.mp)],
+              dict(title="power norm growth", log_x=True))])
 
 
-def _run_eksy_windows(args) -> int:
+def _eksy_windows(args, log):
+    if not math.isfinite(args.threshold):
+        raise ValidationError(f"threshold {args.threshold} must be finite")
     M = _parse_targets(args.M)
     F = eksy_build(M, args.nmax)
     table = carleson.eksy_window_table(F)
-    out = _outdir(args)
-    log = CertLog(f"eksy-windows M={args.M} nmax={args.nmax} "
-                  f"threshold={args.threshold}")
-    _write_csv(out / "windows.csv", ("N", "mu_half", "index"),
-               [(N, mu_half, index) for N, mu_half, _, index in table])
     for N, mu_half, _, _ in table:
         l_N = F.l[N - 1]
         closed = l_N * 4.0 ** (-2 * N) * (1.0 - 0.75 * 2.0 ** (-2 * N))
@@ -294,25 +276,21 @@ def _run_eksy_windows(args) -> int:
                   float(np.min(np.diff(seg))), 0.0, ">=", "closed form")
     else:
         log.info("no divergence segment below the truncation depth")
-    if args.plot:
-        (out / "windows.svg").write_text(polyline_chart(
-            [("index", list(range(1, F.n_max + 1)), indices)],
-            title="window index", log_y=True))
-    return log.write(out / "certificates.txt")
+    return (f"eksy-windows M={args.M} nmax={args.nmax} "
+            f"threshold={args.threshold}",
+            [("windows.csv", ("N", "mu_half", "index"),
+              [(N, mu_half, index) for N, mu_half, _, index in table])],
+            [("windows.svg", [("index", range(1, F.n_max + 1), indices)],
+              dict(title="window index", log_y=True))])
 
 
-def _run_seq_demo(args) -> int:
+def _seq_demo(args, log):
     if args.raw == "harmonic":
         raw = [seqs.CAP / i for i in range(1, args.length + 1)]
     else:
         raw = list(_parse_eps(args.raw))
     clamped = seqs.clamp_monotone(raw)
     slowed = seqs.slow_decay(clamped, args.rho)
-    out = _outdir(args)
-    log = CertLog(f"seq-demo raw={args.raw} rho={args.rho}")
-    _write_csv(out / "seq.csv", ("i", "raw", "clamped", "slowed"),
-               [(i + 1, raw[i], clamped[i], slowed.values[i])
-                for i in range(len(raw))])
     log.check("slowed_dominates_clamped",
               float(min(s - c for s, c in zip(slowed.values, clamped))), 0.0,
               ">=", "recursion")
@@ -320,11 +298,55 @@ def _run_seq_demo(args) -> int:
     log.check("slowing_idempotent",
               float(max(abs(a - b) for a, b in zip(resl.values, slowed.values))),
               0.0, "<=", "recursion")
-    return log.write(out / "certificates.txt")
+    return (f"seq-demo raw={args.raw} rho={args.rho}",
+            [("seq.csv", ("i", "raw", "clamped", "slowed"),
+              [(i + 1, raw[i], clamped[i], slowed.values[i])
+               for i in range(len(raw))])],
+            [])
 
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+Experiment = collections.namedtuple("Experiment", "body help flags")
+
+# flags are (flag, type, default) with an optional help text
+CUSP_FLAGS = (("--delta", float, 0.005), ("--eps", str, "dyadic:8"))
+EKSY_FLAGS = (("--M", str, "log2"), ("--nmax", int, 24))
+
+EXPERIMENTS = {
+    "cusp-gram": Experiment(_cusp_gram, "Gram matrix certificates", (
+        *CUSP_FLAGS,
+        ("--n", int, 0, "family size (default all)"),
+        ("--order", int, 32, f"accepted (1..{ORDER_CAP}) but has no effect:"
+                             " the entries come from their closed form"))),
+    "cusp-rho": Experiment(_cusp_rho, "window measure decay", (
+        *CUSP_FLAGS, ("--xi-grid", int, 1), ("--resolution", int, 800))),
+    "cusp-galerkin": Experiment(_cusp_galerkin, "moment-matrix compressions",
+                                (*CUSP_FLAGS, ("--Ks", str, "32,64,128"))),
+    "eksy-growth": Experiment(_eksy_growth, "power norm growth",
+                              (*EKSY_FLAGS, ("--pmax", int, 1048576))),
+    "eksy-windows": Experiment(_eksy_windows, "exact window measures",
+                               (*EKSY_FLAGS, ("--threshold", float, 10.0))),
+    "seq-demo": Experiment(_seq_demo, "decay-sequence regularization", (
+        ("--raw", str, "harmonic"), ("--rho", float, 0.5),
+        ("--length", int, 8))),
+}
+
+
+def _run(args) -> int:
+    """Run one experiment and write its tables, plots and certificates."""
+    log = CertLog()
+    title, tables, plots = EXPERIMENTS[args.experiment].body(args, log)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows)
+    if args.plot:
+        for name, series, options in plots:
+            (out / name).write_text(polyline_chart(series, **options))
+    return log.write(out / "certificates.txt", title)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,56 +355,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certificate experiments for composition-operator"
                     " constructions")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def common(p):
+    for name, exp in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=exp.help)
+        for flag, kind, default, *text in exp.flags:
+            p.add_argument(flag, type=kind, default=default,
+                           help=text[0] if text else None)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--plot", action="store_true", help="write SVG plots")
-
-    p = sub.add_parser("cusp-gram", help="Gram matrix certificates")
-    p.add_argument("--delta", type=float, default=0.005)
-    p.add_argument("--eps", default="dyadic:8")
-    p.add_argument("--n", type=int, default=0, help="family size (default all)")
-    p.add_argument("--order", type=int, default=32,
-                   help=f"accepted (1..{ORDER_CAP}) but has no effect: the"
-                        " entries come from their closed form")
-    common(p)
-    p.set_defaults(func=_run_cusp_gram)
-
-    p = sub.add_parser("cusp-rho", help="window measure decay")
-    p.add_argument("--delta", type=float, default=0.005)
-    p.add_argument("--eps", default="dyadic:8")
-    p.add_argument("--xi-grid", type=int, default=1, dest="xi_grid")
-    p.add_argument("--resolution", type=int, default=800)
-    common(p)
-    p.set_defaults(func=_run_cusp_rho)
-
-    p = sub.add_parser("cusp-galerkin", help="moment-matrix compressions")
-    p.add_argument("--delta", type=float, default=0.005)
-    p.add_argument("--eps", default="dyadic:8")
-    p.add_argument("--Ks", default="32,64,128")
-    common(p)
-    p.set_defaults(func=_run_cusp_galerkin)
-
-    p = sub.add_parser("eksy-growth", help="power norm growth")
-    p.add_argument("--M", default="log2")
-    p.add_argument("--nmax", type=int, default=24)
-    p.add_argument("--pmax", type=int, default=1048576)
-    common(p)
-    p.set_defaults(func=_run_eksy_growth)
-
-    p = sub.add_parser("eksy-windows", help="exact window measures")
-    p.add_argument("--M", default="log2")
-    p.add_argument("--nmax", type=int, default=24)
-    p.add_argument("--threshold", type=float, default=10.0)
-    common(p)
-    p.set_defaults(func=_run_eksy_windows)
-
-    p = sub.add_parser("seq-demo", help="decay-sequence regularization")
-    p.add_argument("--raw", default="harmonic")
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--length", type=int, default=8)
-    common(p)
-    p.set_defaults(func=_run_seq_demo)
     return parser
 
 
@@ -415,8 +394,7 @@ def main(argv=None) -> int:
             if len(argv) != 2:
                 raise ValidationError("--config takes exactly one path")
             return run(argv[1])
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        return _run(_build_parser().parse_args(argv))
     except (ValidationError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -41,21 +41,17 @@ class MomentMatrix:
         return float(np.trace(self.entries))
 
 
-def _region_nodes(region, K: int, m):
+def _region_nodes(region, K: int):
     """Conjugation-folded nodes and weights, as 2-D arrays (rows of nodes)."""
     if region is None:
         # unit disk calibration: radial degree K-1 needs order >= K/2,
         # and 4m angular points alias only differences >= 4m > K-1
-        order = int(m) if m else (K + 1) // 2
-        if not (2 * order >= K and 4 * order > K - 1):
-            raise ValidationError(f"order {order} cannot resolve K = {K}")
+        order = (K + 1) // 2
         pts, wts = _disk_rule(order, half=True)
         return pts.reshape(order, -1), wts.reshape(order, -1), order
     if isinstance(region, CuspProfile):
         # monomial total degree reaches 2K - 2; mt = my = K is exact
-        order = int(m) if m else max(K, 8)
-        if order < K:
-            raise ValidationError(f"order {order} below exactness floor {K}")
+        order = max(K, 8)
         pts, wts = _conjugate_half(*_cusp_nodes(region, order, order), order)
         return pts, wts, order
     raise ValidationError("region must be a cusp profile or None (unit disk)")
@@ -121,7 +117,7 @@ def _moment_table(pts, wts, K: int):
     return 0.5 * (H + H.T)
 
 
-def moment_matrix(region, K: int, m: int = None) -> MomentMatrix:
+def moment_matrix(region, K: int) -> MomentMatrix:
     """Moment matrix of the region's counting measure, truncation K.
 
     ``region`` is a cusp profile, or None for the unit disk itself, where
@@ -129,7 +125,7 @@ def moment_matrix(region, K: int, m: int = None) -> MomentMatrix:
     """
     if not (1 <= K <= K_CAP):
         raise ValidationError(f"K must lie in 1..{K_CAP}")
-    pts, wts, order = _region_nodes(region, K, m)
+    pts, wts, order = _region_nodes(region, K)
     moments = _moment_table(pts, wts, K)
     root = np.sqrt(np.arange(1, K + 1, dtype=float))
     entries = root[:, None] * moments * root[None, :]
@@ -158,11 +154,11 @@ class CompressionScan:
         return float(self.spectrum_by_K[K][n - 1])
 
 
-def compression_scan(region, Ks, m: int = None) -> CompressionScan:
+def compression_scan(region, Ks) -> CompressionScan:
     Ks = sorted({int(K) for K in Ks})
     if not Ks or Ks[0] < 1:
         raise ValidationError("truncation sizes must be positive")
-    M = moment_matrix(region, Ks[-1], m)
+    M = moment_matrix(region, Ks[-1])
     by_K = {}
     for K in Ks:
         by_K[K] = M.spectrum if K == M.K else spectra.eigh(M.entries[:K, :K])

@@ -96,13 +96,6 @@ def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
     return CuspProfile(delta=delta, eps=eps, knots=knots, thetas=thetas)
 
 
-def profile_eval(profile, h: float) -> float:
-    """theta(h) for scalar h in (0, 1)."""
-    if not (0.0 < h < 1.0):
-        raise ValidationError(f"h {h} outside (0, 1)")
-    return float(profile.eval(h))
-
-
 def cusp_contains(profile, z: complex) -> bool:
     """Whether z lies in the open region {0 < x < 1, |y| < theta(1 - x)}.
 
@@ -338,18 +331,3 @@ def count_preimages(F: RectilinearDomain, w: complex) -> int:
     y0 = -math.atan2(w.imag, w.real)
     return sum(eksy_contains(F, complex(x0, y0 + TWO_PI * k))
                for k in range(F.l[-1] + 1))
-
-
-@dataclass(frozen=True)
-class CountingFunction:
-    """n_phi as a callable: indicator of the cusp domain, or the number of
-    exponential preimages in F.  Zero off the image by convention."""
-
-    region: object
-
-    def __call__(self, w: complex) -> int:
-        if isinstance(self.region, RectilinearDomain):
-            if w == 0 or abs(w) >= 1.0:
-                return 0
-            return count_preimages(self.region, w)
-        return int(cusp_contains(self.region, w))

@@ -26,11 +26,13 @@ import numpy as np
 from . import spectra
 from .errors import NumericIntegrityError, ValidationError
 from .geometry import DiskFamily
-from .quad import (DOUBLING_RTOL, ORDER_CAP, _disk_rule, doubling,
-                   kernel_centered)
+from .quad import DOUBLING_RTOL, ORDER_CAP, _disk_rule, doubling
 
 MAX_N = 12              # witness size: n(n+1)/2 quadrature entries
 IMAG_RTOL = 1e-12
+_BLOCK_POINTS = 1 << 15  # weighted-kernel block: its three buffers (1.25 MB)
+                         # stay in a 2 MB L2; 1 << 16 ran ~30% slower
+_FLOOR_SQ = (1.0 - 1e-8) ** 2   # |den / delta^i|^2 floor, with rounding slack
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,89 @@ def closed_form_gram(family: DiskFamily) -> GramMatrix:
                       doubling_residual=None)
 
 
+# ---------------------------------------------------------------------------
+# quadrature witness
+
+
+def kernel_centered(i: int, j: int, xi, zeta, family: DiskFamily,
+                    weights=None):
+    """Bergman kernel 1/(1 - w conj(z))^2 at z = c_i + r_i xi, w = c_j + r_j zeta.
+
+    Evaluated through 1 - w conj(z) = s_ij - c_i r_j zeta - c_j r_i conj(xi)
+    - r_i r_j conj(xi) zeta with s_ij = 2 delta^i + (1 - 2 delta^i) 2 delta^j,
+    which keeps full relative precision where the direct form loses every
+    digit.  Guards the bound |1 - w conj(z)| >= delta^i.
+
+    Without ``weights``, xi and zeta broadcast and the kernel values come
+    back.  With ``weights`` (one real weight per point of the 1-D ``xi``),
+    the weighted sums over xi come back, one per point of the 1-D ``zeta``:
+    the contraction is done in real arithmetic on blocks of _BLOCK_POINTS
+    kernel points, without forming the xi-by-zeta kernel matrix.
+    """
+    if not (1 <= i <= j <= family.n):
+        raise ValidationError(f"need 1 <= i <= j <= {family.n}")
+    xi = np.asarray(xi, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(np.abs(xi) > 1.0 + 1e-12) or np.any(np.abs(zeta) > 1.0 + 1e-12):
+        raise ValidationError("kernel parameters must lie in the closed unit disk")
+    rows = _den_rows(i, j, zeta, family)
+    inv = 1.0 / family.delta_pows[i - 1]
+    if weights is None:
+        d = (rows @ np.stack([np.ones(xi.shape), xi.real, xi.imag],
+                             axis=-1)[..., None])[..., 0]
+        re, im, abs2 = (np.empty(d.shape[:-1]) for _ in range(3))
+        _inv_square(d[..., 0], d[..., 1], re, im, abs2, i)
+        return (re - 2j * im) * inv * inv
+    weights = np.asarray(weights, dtype=float)
+    if xi.ndim != 1 or zeta.ndim != 1 or weights.shape != xi.shape:
+        raise ValidationError("weighted kernel needs 1-D xi and zeta and one "
+                              "weight per xi point")
+    basis = np.stack([np.ones(xi.size), xi.real, xi.imag])
+    bz = max(1, _BLOCK_POINTS // max(xi.size, 1))
+    d, out = np.empty((2, 2 * bz, xi.size))
+    abs2 = np.empty((bz, xi.size))
+    sums = np.empty((2, zeta.size))
+    for lo in range(0, zeta.size, bz):
+        k = min(bz, zeta.size - lo)
+        np.matmul(rows[lo:lo + k].transpose(1, 0, 2).reshape(2 * k, 3), basis,
+                  out=d[:2 * k])
+        _inv_square(d[:k], d[k:2 * k], out[:k], out[k:2 * k], abs2[:k], i)
+        sums[:, lo:lo + k] = (out[:2 * k] @ weights).reshape(2, k)
+    # inv * inv alone can overflow before the result does
+    return (sums[0] - 2j * sums[1]) * inv * inv
+
+
+def _den_rows(i, j, zeta, family):
+    """The kernel denominator over delta^i as two linear forms in
+    (1, Re xi, Im xi), real part then imaginary part: an array of shape
+    zeta.shape + (2, 3)."""
+    inv = 1.0 / family.delta_pows[i - 1]
+    ci, cj = family.centers[i - 1], family.centers[j - 1]
+    ri, rj = family.radii[i - 1], family.radii[j - 1]
+    a = (family.s(i, j) - ci * rj * zeta) * inv
+    b = (cj * ri + ri * rj * zeta) * inv
+    # a - conj(xi) b = (a_r - x b_r - y b_i) + i (a_i - x b_i + y b_r)
+    return np.stack([np.stack([a.real, -b.real, -b.imag], axis=-1),
+                     np.stack([a.imag, -b.imag, b.real], axis=-1)], axis=-2)
+
+
+def _inv_square(dr, di, re, im, abs2, i):
+    """Write (dr^2 - di^2)/|d|^4 to ``re`` and dr di/|d|^4 to ``im``, so that
+    1/d^2 = re - 2i im for d = dr + i di, after checking the scaled floor
+    |d| >= 1 - 1e-8 at every point (``abs2`` is scratch)."""
+    np.multiply(dr, dr, out=re)
+    np.multiply(di, di, out=im)
+    np.add(re, im, out=abs2)
+    if not abs2.min(initial=np.inf) >= _FLOOR_SQ:
+        raise NumericIntegrityError(
+            f"kernel denominator below its floor delta^{i}; cancellation bug")
+    np.subtract(re, im, out=re)
+    np.multiply(dr, di, out=im)
+    np.multiply(abs2, abs2, out=abs2)
+    np.divide(re, abs2, out=re)
+    np.divide(im, abs2, out=im)
+
+
 def _entry_raw(i, j, family, m, half):
     """Quadrature value of the double disk integral of the centered kernel:
     the full order-m rule in xi, the full or conjugate-folded rule in zeta."""
@@ -110,30 +195,24 @@ def _assemble(family: DiskFamily, m: int, half: bool) -> np.ndarray:
     return E
 
 
-def build_gram(family: DiskFamily, m: int = 32, verify: bool = True) -> GramMatrix:
+def build_gram(family: DiskFamily, m: int = 32) -> GramMatrix:
     """Assemble the Gram matrix at quadrature order m.
 
-    With ``verify`` the entries are recomputed at order 2m (conjugate-folded
-    angular rule) and must agree to 1e-8 relative; on failure the order is
-    doubled up to the cap.  Positive semidefiniteness is checked against
-    -1e-14 * trace.
+    The entries are recomputed at order 2m (conjugate-folded angular rule)
+    and must agree to 1e-8 relative; on failure the order is doubled up to
+    the cap.  Positive semidefiniteness is checked against -1e-14 * trace.
     """
     if not (1 <= family.n <= MAX_N):
         raise ValidationError(f"family size must lie in 1..{MAX_N}")
     if not (1 <= m <= ORDER_CAP):
         raise ValidationError(f"order must lie in 1..{ORDER_CAP}")
-    if verify:
-        d = doubling(lambda k: _assemble(family, k, half=k > m), m,
-                     DOUBLING_RTOL)
-        entries, order, residual = d.value, d.order, d.residual
-    else:
-        entries, order, residual = _assemble(family, m, half=False), m, None
-    lam = spectra.eigh(entries)
-    if lam[-1] < -1e-14 * np.trace(entries):
+    d = doubling(lambda k: _assemble(family, k, half=k > m), m, DOUBLING_RTOL)
+    lam = spectra.eigh(d.value)
+    if lam[-1] < -1e-14 * np.trace(d.value):
         raise NumericIntegrityError(
             f"Gram matrix lost positive semidefiniteness: {lam[-1]:.3e}")
-    return GramMatrix(n=family.n, entries=entries, family=family,
-                      order=order, doubling_residual=residual)
+    return GramMatrix(n=family.n, entries=d.value, family=family,
+                      order=d.order, doubling_residual=d.residual)
 
 
 # ---------------------------------------------------------------------------

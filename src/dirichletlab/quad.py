@@ -2,8 +2,8 @@
 
 Gauss-Legendre rules, tensor rules on rectangles, polar rules on disks
 with respect to the normalized area measure dA = dx dy / pi, the
-cancellation-free Bergman kernel evaluation for disk-family pairs, and
-moment integrals over the cusp domain.
+order-doubling verifier, and nodes and moment integrals over the cusp
+domain.
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyWarning, NumericIntegrityError, ValidationError
-from .geometry import CuspProfile, DiskFamily
+from .errors import AccuracyWarning, ValidationError
+from .geometry import CuspProfile
 
 ORDER_CAP = 512
 DOUBLING_RTOL = 1e-8    # Gram entries and cusp_moment
 MOMENT_RTOL = 1e-10     # cusp |w|^2q moments and the cusp window area
 _CUSP_GRID_SLOTS = 4    # one order-512 grid on 9 profile pieces is ~56 MB
-_BLOCK_POINTS = 1 << 15  # weighted-kernel block: its three buffers (1.25 MB)
-                         # stay in a 2 MB L2; 1 << 16 ran ~30% slower
-_FLOOR_SQ = (1.0 - 1e-8) ** 2   # |den / delta^i|^2 floor, with rounding slack
 
 
 Doubling = collections.namedtuple("Doubling", "value check order residual")
@@ -157,98 +154,6 @@ def _disk_rule(m: int, half: bool = False):
     return pts.ravel(), wts.ravel()
 
 
-def integrate_disk(f, center: complex, radius: float, m: int) -> complex:
-    """Integral of f over D(center, radius) w.r.t. normalized area dA.
-
-    The constant function integrates to radius^2 (A(D(c, r)) = r^2 under
-    dA).  ``f`` must accept a complex ndarray.
-    """
-    if not (radius > 0.0):
-        raise ValidationError(f"radius {radius} must be positive")
-    pts, wts = _disk_rule(m)
-    vals = np.asarray(f(center + radius * pts), dtype=complex)
-    return complex(radius * radius * (wts @ vals))
-
-
-def kernel_centered(i: int, j: int, xi, zeta, family: DiskFamily,
-                    weights=None):
-    """Bergman kernel 1/(1 - w conj(z))^2 at z = c_i + r_i xi, w = c_j + r_j zeta.
-
-    Evaluated through 1 - w conj(z) = s_ij - c_i r_j zeta - c_j r_i conj(xi)
-    - r_i r_j conj(xi) zeta with s_ij = 2 delta^i + (1 - 2 delta^i) 2 delta^j,
-    which keeps full relative precision where the direct form loses every
-    digit.  Guards the bound |1 - w conj(z)| >= delta^i.
-
-    Without ``weights``, xi and zeta broadcast and the kernel values come
-    back.  With ``weights`` (one real weight per point of the 1-D ``xi``),
-    the weighted sums over xi come back, one per point of the 1-D ``zeta``:
-    the contraction is done in real arithmetic on blocks of _BLOCK_POINTS
-    kernel points, without forming the xi-by-zeta kernel matrix.
-    """
-    if not (1 <= i <= j <= family.n):
-        raise ValidationError(f"need 1 <= i <= j <= {family.n}")
-    xi = np.asarray(xi, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)
-    if np.any(np.abs(xi) > 1.0 + 1e-12) or np.any(np.abs(zeta) > 1.0 + 1e-12):
-        raise ValidationError("kernel parameters must lie in the closed unit disk")
-    rows = _den_rows(i, j, zeta, family)
-    inv = 1.0 / family.delta_pows[i - 1]
-    if weights is None:
-        d = (rows @ np.stack([np.ones(xi.shape), xi.real, xi.imag],
-                             axis=-1)[..., None])[..., 0]
-        re, im, abs2 = (np.empty(d.shape[:-1]) for _ in range(3))
-        _inv_square(d[..., 0], d[..., 1], re, im, abs2, i)
-        return (re - 2j * im) * inv * inv
-    weights = np.asarray(weights, dtype=float)
-    if xi.ndim != 1 or zeta.ndim != 1 or weights.shape != xi.shape:
-        raise ValidationError("weighted kernel needs 1-D xi and zeta and one "
-                              "weight per xi point")
-    basis = np.stack([np.ones(xi.size), xi.real, xi.imag])
-    bz = max(1, _BLOCK_POINTS // max(xi.size, 1))
-    d, out = np.empty((2, 2 * bz, xi.size))
-    abs2 = np.empty((bz, xi.size))
-    sums = np.empty((2, zeta.size))
-    for lo in range(0, zeta.size, bz):
-        k = min(bz, zeta.size - lo)
-        np.matmul(rows[lo:lo + k].transpose(1, 0, 2).reshape(2 * k, 3), basis,
-                  out=d[:2 * k])
-        _inv_square(d[:k], d[k:2 * k], out[:k], out[k:2 * k], abs2[:k], i)
-        sums[:, lo:lo + k] = (out[:2 * k] @ weights).reshape(2, k)
-    # inv * inv alone can overflow before the result does
-    return (sums[0] - 2j * sums[1]) * inv * inv
-
-
-def _den_rows(i, j, zeta, family):
-    """The kernel denominator over delta^i as two linear forms in
-    (1, Re xi, Im xi), real part then imaginary part: an array of shape
-    zeta.shape + (2, 3)."""
-    inv = 1.0 / family.delta_pows[i - 1]
-    ci, cj = family.centers[i - 1], family.centers[j - 1]
-    ri, rj = family.radii[i - 1], family.radii[j - 1]
-    a = (family.s(i, j) - ci * rj * zeta) * inv
-    b = (cj * ri + ri * rj * zeta) * inv
-    # a - conj(xi) b = (a_r - x b_r - y b_i) + i (a_i - x b_i + y b_r)
-    return np.stack([np.stack([a.real, -b.real, -b.imag], axis=-1),
-                     np.stack([a.imag, -b.imag, b.real], axis=-1)], axis=-2)
-
-
-def _inv_square(dr, di, re, im, abs2, i):
-    """Write (dr^2 - di^2)/|d|^4 to ``re`` and dr di/|d|^4 to ``im``, so that
-    1/d^2 = re - 2i im for d = dr + i di, after checking the scaled floor
-    |d| >= 1 - 1e-8 at every point (``abs2`` is scratch)."""
-    np.multiply(dr, dr, out=re)
-    np.multiply(di, di, out=im)
-    np.add(re, im, out=abs2)
-    if not abs2.min(initial=np.inf) >= _FLOOR_SQ:
-        raise NumericIntegrityError(
-            f"kernel denominator below its floor delta^{i}; cancellation bug")
-    np.subtract(re, im, out=re)
-    np.multiply(dr, di, out=im)
-    np.multiply(abs2, abs2, out=abs2)
-    np.divide(re, abs2, out=re)
-    np.divide(im, abs2, out=im)
-
-
 # ---------------------------------------------------------------------------
 # cusp-domain nodes and moments
 
@@ -288,7 +193,7 @@ def _cusp_integral(profile: CuspProfile, integrand, order: int):
     return wts @ integrand(pts)
 
 
-def cusp_moment(profile: CuspProfile, j: int, k: int, m: int = 64) -> complex:
+def cusp_moment(profile: CuspProfile, j: int, k: int) -> complex:
     """Moment integral over the cusp domain: mu_hat_{jk} = int w^k conj(w)^j dA.
 
     The t-split tensor rule is exact once the order covers the degree, so
@@ -298,7 +203,7 @@ def cusp_moment(profile: CuspProfile, j: int, k: int, m: int = 64) -> complex:
     if not (0 <= j <= 400 and 0 <= k <= 400):
         raise ValidationError("moment degrees must lie in 0..400")
     need = (j + k + 3) // 2          # ceil((j + k + 2) / 2)
-    order = max(min(m, ORDER_CAP), need, 1)
+    order = max(64, need)
     return complex(doubling(lambda mm: _cusp_integral(
         profile, lambda w: w ** k * np.conj(w) ** j, mm),
         order, DOUBLING_RTOL).check)

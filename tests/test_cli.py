@@ -8,6 +8,8 @@ import pytest
 from dirichletlab import cli, geometry, gram, seqs
 from dirichletlab.errors import NumericIntegrityError
 
+from test_golden import RUNS as GOLDEN_RUNS
+
 
 def _read_csv(path):
     with open(path, newline="") as fh:
@@ -105,6 +107,19 @@ def test_eksy_growth_artifacts(tmp_path):
         tmp_path / "certificates.txt").read_text()
 
 
+def test_eksy_growth_single_exponent(tmp_path):
+    # pmax = 1 has no halved grid to compare: an INFO line stands in for
+    # the stability check
+    code = cli.main(["eksy-growth", "--nmax", "6", "--pmax", "1",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "certificates.txt").read_text()
+    assert ("INFO pmax=1: no halved grid, "
+            "sup_ratio_stable_under_pmax_halving skipped") in text
+    assert "PASS sup_ratio_stable_under_pmax_halving" not in text
+    assert text.strip().endswith("RESULT PASS")
+
+
 def test_eksy_windows_artifacts_and_roundtrip(tmp_path):
     # the divergence threshold of 10 needs ~20 built levels; at nmax = 6
     # the indices only reach l_6, so the test asks for a small threshold
@@ -123,6 +138,23 @@ def test_eksy_windows_artifacts_and_roundtrip(tmp_path):
     table = eksy_window_table(eksy_build(log2_targets, 6))
     assert float(rows[0][1]) == table[0][1]
     assert math.isclose(float(rows[0][1]), 13.0 / 256.0, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_plot_writes_one_svg_and_leaves_other_files_alone(tmp_path, name):
+    # the golden sizes; seq-demo has nothing to plot
+    runs = {}
+    for plot in ([], ["--plot"]):
+        out = tmp_path / ("plot" if plot else "plain")
+        assert cli.main([name, *GOLDEN_RUNS[name], *plot,
+                         "--out", str(out)]) == 0
+        runs[bool(plot)] = {p.name: p.read_bytes() for p in out.iterdir()}
+    svgs = [f for f in runs[True] if f.endswith(".svg")]
+    assert len(svgs) == (0 if name == "seq-demo" else 1)
+    for f in svgs:
+        assert runs[True].pop(f).startswith(b"<svg")
+    assert runs[True] == runs[False]
+    assert "certificates.txt" in runs[False]
 
 
 def test_threshold_failure_flips_exit_code(tmp_path):
@@ -155,6 +187,9 @@ def test_usage_errors_return_two(tmp_path, capsys):
                  ["eksy-growth", "--M", f"file:{m_file}"] + out,
                  ["cusp-galerkin", "--Ks", "32,a"] + out,
                  ["cusp-gram", "--order", "0"] + out,
+                 ["cusp-rho", "--xi-grid", "0"] + out,
+                 ["cusp-rho", "--xi-grid", "-2"] + out,
+                 ["eksy-windows", "--threshold", "nan"] + out,
                  ["--config", str(listed)]):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err

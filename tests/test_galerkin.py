@@ -24,11 +24,6 @@ def test_disk_calibration_is_identity():
         assert np.all(np.abs(M.spectrum - 1.0) < 1e-13)
 
 
-def test_disk_calibration_order_floor():
-    with pytest.raises(ValidationError):
-        moment_matrix(None, 16, m=4)    # 2m < K cannot be exact
-
-
 def test_moment_matrix_matches_direct_moments():
     prof = profile_make(dyadic(3), DELTA)
     M = moment_matrix(prof, 6)
@@ -114,7 +109,7 @@ def test_moment_table_matches_complex_formula():
     prof = profile_make(dyadic(8), DELTA)
     for my in (16, 17):
         pts, wts = _cusp_nodes(prof, my, my)
-        half, hw, _ = galerkin._region_nodes(prof, 16, my)
+        half, hw = galerkin._conjugate_half(pts, wts, my)
         assert half.shape == (pts.size // my, (my + 1) // 2)
         re = galerkin._moment_table(half, hw, 16)
         V = np.vander(pts, 16, increasing=True)
@@ -126,7 +121,8 @@ def test_moment_table_blocks_and_weights(monkeypatch):
     # a table built over several blocks of node rows equals the one-block
     # table; a negative weight has no square root and is refused
     prof = profile_make(dyadic(3), DELTA)
-    pts, wts, _ = galerkin._region_nodes(prof, 8, None)   # 32 rows of 4
+    # 32 rows of 4
+    pts, wts = galerkin._conjugate_half(*_cusp_nodes(prof, 8, 8), 8)
     whole = galerkin._moment_table(pts, wts, 8)
     monkeypatch.setattr(galerkin, "_TABLE_BYTES", 16 * 8 * 4 * 10)
     blocked = galerkin._moment_table(pts, wts, 8)  # 10, 10, 10, 2 rows

@@ -5,7 +5,6 @@ import pytest
 
 from dirichletlab.errors import ConstructionError, ValidationError
 from dirichletlab.geometry import (
-    CountingFunction,
     PowerProfile,
     count_preimages,
     cusp_area,
@@ -14,7 +13,6 @@ from dirichletlab.geometry import (
     eksy_build,
     eksy_contains,
     eps_exp,
-    profile_eval,
     profile_make,
 )
 from dirichletlab.seqs import dyadic
@@ -31,7 +29,7 @@ def test_profile_anchors():
         assert math.isclose(th, 2.0 ** (-7 - j) * DELTA**j, rel_tol=1e-15)
     # interpolation hits the anchors exactly
     for h, th in anchors:
-        assert profile_eval(prof, h) == th
+        assert prof.eval(h) == th
 
 
 def test_profile_is_sublinear():
@@ -42,14 +40,6 @@ def test_profile_is_sublinear():
     assert np.all(vals <= 2.0**-8 * hs * (1.0 + 1e-12))
     assert np.all(np.diff(vals) >= 0.0)
     assert prof.sup_half_width() == 2.0**-8
-
-
-def test_profile_eval_domain():
-    prof = profile_make(dyadic(2), DELTA)
-    with pytest.raises(ValidationError):
-        profile_eval(prof, 0.0)
-    with pytest.raises(ValidationError):
-        profile_eval(prof, 1.0)
 
 
 def test_profile_make_validates_delta():
@@ -247,14 +237,3 @@ def test_count_preimages_validates_modulus():
         count_preimages(F, 0.0 + 0.0j)
     with pytest.raises(ValidationError):
         count_preimages(F, 2.0 + 0.0j)
-
-
-def test_counting_function_dispatch():
-    F = eksy_build(lambda n: n.bit_length(), 4)
-    nf = CountingFunction(F)
-    assert nf(0.0 + 0.0j) == 0
-    assert nf(1.5 + 0.0j) == 0
-    prof = profile_make(dyadic(4), DELTA)
-    nc = CountingFunction(prof)
-    assert nc(complex(0.5, 0.0)) == 1
-    assert nc(complex(0.5, 1.0)) == 0

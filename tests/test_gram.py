@@ -12,6 +12,7 @@ from dirichletlab.gram import (
     bernstein_certificate,
     build_gram,
     closed_form_gram,
+    kernel_centered,
     nu_bound,
     tec_report,
 )
@@ -56,13 +57,6 @@ def test_gram_doubling_residual_recorded(small_gram):
     assert small_gram.order == 8
     assert small_gram.doubling_residual is not None
     assert small_gram.doubling_residual <= 1e-8
-
-
-def test_gram_without_verification():
-    fam = disk_family(dyadic(2), DELTA, 2)
-    M = build_gram(fam, m=6, verify=False)
-    assert M.order == 6
-    assert M.doubling_residual is None
 
 
 def test_nu_is_row_scaled_offdiagonal(small_gram):
@@ -192,6 +186,85 @@ def test_build_gram_imag_check_trips_on_asymmetric_rule(monkeypatch):
     fam = disk_family(dyadic(2), DELTA, 2)
     with pytest.raises(NumericIntegrityError, match="imaginary residue"):
         build_gram(fam, m=4)
+
+
+# ---------------------------------------------------------------------------
+# witness kernel
+
+
+def test_kernel_center_value():
+    fam = disk_family(dyadic(8), DELTA, 8)
+    for (i, j) in ((1, 1), (1, 2), (2, 5), (8, 8)):
+        val = kernel_centered(i, j, np.array([0.0j]), np.array([0.0j]), fam)
+        assert math.isclose(val[0].real, 1.0 / fam.s(i, j) ** 2, rel_tol=1e-13)
+        assert abs(val[0].imag) < 1e-16 / fam.s(i, j) ** 2
+
+
+def test_kernel_matches_naive_where_naive_survives():
+    # the direct 1/(1 - w conj z)^2 loses ~1 ulp of 1, i.e. ~2e-14
+    # relative at s_11 ~ 0.02; the centered form should agree to that level
+    fam = disk_family(dyadic(8), DELTA, 8)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        i = int(rng.integers(1, 3))
+        j = int(rng.integers(i, 4))
+        xi = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+        zeta = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+        xi /= max(1.0, abs(xi))
+        zeta /= max(1.0, abs(zeta))
+        z = fam.centers[i - 1] + fam.radii[i - 1] * xi
+        w = fam.centers[j - 1] + fam.radii[j - 1] * zeta
+        naive = 1.0 / (1.0 - w * np.conj(z)) ** 2
+        val = kernel_centered(i, j, np.array([xi]), np.array([zeta]), fam)[0]
+        assert abs(val - naive) <= 1e-9 * abs(val)
+
+
+def test_kernel_finite_at_depth():
+    fam = disk_family(dyadic(8), DELTA, 8)
+    val = kernel_centered(8, 8, np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]), fam)
+    assert np.isfinite(val[0])
+    assert val[0].real > 0.0
+
+
+def test_kernel_validates_arguments():
+    fam = disk_family(dyadic(4), DELTA, 4)
+    with pytest.raises(ValidationError):
+        kernel_centered(2, 1, np.array([0.0j]), np.array([0.0j]), fam)
+    with pytest.raises(ValidationError):
+        kernel_centered(1, 1, np.array([1.5 + 0.0j]), np.array([0.0j]), fam)
+
+
+def test_weighted_kernel_is_the_weighted_pointwise_sum():
+    # with 2^15-point blocks, 3000 xi points make blocks of 10 zeta points,
+    # so 25 zeta points span two full blocks and a partial one; points
+    # include the boundary circle
+    fam = disk_family(dyadic(8), DELTA, 8)
+    rng = np.random.default_rng(11)
+
+    def disk_points(size):
+        angle = 2.0 * math.pi * rng.uniform(0, 1, size)
+        p = np.sqrt(rng.uniform(0, 1, size)) * np.exp(1j * angle)
+        p[:4] /= np.abs(p[:4])
+        return p
+
+    xi, zeta = disk_points(3000), disk_points(25)
+    w = rng.uniform(0.1, 1.0, xi.size)
+    for (i, j) in ((1, 1), (1, 2), (2, 5), (3, 8), (8, 8)):
+        got = kernel_centered(i, j, xi, zeta, fam, w)
+        want = w @ kernel_centered(i, j, xi[:, None], zeta[None, :], fam)
+        assert got.shape == zeta.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_weighted_kernel_validates_arguments():
+    fam = disk_family(dyadic(4), DELTA, 4)
+    pts = np.array([0.0j, 0.5j])
+    for xi, zeta, w in ((pts, pts, np.ones(3)),
+                        (pts[:, None], pts, np.ones((2, 1))),
+                        (pts, pts[None, :], np.ones(2)),
+                        (np.array([1.5 + 0.0j, 0.0j]), pts, np.ones(2))):
+        with pytest.raises(ValidationError):
+            kernel_centered(1, 2, xi, zeta, fam, w)
 
 
 # ---------------------------------------------------------------------------

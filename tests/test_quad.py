@@ -7,15 +7,13 @@ import pytest
 
 from dirichletlab import powers, quad
 from dirichletlab.errors import AccuracyWarning, ValidationError
-from dirichletlab.geometry import cusp_area, disk_family, profile_make
+from dirichletlab.geometry import cusp_area, profile_make
 from dirichletlab.quad import (
     _cusp_nodes,
     cusp_moment,
     doubling,
     gauss_nodes,
-    integrate_disk,
     integrate_rect,
-    kernel_centered,
 )
 from dirichletlab.seqs import dyadic
 
@@ -83,92 +81,14 @@ def test_rect_integral_adaptive_sharp_exponential():
 def test_disk_integral_oracles():
     c = 0.3 + 0.1j
     r = 0.25
-    one = integrate_disk(lambda w: np.ones_like(w.real), c, r, 8)
-    assert math.isclose(one.real, r * r, rel_tol=1e-13)
-    cent = integrate_disk(lambda w: w - c, c, r, 8)
+    pts, wts = quad._disk_rule(8)
+    w = c + r * pts
+    one = r * r * np.sum(wts)
+    assert math.isclose(one, r * r, rel_tol=1e-13)
+    cent = r * r * (wts @ (w - c))
     assert abs(cent) < 1e-15
-    sq = integrate_disk(lambda w: np.abs(w - c) ** 2, c, r, 8)
-    assert math.isclose(sq.real, r**4 / 2.0, rel_tol=1e-12)
-
-
-def test_disk_integral_validates_radius():
-    with pytest.raises(ValidationError):
-        integrate_disk(lambda w: w, 0.0 + 0.0j, 0.0, 4)
-
-
-def test_kernel_center_value():
-    fam = disk_family(dyadic(8), DELTA, 8)
-    for (i, j) in ((1, 1), (1, 2), (2, 5), (8, 8)):
-        val = kernel_centered(i, j, np.array([0.0j]), np.array([0.0j]), fam)
-        assert math.isclose(val[0].real, 1.0 / fam.s(i, j) ** 2, rel_tol=1e-13)
-        assert abs(val[0].imag) < 1e-16 / fam.s(i, j) ** 2
-
-
-def test_kernel_matches_naive_where_naive_survives():
-    # the direct 1/(1 - w conj z)^2 loses ~1 ulp of 1, i.e. ~2e-14
-    # relative at s_11 ~ 0.02; the centered form should agree to that level
-    fam = disk_family(dyadic(8), DELTA, 8)
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        i = int(rng.integers(1, 3))
-        j = int(rng.integers(i, 4))
-        xi = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-        zeta = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-        xi /= max(1.0, abs(xi))
-        zeta /= max(1.0, abs(zeta))
-        z = fam.centers[i - 1] + fam.radii[i - 1] * xi
-        w = fam.centers[j - 1] + fam.radii[j - 1] * zeta
-        naive = 1.0 / (1.0 - w * np.conj(z)) ** 2
-        val = kernel_centered(i, j, np.array([xi]), np.array([zeta]), fam)[0]
-        assert abs(val - naive) <= 1e-9 * abs(val)
-
-
-def test_kernel_finite_at_depth():
-    fam = disk_family(dyadic(8), DELTA, 8)
-    val = kernel_centered(8, 8, np.array([1.0 + 0.0j]), np.array([1.0 + 0.0j]), fam)
-    assert np.isfinite(val[0])
-    assert val[0].real > 0.0
-
-
-def test_kernel_validates_arguments():
-    fam = disk_family(dyadic(4), DELTA, 4)
-    with pytest.raises(ValidationError):
-        kernel_centered(2, 1, np.array([0.0j]), np.array([0.0j]), fam)
-    with pytest.raises(ValidationError):
-        kernel_centered(1, 1, np.array([1.5 + 0.0j]), np.array([0.0j]), fam)
-
-
-def test_weighted_kernel_is_the_weighted_pointwise_sum():
-    # with 2^15-point blocks, 3000 xi points make blocks of 10 zeta points,
-    # so 25 zeta points span two full blocks and a partial one; points
-    # include the boundary circle
-    fam = disk_family(dyadic(8), DELTA, 8)
-    rng = np.random.default_rng(11)
-
-    def disk_points(size):
-        angle = 2.0 * math.pi * rng.uniform(0, 1, size)
-        p = np.sqrt(rng.uniform(0, 1, size)) * np.exp(1j * angle)
-        p[:4] /= np.abs(p[:4])
-        return p
-
-    xi, zeta = disk_points(3000), disk_points(25)
-    w = rng.uniform(0.1, 1.0, xi.size)
-    for (i, j) in ((1, 1), (1, 2), (2, 5), (3, 8), (8, 8)):
-        got = kernel_centered(i, j, xi, zeta, fam, w)
-        want = w @ kernel_centered(i, j, xi[:, None], zeta[None, :], fam)
-        assert got.shape == zeta.shape
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
-
-def test_weighted_kernel_validates_arguments():
-    fam = disk_family(dyadic(4), DELTA, 4)
-    pts = np.array([0.0j, 0.5j])
-    for xi, zeta, w in ((pts, pts, np.ones(3)),
-                        (pts[:, None], pts, np.ones((2, 1))),
-                        (pts, pts[None, :], np.ones(2)),
-                        (np.array([1.5 + 0.0j, 0.0j]), pts, np.ones(2))):
-        with pytest.raises(ValidationError):
-            kernel_centered(1, 2, xi, zeta, fam, w)
+    sq = r * r * (wts @ np.abs(w - c) ** 2)
+    assert math.isclose(sq, r**4 / 2.0, rel_tol=1e-12)
 
 
 def test_cusp_moment_low_orders():
