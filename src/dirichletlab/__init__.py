@@ -15,7 +15,7 @@ from .spectra import (NeumannBounds, eigh, neumann_lower, schur_bound,
                       singular_values)
 from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
                    bernstein_certificate, build_gram, closed_form_gram,
-                   kernel_centered, nu_bound, tec_report)
+                   nu_bound, tec_report)
 from .carleson import (BoundednessSummary, WindowMeasureReport,
                        boundedness_index, cusp_window_report,
                        eksy_window_measure, eksy_window_table,
@@ -40,7 +40,7 @@ __all__ = [
     "singular_values",
     "CertificateReport", "CheckResult", "GramMatrix", "TecReport",
     "bernstein_certificate", "build_gram", "closed_form_gram",
-    "kernel_centered", "nu_bound", "tec_report",
+    "nu_bound", "tec_report",
     "BoundednessSummary", "WindowMeasureReport", "boundedness_index",
     "cusp_window_report", "eksy_window_measure", "eksy_window_table",
     "half_window_area", "rho", "window_area_cusp", "window_report",

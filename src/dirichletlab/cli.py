@@ -217,8 +217,8 @@ def _cusp_galerkin(args, log):
     for n, K in galerkin.floor_crossings(scan, floors):
         log.info(f"floor_crossing n={n}: "
                  + (f"K={K}" if K else "not reached (converges from below)"))
-    series = [(f"K={K}", range(1, len(eps) + 1),
-               [scan.eigenvalue(i + 1, K) for i in range(len(eps))])
+    series = [(f"K={K}", range(1, min(len(eps), K) + 1),
+               [scan.eigenvalue(i + 1, K) for i in range(min(len(eps), K))])
               for K in scan.Ks]
     return (f"cusp-galerkin delta={args.delta} eps={args.eps} Ks={Ks}",
             [("galerkin.csv", ("n", "K", "lambda", "floor"), rows)],

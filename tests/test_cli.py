@@ -93,6 +93,22 @@ def test_cusp_galerkin_single_truncation(tmp_path):
     assert text.strip().endswith("RESULT PASS")
 
 
+def test_cusp_galerkin_K_below_tracked_count(tmp_path):
+    # K = 4 has fewer eigenvalues than the 8 tracked indices: the CSV and
+    # the plot both stop at K, and --plot changes no other file
+    runs = {}
+    for plot in ([], ["--plot"]):
+        out = tmp_path / ("plot" if plot else "plain")
+        assert cli.main(["cusp-galerkin", "--Ks", "4", *plot,
+                         "--out", str(out)]) == 0
+        runs[bool(plot)] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs[True].pop("galerkin.svg").startswith(b"<svg")
+    assert runs[True] == runs[False]
+    header, rows = _read_csv(tmp_path / "plain" / "galerkin.csv")
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(n, 4) for n in range(1, 5)]
+    assert runs[False]["certificates.txt"].strip().endswith(b"RESULT PASS")
+
+
 def test_eksy_growth_artifacts(tmp_path):
     code = cli.main(["eksy-growth", "--nmax", "6", "--pmax", "64",
                      "--out", str(tmp_path)])
