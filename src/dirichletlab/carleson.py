@@ -4,87 +4,76 @@ Two window types, never conflated: the disk window S(xi, h) = D(xi, h)
 intersected with the unit disk, used for the cusp symbol, and the
 arc-annulus window W(1, h) = {1 - h <= |z| < 1, |arg z| < pi h} with its
 half-depth variant W'_n, used for the exponential image of the
-rectilinear domain.  All measures are w.r.t. dA = dx dy / pi.
+rectilinear domain.  All measures are w.r.t. dA = dx dy / pi.  Both are
+closed forms: the cusp window at xi = 1 over the profile's breakpoint
+table, the staircase windows over the band spans of the rectangles.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .geometry import CuspProfile, RectilinearDomain
-from .quad import MOMENT_RTOL, _gl, doubling
+from .errors import NumericIntegrityError, ValidationError
+from .geometry import CuspProfile, RectilinearDomain, exp_drop
 
 
 # ---------------------------------------------------------------------------
 # cusp windows S(xi, h)
 
 
-def _crossing(profile, h: float, t_hi: float) -> float:
-    """Unique root of theta(t)^2 + t^2 = h^2 on (0, t_hi), else t_hi."""
-
-    def g(t):
-        th = float(profile.eval(t))
-        return th * th + t * t - h * h
-
-    if g(t_hi) <= 0.0:
-        return t_hi
-    lo, hi = 0.0, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
+def _window_at_one(profile, h: float) -> float:
+    """(1/pi) int_0^t_hi 2 min(theta(t), r(t)) dt, r = sqrt(h^2 - t^2),
+    t_hi = min(h, 1): trapezoids up to the one crossing c of the increasing
+    theta^2 + t^2 with h^2 (else c = 1, and no segment), then the segment
+    (1/pi)[h^2 (atan2(r_c, c) - atan2(r_t, t_hi)) + t_hi r_t - c r_c] with
+    r_c = theta(c).  On the piece [k0, k1] of slope s holding c, t = k0 + u
+    solves (1 + s^2) u^2 + 2 B u + C = 0 with B = t0 s + k0 >= 0 and
+    C = t0^2 + k0^2 - h^2 <= 0; its larger root is written without
+    cancellation.  A mass that is not a finite normal float raises
+    ``NumericIntegrityError``."""
+    knots, thetas = profile.knots, profile.thetas
+    trap = (thetas[1:] + thetas[:-1]) * np.diff(knots)   # 2 x piece areas
+    i = int(np.searchsorted(knots ** 2 + thetas ** 2, h * h, side="right"))
+    with np.errstate(all="ignore"):     # the guard below reports it
+        if i == len(knots):             # theta below the circle up to t = 1
+            area = float(np.sum(trap)) / math.pi
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _profile_part(profile, a: float, b: float, m: int) -> float:
-    """(1/pi) int_a^b 2 theta(t) dt, split at the profile knots."""
-    if not a < b:
-        return 0.0
-    cuts = [a]
-    knots = getattr(profile, "knots", None)
-    if knots is not None:
-        cuts += [float(t) for t in knots if a < t < b]
-    cuts.append(b)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        t, wt = _gl(lo, hi, m)
-        total += float(wt @ np.asarray(profile.eval(t)))
-    return 2.0 * total / math.pi
-
-
-def _circle_part(h: float, a: float, b: float, m: int) -> float:
-    """(1/pi) int_a^b 2 sqrt(h^2 - t^2) dt via t = h sin(u)."""
-    if not a < b:
-        return 0.0
-    u, wu = _gl(math.asin(min(a / h, 1.0)), math.asin(min(b / h, 1.0)), m)
-    return float(2.0 * h * h / math.pi * (wu @ np.cos(u) ** 2))
+            k0, k1, t0, t1 = knots[i - 1], knots[i], thetas[i - 1], thetas[i]
+            s = (t1 - t0) / (k1 - k0)
+            b, c0 = t0 * s + k0, t0 * t0 + k0 * k0 - h * h
+            u = min(-c0 / (b + math.sqrt(b * b - (1.0 + s * s) * c0)),
+                    k1 - k0)
+            c, r_c = k0 + u, t0 + s * u
+            t_hi = min(h, 1.0)
+            r_t = math.sqrt(h * h - t_hi * t_hi)
+            area = (float(np.sum(trap[:i - 1])) + (t0 + r_c) * u
+                    + h * h * (math.atan2(r_c, c) - math.atan2(r_t, t_hi))
+                    + t_hi * r_t - c * r_c) / math.pi
+    if not (math.isfinite(area) and area >= sys.float_info.min):
+        raise NumericIntegrityError(
+            f"window area at h={h!r} is {float(area)!r}, not a normal float")
+    return float(area)
 
 
 def window_area_cusp(profile, h: float, xi: complex = 1.0,
                      resolution: int = 800) -> float:
     """Normalized area of S(xi, h) intersected with the cusp domain.
 
-    At xi = 1 the intersection reduces to one dimension:
-    (1/pi) int_0^h 2 min(theta(t), sqrt(h^2 - t^2)) dt, evaluated by
-    panel-split Gauss rules with an order-doubling check.  Off xi = 1 a
-    midpoint indicator grid of the given resolution is used.  h up to 2
-    is accepted so a window can cover the whole domain.
+    At xi = 1 the intersection reduces to one dimension,
+    (1/pi) int_0^h 2 min(theta(t), sqrt(h^2 - t^2)) dt, evaluated in
+    closed form over the profile's breakpoint table (``_window_at_one``).
+    Off xi = 1 a midpoint indicator grid of the given resolution is used.
+    h up to 2 is accepted so a window can cover the whole domain.
     """
     if not (0.0 < h <= 2.0):
         raise ValidationError(f"h {h} outside (0, 2]")
     xi = complex(xi)
     if abs(xi - 1.0) < 1e-15:
-        t_hi = min(h, 1.0)
-        cross = _crossing(profile, h, t_hi)
-        return doubling(lambda m: _profile_part(profile, 0.0, cross, m)
-                        + _circle_part(h, cross, t_hi, m),
-                        32, MOMENT_RTOL).check
+        return _window_at_one(profile, h)
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
     ymax = profile.sup_half_width()
@@ -181,36 +170,23 @@ def boundedness_index(report: WindowMeasureReport) -> BoundednessSummary:
 # rectilinear windows W(1, h) and W'_n
 
 
-def _exp_half_drop(a: float, b: float) -> float:
-    """(e^{-2a} - e^{-2b}) / 2, stable when b - a is tiny."""
-    return -0.5 * math.exp(-2.0 * a) * math.expm1(-2.0 * (b - a))
-
-
 def _band_measure(F: RectilinearDomain, xlo: float, xhi: float,
                   h: float) -> float:
     """mu of {xlo < x < xhi, |y - 2k pi| < pi h for some k} under the
     pullback of n_phi dA.
 
-    The y-overlap with the bands is resolved structurally, never from the
-    stored absolute coordinates (whose ulp exceeds the deep half-widths):
-    a box or tower at level m meets only its own band, with overlap
-    2 pi min(2^-m, h); a pipe at depth n ends exactly at the band edges
-    for h = 4^-n and contributes the two slivers 2 pi (h - 4^-n) beyond.
+    The y-overlap with the bands comes from the structural band spans
+    (lo, hi), never from the stored absolute coordinates (whose ulp
+    exceeds the deep half-widths): a rectangle meets its band along
+    2 pi reach with reach = max(0, min(h, hi) - lo), and its x-clipped
+    part [a, b] carries (e^{-2a} - e^{-2b}) / 2 per unit of y / pi.
     """
     if not (0.0 < h <= 0.25):
         raise ValidationError(f"band half-height {h} outside (0, 1/4]")
-    total = 0.0
-    for r in F.rectangles:
-        a, b = max(r.x1, xlo), min(r.x2, xhi)
-        if not a < b:
-            continue
-        if r.tag == "pipe":
-            ylen_pi = 2.0 * max(0.0, h - 4.0 ** -r.index)
-        else:
-            ylen_pi = 2.0 * min(2.0 ** -r.index, h)
-        if ylen_pi > 0.0:
-            total += ylen_pi * _exp_half_drop(a, b)
-    return total
+    a, b = np.maximum(F._x1, xlo), np.minimum(F._x2, xhi)
+    keep = a < b
+    reach = np.maximum(0.0, np.minimum(h, F._hi[keep]) - F._lo[keep])
+    return float(reach @ exp_drop(2.0, a[keep], b[keep]))
 
 
 def half_window_area(n: int) -> float:

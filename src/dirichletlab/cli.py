@@ -160,6 +160,8 @@ def _cusp_gram(args, log):
 def _cusp_rho(args, log):
     if args.xi_grid < 1:
         raise ValidationError(f"xi-grid {args.xi_grid} must be >= 1")
+    if args.resolution < 8:
+        raise ValidationError(f"resolution {args.resolution} must be >= 8")
     eps = _parse_eps(args.eps)
     profile = profile_make(eps, args.delta)
     xis = [complex(math.cos(2 * math.pi * k / args.xi_grid),

@@ -58,23 +58,24 @@ class CuspProfile:
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Experiment-mode profile theta(h) = scale * h^(1+alpha).
-
-    alpha = 0 gives the lens-like boundary contact theta(h) = h, the
-    non-compact contrast case; alpha > 0 gives a polynomial cusp.
-    """
+    """Lens profile theta(h) = scale * h, the non-compact contrast case of
+    criterion 4, with the one-piece breakpoint table (0, 0), (1, scale).
+    ``alpha``, the exponent excess of scale * h^(1+alpha), must be 0."""
 
     alpha: float
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValidationError("alpha must be >= 0")
+        if self.alpha != 0.0:
+            raise ValidationError("alpha must be 0 (the lens)")
         if not (0.0 < self.scale <= 1.0):
             raise ValidationError("scale must be in (0, 1]")
 
+    knots = property(lambda self: np.array([0.0, 1.0]))
+    thetas = property(lambda self: np.array([0.0, self.scale]))
+
     def eval(self, h):
-        return self.scale * np.asarray(h, dtype=float) ** (1.0 + self.alpha)
+        return self.scale * np.asarray(h, dtype=float)
 
     def sup_half_width(self) -> float:
         return self.scale
@@ -194,6 +195,12 @@ def eps_exp(m) -> np.ndarray:
         return -np.log1p(-(2.0 ** -m))
 
 
+def exp_drop(s: float, x1, x2):
+    """e^{-s x1} - e^{-s x2} without cancellation for narrow gaps: the
+    x-weight of a rectangle under the pullback of dA by w = e^{-u}."""
+    return -np.exp(-s * x1) * np.expm1(-s * (x2 - x1))
+
+
 @dataclass(frozen=True)
 class Rect:
     x1: float
@@ -205,20 +212,24 @@ class Rect:
     index: int          # box index m for boxes, depth n for pipes
 
     @property
-    def dy_over_pi(self) -> float:
-        """Exact y-extent in units of pi, derived from the tag.
+    def band_span(self) -> tuple[float, float]:
+        """(lo, hi): the distances from the nearest band centre 2k pi that
+        the rectangle covers, in units of pi, derived from the tag.  A box
+        at level m covers (0, 2^-m); a pipe at depth n covers (4^-n, 1).
 
         At depth ~48 the half-widths pi 2^-m drop below one ulp of the
-        shift 2 k pi, so y2 - y1 computed from the stored absolute
-        coordinates loses every digit; the structural form never does.
+        shift 2 k pi, so spans taken from the stored absolute coordinates
+        lose every digit; the structural form never does.
         """
         if self.tag == "pipe":
-            return 2.0 - 2.0 * 4.0 ** -self.index
-        return 2.0 * 2.0 ** -self.index
+            return 4.0 ** -self.index, 1.0
+        return 0.0, 2.0 ** -self.index
 
     @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * math.pi * self.dy_over_pi
+    def dy_over_pi(self) -> float:
+        """Exact y-extent in units of pi."""
+        lo, hi = self.band_span
+        return 2.0 * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -240,7 +251,13 @@ class RectilinearDomain:
     _x2: np.ndarray = field(repr=False)
     _y1: np.ndarray = field(repr=False)
     _y2: np.ndarray = field(repr=False)
-    _dy_pi: np.ndarray = field(repr=False)   # exact y-extents / pi
+    _lo: np.ndarray = field(repr=False)      # band spans (Rect.band_span)
+    _hi: np.ndarray = field(repr=False)
+
+    @property
+    def _dy_pi(self) -> np.ndarray:
+        """Exact y-extents in units of pi."""
+        return 2.0 * (self._hi - self._lo)
 
     def area(self) -> float:
         """Euclidean area (interiors are disjoint, so plain sum)."""
@@ -298,11 +315,8 @@ def eksy_build(M, n_max: int) -> RectilinearDomain:
             rects.append(Rect(mid - width / 2.0, mid + width / 2.0,
                               TWO_PI * (k - 1) + margin, TWO_PI * k - margin,
                               "pipe", k, n))
-    x1 = np.array([r.x1 for r in rects])
-    x2 = np.array([r.x2 for r in rects])
-    y1 = np.array([r.y1 for r in rects])
-    y2 = np.array([r.y2 for r in rects])
-    dy_pi = np.array([r.dy_over_pi for r in rects])
+    x1, x2, y1, y2, lo, hi = np.array(
+        [(r.x1, r.x2, r.y1, r.y2, *r.band_span) for r in rects]).T.copy()
     # strict interior disjointness (shared edges have zero overlap length)
     xov = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
     yov = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
@@ -313,7 +327,7 @@ def eksy_build(M, n_max: int) -> RectilinearDomain:
         raise ConstructionError(f"rectangles {i} and {j} overlap")
     return RectilinearDomain(n_max=n_max, l=tuple(l), rectangles=tuple(rects),
                              eps4=eps4, _x1=x1, _x2=x2, _y1=y1, _y2=y2,
-                             _dy_pi=dy_pi)
+                             _lo=lo, _hi=hi)
 
 
 def eksy_contains(F: RectilinearDomain, u: complex) -> bool:

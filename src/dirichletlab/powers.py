@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CuspProfile, RectilinearDomain
+from .geometry import CuspProfile, RectilinearDomain, exp_drop
 from .quad import MOMENT_RTOL, _cusp_integral, doubling
 
 DEGREE_CAP = 1 << 20
@@ -86,11 +86,6 @@ def _rect_arrays(region):
             np.array([(r.y2 - r.y1) / math.pi for r in rects]))
 
 
-def _exp_drop(s: float, x1, x2):
-    """e^{-s x1} - e^{-s x2} without cancellation for narrow gaps."""
-    return -np.exp(-s * x1) * np.expm1(-s * (x2 - x1))
-
-
 def _cusp_abs_moment(profile: CuspProfile, q: int) -> float:
     # (x^2 + y^2)^q has total degree 2q; the t-split rule at order q + 1
     # is already exact, so the doubling check only corroborates.
@@ -112,7 +107,7 @@ def region_moment(region, q: int) -> float:
         return _cusp_abs_moment(region, int(q))
     x1, x2, dy_pi = _rect_arrays(region)
     s = 2.0 * (q + 1.0)
-    return float(dy_pi @ _exp_drop(s, x1, x2)) / s
+    return float(dy_pi @ exp_drop(s, x1, x2)) / s
 
 
 def power_norm_region(region, p: int) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,8 +16,9 @@ from dirichletlab.carleson import (
 )
 from dirichletlab.errors import ValidationError
 from dirichletlab.geometry import PowerProfile, cusp_area, eksy_build, profile_make
-from dirichletlab.quad import gauss_nodes
-from dirichletlab.seqs import dyadic
+from dirichletlab.seqs import DecaySequence, dyadic
+
+from test_acceptance import _band_measure_by_quadrature
 
 DELTA = 1.0 / 200.0
 
@@ -29,6 +31,67 @@ def test_lens_window_index_is_one_quarter():
     for h in (0.5, 0.1, 1e-3, 1e-6):
         val = window_area_cusp(lens, h)
         assert math.isclose(val, h * h / 4.0, rel_tol=1e-12)
+
+
+def _window_by_quadrature(profile, h):
+    """(2/pi) int_0^min(h,1) min(theta, sqrt(h^2 - t^2)) dt by mpmath at
+    40 digits, split at the knots and at the crossing, which is found by
+    bisection on the piece where theta^2 + t^2 - h^2 changes sign."""
+    with mpmath.workdps(40):
+        knots = [mpmath.mpf(float(k)) for k in profile.knots]
+        thetas = [mpmath.mpf(float(t)) for t in profile.thetas]
+        h = mpmath.mpf(h)
+        t_hi = min(h, knots[-1])
+
+        def theta(t):
+            i = max(j for j in range(len(knots) - 1) if knots[j] <= t)
+            s = (thetas[i + 1] - thetas[i]) / (knots[i + 1] - knots[i])
+            return thetas[i] + s * (t - knots[i])
+
+        cuts = [k for k in knots if k < t_hi] + [t_hi]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if theta(a) ** 2 + a * a <= h * h < theta(b) ** 2 + b * b:
+                lo, hi = a, b
+                for _ in range(200):
+                    mid = (lo + hi) / 2
+                    if theta(mid) ** 2 + mid * mid > h * h:
+                        hi = mid
+                    else:
+                        lo = mid
+                cuts = sorted(cuts + [lo])
+                break
+        # in x = (h - t) / h: the nodes resolve the circle's edge at t = h,
+        # and the integrand is O(1) against mpmath's absolute tolerance
+        total = sum(mpmath.quad(
+            lambda x: min(theta(h - h * x) / h, mpmath.sqrt(x * (2 - x))),
+            [(h - b) / h, (h - a) / h])
+            for a, b in zip(cuts[:-1], cuts[1:]) if a < b)
+        return float(2 * h * h * total / mpmath.pi)
+
+
+def _random_profile(rng):
+    n = int(rng.integers(1, 7))
+    eps = [2.0 ** -8 * rng.uniform(0.5, 1.0)]
+    for _ in range(n - 1):
+        eps.append(eps[-1] * rng.uniform(0.5, 1.0))
+    return profile_make(DecaySequence(tuple(eps)),
+                        1.0 / rng.uniform(200.0, 1000.0))
+
+
+def test_window_closed_form_matches_quadrature():
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        prof = _random_profile(rng)
+        knots = prof.knots[1:-1]
+        for h in (rng.uniform(1.0, 2.0), 1.0, float(rng.choice(knots)),
+                  float(knots[0] * rng.uniform(0.1, 0.9)), 2.0):
+            assert math.isclose(window_area_cusp(prof, h),
+                                _window_by_quadrature(prof, h),
+                                rel_tol=1e-12), (prof, h)
+    lens = PowerProfile(alpha=0.0, scale=0.5)
+    for h in (1e-3, 0.4, 1.0, 1.1, 2.0):
+        assert math.isclose(window_area_cusp(lens, h),
+                            _window_by_quadrature(lens, h), rel_tol=1e-12)
 
 
 def test_window_covers_whole_cusp_at_h_two():
@@ -110,37 +173,15 @@ def test_eksy_half_window_oracle_13_over_256():
     assert mu_window > mu_half
 
 
-def _brute_band_measure(F, xlo, xhi, h):
-    """Independent evaluation in absolute coordinates: per-rectangle y
-    clipping against every band, Gauss-Legendre in x.  Only sound for
-    shallow domains where rectangle y-extents stay far above ulp."""
-    rule = gauss_nodes(48)
-    kmax = max(r.k for r in F.rectangles) + 2
-    total = 0.0
-    for r in F.rectangles:
-        a, b = max(r.x1, xlo), min(r.x2, xhi)
-        if not a < b:
-            continue
-        ylen = 0.0
-        for k in range(kmax):
-            c = 2.0 * math.pi * k
-            ylen += max(0.0, min(r.y2, c + math.pi * h) - max(r.y1, c - math.pi * h))
-        if ylen == 0.0:
-            continue
-        xs = a + 0.5 * (b - a) * (rule.nodes + 1.0)
-        wx = 0.5 * (b - a) * rule.weights
-        total += ylen / math.pi * float(wx @ np.exp(-2.0 * xs))
-    return total
-
-
 def test_eksy_measures_match_independent_quadrature():
     F = eksy_build(lambda n: n.bit_length(), 6)
-    for N in (1, 2, 3):
+    for N in range(1, F.n_max + 1):
         h = 4.0 ** -N
         mu_half, mu_window = eksy_window_measure(F, N)
-        brute_half = _brute_band_measure(
+        brute_half = _band_measure_by_quadrature(
             F, float(F.eps4[2 * N + 1]), float(F.eps4[2 * N]), h)
-        brute_window = _brute_band_measure(F, 0.0, float(F.eps4[2 * N]), h)
+        brute_window = _band_measure_by_quadrature(
+            F, 0.0, float(F.eps4[2 * N]), h)
         assert math.isclose(mu_half, brute_half, rel_tol=1e-10)
         assert math.isclose(mu_window, brute_window, rel_tol=1e-10)
 

@@ -205,6 +205,8 @@ def test_usage_errors_return_two(tmp_path, capsys):
                  ["cusp-gram", "--order", "0"] + out,
                  ["cusp-rho", "--xi-grid", "0"] + out,
                  ["cusp-rho", "--xi-grid", "-2"] + out,
+                 ["cusp-rho", "--resolution", "0"] + out,
+                 ["cusp-rho", "--resolution", "-3"] + out,
                  ["eksy-windows", "--threshold", "nan"] + out,
                  ["--config", str(listed)]):
         assert cli.main(argv) == 2, argv
@@ -225,6 +227,24 @@ def test_numeric_integrity_returns_three(tmp_path, monkeypatch):
     code = cli.main(["cusp-gram", "--eps", "dyadic:2", "--order", "4",
                      "--out", str(tmp_path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("n,code", [(62, 0), (63, 3), (100, 3)])
+def test_cusp_rho_deep_windows(tmp_path, capsys, n, code):
+    # the window mass at h = delta^63 is about 3e-312, below the smallest
+    # normal float: it exits 3 rather than printing 0 <= 0 as a PASS
+    assert cli.main(["cusp-rho", "--eps", f"dyadic:{n}",
+                     "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        text = (tmp_path / "certificates.txt").read_text()
+        assert all(line.startswith(("PASS", "INFO")) for line in
+                   text.splitlines()[1:-1])
+        assert text.count("PASS rho_le_h_theta_h_at_") == n
+    else:
+        assert err.startswith("numeric integrity: ")
+        assert err.count("\n") == 1
 
 
 def test_run_accepts_config_dict(tmp_path):

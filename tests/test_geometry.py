@@ -140,8 +140,11 @@ def test_power_profile_lens():
     lens = PowerProfile(alpha=0.0)
     assert lens.eval(0.25) == 0.25
     assert lens.sup_half_width() == 1.0
-    with pytest.raises(ValidationError):
-        PowerProfile(alpha=-0.5)
+    assert list(lens.knots) == [0.0, 1.0]
+    assert list(lens.thetas) == [0.0, 1.0]
+    for alpha in (-0.5, 0.5):
+        with pytest.raises(ValidationError):
+            PowerProfile(alpha=alpha)
 
 
 def test_eps_exp_values():

@@ -78,6 +78,24 @@ def test_rect_integral_adaptive_sharp_exponential():
     assert abs(val.imag) < 1e-18
 
 
+def test_rect_integral_panel_budget():
+    # an integrand that never settles at tol 1e-12: the work stops at the
+    # panel budget (two rule evaluations per panel) with one warning
+    rng = np.random.default_rng(0)
+    calls = []
+
+    def noisy(z):
+        calls.append(z.size)
+        return 1.0 + 1e-6 * rng.standard_normal(z.shape)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val = integrate_rect(noisy, (0.0, 1.0, 0.0, 1.0), 8, tol=1e-12)
+    assert [w.category for w in caught] == [AccuracyWarning]
+    assert len(calls) <= 2 * quad._PANEL_BUDGET
+    assert math.isclose(val.real, 1.0, rel_tol=1e-5)
+
+
 def test_disk_integral_oracles():
     c = 0.3 + 0.1j
     r = 0.25
