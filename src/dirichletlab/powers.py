@@ -4,7 +4,9 @@ Series route: expand the p-th power of a polynomial symbol by repeated
 coefficient convolution and sum |c_0|^2 + sum n |c_n|^2.  Region route:
 change variables through the symbol, giving p^2 int |w|^{2p-2} dmu with
 mu the counting measure of the image; on the rectilinear domain the
-integral collapses to a closed form, on the cusp it is quadrature.
+integral collapses to a closed form, on the cusp to a one-dimensional
+Gauss rule on the profile edges that is exact for its polynomial
+integrand.
 Coefficient series are plain 1-D complex arrays c_0..c_d.
 """
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import CuspProfile, RectilinearDomain, exp_drop
-from .quad import MOMENT_RTOL, _cusp_integral, doubling
+from .geometry import CuspProfile, Rect, RectilinearDomain, exp_drop
+from .quad import MOMENT_RTOL, doubling, gauss_nodes
 
 DEGREE_CAP = 1 << 20
 
@@ -78,20 +80,40 @@ def _rect_arrays(region):
     domain, plain differences for ad-hoc rectangle lists."""
     if isinstance(region, RectilinearDomain):
         return region._x1, region._x2, region._dy_pi
-    rects = tuple(region)
-    if not rects:
-        raise ValidationError("need at least one rectangle")
+    rects = tuple(region) if isinstance(region, (list, tuple)) else ()
+    if not rects or not all(isinstance(r, Rect) for r in rects):
+        raise ValidationError("region must be a cusp profile, a staircase "
+                              "domain or a non-empty list of Rect")
     return (np.array([r.x1 for r in rects]),
             np.array([r.x2 for r in rects]),
             np.array([(r.y2 - r.y1) / math.pi for r in rects]))
 
 
-def _cusp_abs_moment(profile: CuspProfile, q: int) -> float:
-    # (x^2 + y^2)^q has total degree 2q; the t-split rule at order q + 1
-    # is already exact, so the doubling check only corroborates.
-    return float(doubling(lambda mm: _cusp_integral(
-        profile, lambda w: (w.real ** 2 + w.imag ** 2) ** q, mm),
-        max(64, q + 1), MOMENT_RTOL).check)
+def _boundary_moment(profile: CuspProfile, q: int, m: int) -> float:
+    """int |w|^{2q} dA over the cusp domain by the order-m Gauss rule on
+    the profile edges.
+
+    div(r^{2q} (x, y)) = (2q + 2) r^{2q}, so the integral is the flux
+    (1/((2q + 2) pi)) of r^{2q} (x dy - y dx) around the boundary.  The
+    closing edge x = 0 carries none, and the lower half mirrors the upper:
+    the upper edges count twice, with weight 1/((q + 1) pi).  On the edge
+    P(s) = P0 + s (P1 - P0) the form is (P0 x P1) ds, and |P(s)|^{2q} has
+    degree 2q in s, so order q + 1 is exact.  With P = (1 - t, theta),
+    the cross product (1 - t0) theta1 - theta0 (1 - t1) is written as the
+    sum of the non-negative terms (1 - t0)(theta1 - theta0) + theta0
+    (t1 - t0), and each edge point is rounded once from its own t, as
+    1 - t, rather than interpolated between the rounded ends 1 - t0 and
+    1 - t1.
+    """
+    t, th = profile.knots, profile.thetas
+    t0, t1, th0, th1 = t[:-1], t[1:], th[:-1], th[1:]
+    rule = gauss_nodes(m)
+    s, ws = 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
+    x = 1.0 - (t0[:, None] + (t1 - t0)[:, None] * s)
+    y = th0[:, None] + (th1 - th0)[:, None] * s
+    cross = (1.0 - t0) * (th1 - th0) + th0 * (t1 - t0)
+    edge = (x * x + y * y) ** q @ ws
+    return float(cross @ edge) / ((q + 1) * math.pi)
 
 
 def region_moment(region, q: int) -> float:
@@ -99,12 +121,18 @@ def region_moment(region, q: int) -> float:
 
     Rectilinear route: w = e^{-u} turns the integrand into e^{-2(q+1)x},
     so each rectangle contributes (dy/pi)(e^{-2(q+1)x1} - e^{-2(q+1)x2})
-    / (2(q+1)) exactly.  Cusp route: tensor quadrature (mu = 1_Omega dA).
+    / (2(q+1)) exactly.  Cusp route (mu = 1_Omega dA): the divergence
+    identity moves the integral onto the profile edges, where the order
+    q + 1 Gauss rule is exact (see ``_boundary_moment``).  Any other
+    region, the lens ``PowerProfile`` included, raises ValidationError.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 0):
         raise ValidationError("q must be an integer >= 0")
     if isinstance(region, CuspProfile):
-        return _cusp_abs_moment(region, int(q))
+        # the order-(q + 1) edge rule is already exact, so the doubling
+        # check only corroborates
+        return float(doubling(lambda m: _boundary_moment(region, int(q), m),
+                              max(64, int(q) + 1), MOMENT_RTOL).check)
     x1, x2, dy_pi = _rect_arrays(region)
     s = 2.0 * (q + 1.0)
     return float(dy_pi @ exp_drop(s, x1, x2)) / s

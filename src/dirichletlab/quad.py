@@ -2,8 +2,10 @@
 
 Gauss-Legendre rules, tensor rules on rectangles, polar rules on disks
 with respect to the normalized area measure dA = dx dy / pi, the
-order-doubling verifier, and nodes and moment integrals over the cusp
-domain.
+order-doubling verifier, and the tensor grid on the cusp domain: the
+nodes of the Galerkin moment table and of ``cusp_moment``, the test
+oracle for the cusp moments.  The |w|^2q moments of the product path use
+a rule on the profile edges instead (``powers``).
 """
 
 from __future__ import annotations
@@ -195,23 +197,21 @@ def _cusp_grid(knots: bytes, thetas: bytes, mt: int, my: int):
     return _readonly(np.concatenate(pts), np.concatenate(wts))
 
 
-def _cusp_integral(profile: CuspProfile, integrand, order: int):
-    """Cusp-domain integral of integrand(w) w.r.t. dA at one tensor order."""
-    pts, wts = _cusp_nodes(profile, order, order)
-    return wts @ integrand(pts)
-
-
 def cusp_moment(profile: CuspProfile, j: int, k: int) -> complex:
     """Moment integral over the cusp domain: mu_hat_{jk} = int w^k conj(w)^j dA.
 
     The t-split tensor rule is exact once the order covers the degree, so
     the automatic doubling check below is a corroboration, not a search;
-    orders cap at 512 with a warning if the residual survives.
+    orders cap at 512 with a warning if the residual survives.  This is
+    the tensor-grid witness of the edge rule in ``powers`` and of the
+    Galerkin moment table.
     """
     if not (0 <= j <= 400 and 0 <= k <= 400):
         raise ValidationError("moment degrees must lie in 0..400")
+
+    def value(order):
+        pts, wts = _cusp_nodes(profile, order, order)
+        return wts @ (pts ** k * np.conj(pts) ** j)
+
     need = (j + k + 3) // 2          # ceil((j + k + 2) / 2)
-    order = max(64, need)
-    return complex(doubling(lambda mm: _cusp_integral(
-        profile, lambda w: w ** k * np.conj(w) ** j, mm),
-        order, DOUBLING_RTOL).check)
+    return complex(doubling(value, max(64, need), DOUBLING_RTOL).check)

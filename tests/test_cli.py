@@ -64,6 +64,20 @@ def test_cusp_rho_artifacts(tmp_path):
     assert hs == [0.005, 0.005**2, 0.005**3]
 
 
+def test_cusp_rho_source_names_the_window_route(tmp_path):
+    # xi = 1 windows are closed forms; other xi add indicator-grid counts
+    for xi_grid, source in ((1, "closed form"),
+                            (2, "closed form and 64^2 indicator grid")):
+        assert cli.main(["cusp-rho", "--eps", "dyadic:3", "--xi-grid",
+                         str(xi_grid), "--resolution", "64",
+                         "--out", str(tmp_path)]) == 0
+        checks = [line for line in
+                  (tmp_path / "certificates.txt").read_text().splitlines()
+                  if line.startswith(("PASS", "FAIL"))]
+        assert len(checks) == 5
+        assert all(line.endswith(f"; {source})") for line in checks)
+
+
 def test_cusp_galerkin_artifacts(tmp_path):
     code = cli.main(["cusp-galerkin", "--eps", "dyadic:3", "--Ks", "4,8",
                      "--plot", "--out", str(tmp_path)])
