@@ -10,7 +10,7 @@ from .seqs import CAP, DecaySequence, clamp_monotone, dyadic, slow_decay
 from .geometry import (CuspProfile, DiskFamily, PowerProfile, Rect,
                        RectilinearDomain, disk_family, eksy_build, eps_exp,
                        profile_make)
-from .quad import QuadratureRule, cusp_moment, gauss_nodes, integrate_rect
+from .quad import QuadratureRule, gauss_nodes, integrate_rect
 from .spectra import (NeumannBounds, eigh, neumann_lower, schur_bound,
                       singular_values)
 from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
@@ -35,7 +35,7 @@ __all__ = [
     "CAP", "DecaySequence", "clamp_monotone", "dyadic", "slow_decay",
     "CuspProfile", "DiskFamily", "PowerProfile", "Rect", "RectilinearDomain",
     "disk_family", "eksy_build", "eps_exp", "profile_make",
-    "QuadratureRule", "cusp_moment", "gauss_nodes", "integrate_rect",
+    "QuadratureRule", "gauss_nodes", "integrate_rect",
     "NeumannBounds", "eigh", "neumann_lower", "schur_bound",
     "singular_values",
     "CertificateReport", "CheckResult", "GramMatrix", "TecReport",

@@ -171,11 +171,33 @@ def _inv_square(dr, di, re, im, abs2, i):
     np.divide(im, abs2, out=im)
 
 
+def _angles(m: int) -> int:
+    """Angular points T of the witness's order-m disk rules: m/2, at
+    least 16, rounded down to even so that the folded rule applies.
+
+    With 1 - w conj(z) = A - B conj(xi), A = s_ij - c_i r_j zeta and
+    B = c_j r_i + r_i r_j zeta, the kernel is A^-2 sum_n (n + 1)
+    (B conj(xi) / A)^n, and on the disks (i <= j) |A| >= 2 delta^i and
+    |B| <= r_i, so the ratio is at most eps_i / 2 <= 2^-9.  The T-point
+    trapezoid in the angle of xi integrates conj(xi)^n exactly except at
+    the non-zero multiples of T, where it returns rho^n for 0; it aliases
+    about (T + 1) 2^(-9T) of the value.  In zeta the ratio is about
+    eps_j delta^(j-i) / 2 <= 2^-9 as well.  T = 16 leaves about 2^-139,
+    far below rounding, and by the mean value property the radial
+    integrand is constant up to those same terms.  T grows with m only
+    so that order doubling doubles the angles too, and its residual
+    corroborates the angular rule as well as the radial one.
+    """
+    return 2 * max(8, m // 4)
+
+
 def _entry_raw(i, j, family, m, half):
     """Quadrature value of the double disk integral of the centered kernel:
-    the full order-m rule in xi, the full or conjugate-folded rule in zeta."""
-    xi, wxi = _disk_rule(m)
-    zeta, wz = _disk_rule(m, half)
+    the full order-m rule in xi, the full or conjugate-folded rule in zeta,
+    each with ``_angles(m)`` angular points."""
+    T = _angles(m)
+    xi, wxi = _disk_rule(m, angles=T)
+    zeta, wz = _disk_rule(m, half, angles=T)
     return wz @ kernel_centered(i, j, xi, zeta, family, wxi)
 
 

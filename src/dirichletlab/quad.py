@@ -1,11 +1,11 @@
 """Quadrature engines.
 
 Gauss-Legendre rules, tensor rules on rectangles, polar rules on disks
-with respect to the normalized area measure dA = dx dy / pi, the
-order-doubling verifier, and the tensor grid on the cusp domain: the
-nodes of the Galerkin moment table and of ``cusp_moment``, the test
-oracle for the cusp moments.  The |w|^2q moments of the product path use
-a rule on the profile edges instead (``powers``).
+with respect to the normalized area measure dA = dx dy / pi, and the
+order-doubling verifier.  Moments over the cusp domain (the |w|^2q
+moments in ``powers``, the Galerkin table in ``galerkin``) are sums over
+the profile edges, where a Gauss rule is exact; no 2-D grid covers the
+cusp.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, ValidationError
-from .geometry import CuspProfile
 
 ORDER_CAP = 512
-DOUBLING_RTOL = 1e-8    # Gram entries and cusp_moment
+DOUBLING_RTOL = 1e-8    # Gram entries
 MOMENT_RTOL = 1e-10     # cusp |w|^2q moments
-_CUSP_GRID_SLOTS = 4    # one order-512 grid on 9 profile pieces is ~56 MB
 _PANEL_BUDGET = 1024    # panels one adaptive rectangle integral may evaluate
 
 
@@ -138,20 +136,20 @@ def integrate_rect(f, rect, m: int, tol: float = None) -> complex:
     return total
 
 
-def _disk_rule(m: int, half: bool = False):
+def _disk_rule(m: int, half: bool = False, angles: int | None = None):
     """Polar rule for integral over the unit disk w.r.t. dA = dx dy / pi.
 
-    Gauss-Legendre of order m in s = rho^2, trapezoid with 4m points in
-    angle; weights sum to 1.  With ``half=True`` the angular range is
-    folded onto [0, pi] with doubled interior weights; by conjugation
-    symmetry the real part of the folded sum equals the full sum, at half
-    the cost (used by the Gram witness's verification pass and the
-    Galerkin disk calibration).
+    Gauss-Legendre of order m in s = rho^2, trapezoid with ``angles``
+    points in angle (4m when not given; even when ``half``); weights sum
+    to 1.  With ``half=True`` the angular range is folded onto [0, pi]
+    with doubled interior weights; by conjugation symmetry the real part
+    of the folded sum equals the full sum, at half the cost (used by the
+    Gram witness's verification pass and the Galerkin disk calibration).
     """
     rule = gauss_nodes(m)
     s = 0.5 * (rule.nodes + 1.0)
     ws = 0.5 * rule.weights
-    T = 4 * m
+    T = 4 * m if angles is None else angles
     if half:
         tt = np.arange(T // 2 + 1)
         mult = np.where((tt == 0) | (tt == T // 2), 1.0, 2.0)
@@ -162,56 +160,3 @@ def _disk_rule(m: int, half: bool = False):
     pts = np.sqrt(s)[:, None] * np.exp(1j * ang)[None, :]
     wts = (ws[:, None] / T) * mult[None, :]
     return pts.ravel(), wts.ravel()
-
-
-# ---------------------------------------------------------------------------
-# cusp-domain nodes and moments
-
-
-def _cusp_nodes(profile: CuspProfile, mt: int, my: int):
-    """Tensor nodes (points w, weights) for integrals over the cusp domain
-    w.r.t. dA, substituting x = 1 - t and splitting t at the profile knots.
-
-    Exact (up to rounding) for integrands polynomial in (w, conj(w)) of
-    total degree <= min(2 mt - 2, 2 my - 1).  Grids are memoised on the
-    breakpoint values (a few recent ones) and returned read-only.
-    """
-    return _cusp_grid(np.asarray(profile.knots, dtype=float).tobytes(),
-                      np.asarray(profile.thetas, dtype=float).tobytes(),
-                      int(mt), int(my))
-
-
-@functools.lru_cache(maxsize=_CUSP_GRID_SLOTS)
-def _cusp_grid(knots: bytes, thetas: bytes, mt: int, my: int):
-    knots, thetas = np.frombuffer(knots), np.frombuffer(thetas)
-    rule = gauss_nodes(my)                  # y = theta(t) * u
-    u, wu = rule.nodes, rule.weights
-    pts, wts = [], []
-    for a, b in zip(knots[:-1], knots[1:]):
-        t, wt = _gl(float(a), float(b), mt)
-        th = np.interp(t, knots, thetas)    # as CuspProfile.eval(t)
-        w = (1.0 - t)[:, None] + 1j * (th[:, None] * u[None, :])
-        wgt = (wt * th / math.pi)[:, None] * wu[None, :]
-        pts.append(w.ravel())
-        wts.append(wgt.ravel())
-    return _readonly(np.concatenate(pts), np.concatenate(wts))
-
-
-def cusp_moment(profile: CuspProfile, j: int, k: int) -> complex:
-    """Moment integral over the cusp domain: mu_hat_{jk} = int w^k conj(w)^j dA.
-
-    The t-split tensor rule is exact once the order covers the degree, so
-    the automatic doubling check below is a corroboration, not a search;
-    orders cap at 512 with a warning if the residual survives.  This is
-    the tensor-grid witness of the edge rule in ``powers`` and of the
-    Galerkin moment table.
-    """
-    if not (0 <= j <= 400 and 0 <= k <= 400):
-        raise ValidationError("moment degrees must lie in 0..400")
-
-    def value(order):
-        pts, wts = _cusp_nodes(profile, order, order)
-        return wts @ (pts ** k * np.conj(pts) ** j)
-
-    need = (j + k + 3) // 2          # ceil((j + k + 2) / 2)
-    return complex(doubling(value, max(64, need), DOUBLING_RTOL).check)

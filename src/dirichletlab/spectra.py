@@ -56,12 +56,13 @@ def _as_real_symmetric(A) -> np.ndarray:
 
 def _rotations(app, aqq, apq):
     """Per pair, the Jacobi rotation (t = tan, c = cos, s = sin) that
-    annihilates apq; t = 0 (no rotation) where apq == 0."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = 0.5 * (aqq - app) / apq
-        at = np.abs(theta)
-        t = np.where(at > 1e150, 0.5 / theta,
-                     np.sign(theta) / (at + np.hypot(1.0, theta)))
+    annihilates apq; t = 0 (no rotation) where apq == 0.  The divisions
+    by apq == 0 and the overflows of theta are masked here, so ``eigh``
+    runs its sweeps with those floating-point warnings off."""
+    theta = 0.5 * (aqq - app) / apq
+    at = np.abs(theta)
+    t = np.where(at > 1e150, 0.5 / theta,
+                 np.sign(theta) / (at + np.hypot(1.0, theta)))
     t[theta == 0.0] = 1.0
     t[apq == 0.0] = 0.0
     c = 1.0 / np.hypot(1.0, t)
@@ -124,17 +125,18 @@ def eigh(A) -> np.ndarray:
     diag = S.reshape(-1)[::n + 1]
     R = np.empty_like(S)
     o = 1
-    for _ in range(MAX_SWEEPS):
-        off = S - np.diag(diag)
-        root = np.sqrt(np.abs(diag))
-        if (_frobenius(off, unit) <= threshold and np.all(
-                np.abs(off) <= OFF_RTOL * (root[:, None] * root[None, :]))):
-            break
-        for _ in range(n):
-            _step(S, R, o)
-            o ^= 1
-    else:
-        raise NumericIntegrityError("Jacobi iteration failed to converge")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            off = S - np.diag(diag)
+            root = np.sqrt(np.abs(diag))
+            if (_frobenius(off, unit) <= threshold and np.all(
+                    np.abs(off) <= OFF_RTOL * (root[:, None] * root[None, :]))):
+                break
+            for _ in range(n):
+                _step(S, R, o)
+                o ^= 1
+        else:
+            raise NumericIntegrityError("Jacobi iteration failed to converge")
     if abs(diag.sum() - trace) > 1e-12 * max(abs(trace), frob):
         raise NumericIntegrityError("eigenvalue sum drifted from the trace")
     return np.sort(diag)[::-1]

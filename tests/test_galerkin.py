@@ -7,8 +7,9 @@ from dirichletlab import cli, galerkin
 from dirichletlab.errors import NumericIntegrityError, ValidationError
 from dirichletlab.galerkin import compression_scan, floor_crossings, moment_matrix
 from dirichletlab.geometry import profile_make
-from dirichletlab.quad import _cusp_nodes, cusp_moment
 from dirichletlab.seqs import dyadic
+
+from cusp_oracles import cusp_moment, cusp_nodes, fan_moment, tensor_table
 
 DELTA = 1.0 / 200.0
 
@@ -101,56 +102,76 @@ def test_floor_crossings_structure():
     assert out[3][1] is None
 
 
-def test_moment_table_matches_complex_formula():
-    # the table on the folded half grid against the real part of the
-    # complex Vandermonde product over the full grid,
-    # H_jk = sum_i w_i conj(z_i)^j z_i^k; odd my has a self-conjugate
-    # middle column
+def test_edge_table_matches_tensor_oracle():
+    # the moments from the profile edges against the tensor grid over the
+    # whole domain, entry by entry
+    for prof in (profile_make(dyadic(8), DELTA),
+                 profile_make(dyadic(3), 0.003)):
+        for K in (16, 64):
+            got = moment_matrix(prof, K).moments
+            want = tensor_table(prof, K)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), K
+
+
+# (j, k) at K = 128: the diagonal, and the corners where the two triangles
+# of the edge table differ most
+SAMPLES = [(0, 0), (1, 1), (5, 5), (31, 31), (64, 64), (127, 127),
+           (1, 0), (127, 0), (126, 0), (127, 1), (100, 3), (127, 126)]
+
+
+def test_edge_table_matches_mpmath_at_K128():
+    # at least as close to 40-digit moments as the order-128 tensor grid,
+    # over the sampled entries
     prof = profile_make(dyadic(8), DELTA)
-    for my in (16, 17):
-        pts, wts = _cusp_nodes(prof, my, my)
-        half, hw = galerkin._conjugate_half(pts, wts, my)
-        assert half.shape == (pts.size // my, (my + 1) // 2)
-        re = galerkin._moment_table(half, hw, 16)
-        V = np.vander(pts, 16, increasing=True)
-        H = (V.conj() * wts[:, None]).T @ V
-        assert np.all(np.abs(re - H.real) <= 1e-14 * np.abs(H.real))
+    M = moment_matrix(prof, 128).moments
+    pts, wts = cusp_nodes(prof, 128, 128)
+    edge, tensor = [], []
+    for j, k in SAMPLES:
+        ref = fan_moment(prof, j, k)
+        tens = (wts @ (pts ** k * np.conj(pts) ** j)).real
+        edge.append(abs(M[j, k] - ref) / ref)
+        tensor.append(abs(tens - ref) / ref)
+    assert max(edge) <= max(tensor)
+    assert max(edge) <= 2e-13
 
 
-def test_moment_table_blocks_and_weights(monkeypatch):
-    # a table built over several blocks of node rows equals the one-block
-    # table; a negative weight has no square root and is refused
+def _mutated_table(monkeypatch, mutate):
+    table = galerkin._edge_table
+
+    def mutated(profile, K):
+        out = table(profile, K).copy()
+        mutate(out)
+        return out
+
+    monkeypatch.setattr(galerkin, "_edge_table", mutated)
+
+
+def test_triangle_residual_refuses_asymmetric_tables(tmp_path, monkeypatch):
+    # an upper-triangle entry moved by 1e-8 of itself is far outside the
+    # triangles' agreement (about 1e-13 at K = 128); exit 3 from the CLI
     prof = profile_make(dyadic(3), DELTA)
-    # 32 rows of 4
-    pts, wts = galerkin._conjugate_half(*_cusp_nodes(prof, 8, 8), 8)
-    whole = galerkin._moment_table(pts, wts, 8)
-    monkeypatch.setattr(galerkin, "_TABLE_BYTES", 16 * 8 * 4 * 10)
-    blocked = galerkin._moment_table(pts, wts, 8)  # 10, 10, 10, 2 rows
-    scale = np.max(np.abs(whole))
-    assert np.allclose(whole, blocked, rtol=1e-13, atol=1e-13 * scale)
-    bad = wts.copy()
-    bad[3, 1] = -bad[3, 1]
-    with pytest.raises(NumericIntegrityError):
-        galerkin._moment_table(pts, bad, 8)
+    moment_matrix(prof, 8)              # the unmutated table passes
+
+    def skew(t):
+        t[0, 5] *= 1.0 + 1e-8
+
+    _mutated_table(monkeypatch, skew)
+    with pytest.raises(NumericIntegrityError, match="triangles disagree"):
+        moment_matrix(prof, 8)
+    assert cli.main(["cusp-galerkin", "--Ks", "8",
+                     "--out", str(tmp_path)]) == 3
 
 
-def test_symmetry_guard_refuses_asymmetric_grids(tmp_path, monkeypatch):
-    # the fold is exact only on an exactly conjugation-symmetric grid: a
-    # dropped node, or a node or weight moved by one ulp, is refused (exit
-    # 3 from the CLI, not a reshape error)
+def test_psd_guard_refuses_indefinite_tables(tmp_path, monkeypatch):
+    # a symmetric table that no measure has: the last diagonal moment
+    # negated passes the triangle residual and trips the PSD guard
     prof = profile_make(dyadic(3), DELTA)
-    pts, wts = _cusp_nodes(prof, 8, 8)
-    i = int(np.argmax(wts))
-    assert pts[i].imag != 0.0
-    moved = pts.copy()
-    moved[i] = complex(moved[i].real, np.nextafter(moved[i].imag, np.inf))
-    heavier = wts.copy()
-    heavier[i] = np.nextafter(heavier[i], np.inf)
-    dropped = (np.delete(pts, i), np.delete(wts, i))
-    for grid in (dropped, (moved, wts), (pts, heavier)):
-        monkeypatch.setattr(galerkin, "_cusp_nodes", lambda *args: grid)
-        with pytest.raises(NumericIntegrityError, match="cusp grid"):
-            moment_matrix(prof, 8)
-    monkeypatch.setattr(galerkin, "_cusp_nodes", lambda *args: dropped)
+
+    def negate(t):
+        t[-1, -1] = -t[-1, -1]
+
+    _mutated_table(monkeypatch, negate)
+    with pytest.raises(NumericIntegrityError, match="semidefinite"):
+        moment_matrix(prof, 8)
     assert cli.main(["cusp-galerkin", "--Ks", "8",
                      "--out", str(tmp_path)]) == 3

@@ -174,12 +174,12 @@ def test_build_gram_floor_guard_trips_on_corrupted_s(monkeypatch):
 
 
 def test_build_gram_imag_check_trips_on_asymmetric_rule(monkeypatch):
-    # dropping the node at angle 2 pi / 4m breaks the conjugation symmetry
+    # dropping the node at angle 2 pi / T breaks the conjugation symmetry
     # of the full rule, so the order-m entries keep an imaginary part
     rule = gram._disk_rule
 
-    def lopsided(m, half=False):
-        pts, wts = rule(m, half)
+    def lopsided(m, half=False, angles=None):
+        pts, wts = rule(m, half, angles)
         return (pts, wts) if half else (np.delete(pts, 1), np.delete(wts, 1))
 
     monkeypatch.setattr(gram, "_disk_rule", lopsided)

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -28,8 +27,9 @@ from dirichletlab.powers import (
     power_norm_series,
     region_moment,
 )
-from dirichletlab.quad import cusp_moment
 from dirichletlab.seqs import clamp_monotone, dyadic, slow_decay
+
+from cusp_oracles import cusp_moment, fan_moment
 
 DELTA = 1.0 / 200.0
 
@@ -146,30 +146,12 @@ CUSP_PROFILES = {
 }
 
 
-def _fan_moment(profile, q):
-    """int |w|^{2q} dA over the cusp domain to 40 digits, as a fan of
-    triangles from 0: across the edge P0 P1 the radius at angle phi is
-    (P0 x P1) / (dy cos phi - dx sin phi), and the radial integral of
-    r^{2q+1} is R^{2q+2} / (2q + 2); both halves, over pi."""
-    with mpmath.workdps(40):
-        x = [1 - mpmath.mpf(float(v)) for v in profile.knots]
-        th = [mpmath.mpf(float(v)) for v in profile.thetas]
-        total = mpmath.mpf(0)
-        for x0, x1, y0, y1 in zip(x[:-1], x[1:], th[:-1], th[1:]):
-            c, dx, dy = x0 * y1 - y0 * x1, x1 - x0, y1 - y0
-            total += mpmath.quad(
-                lambda phi: (c / (dy * mpmath.cos(phi) - dx * mpmath.sin(phi)))
-                ** (2 * q + 2),
-                [mpmath.atan2(y0, x0), mpmath.atan2(y1, x1)])
-        return float(2 * total / ((2 * q + 2) * mpmath.pi))
-
-
 @pytest.mark.parametrize("name", CUSP_PROFILES)
 def test_cusp_moment_matches_fan_integral(name):
     profile = CUSP_PROFILES[name]
     for q in (0, 1, 2, 5, 31, 63, 100, 300):
-        assert math.isclose(region_moment(profile, q), _fan_moment(profile, q),
-                            rel_tol=1e-12), q
+        assert math.isclose(region_moment(profile, q),
+                            fan_moment(profile, q, q), rel_tol=1e-12), q
 
 
 @pytest.mark.parametrize("name", ["canonical", "seed 1"])

@@ -8,14 +8,10 @@ import pytest
 from dirichletlab import powers, quad
 from dirichletlab.errors import AccuracyWarning, ValidationError
 from dirichletlab.geometry import cusp_area, profile_make
-from dirichletlab.quad import (
-    _cusp_nodes,
-    cusp_moment,
-    doubling,
-    gauss_nodes,
-    integrate_rect,
-)
+from dirichletlab.quad import doubling, gauss_nodes, integrate_rect
 from dirichletlab.seqs import dyadic
+
+from cusp_oracles import cusp_moment
 
 DELTA = 1.0 / 200.0
 
@@ -130,13 +126,12 @@ def test_cusp_moment_validates_degrees():
         cusp_moment(prof, 0, 401)
 
 
-# -- node caches -------------------------------------------------------------
+# -- node cache --------------------------------------------------------------
 
 
 def test_cached_nodes_are_read_only():
     rule = gauss_nodes(8)
-    pts, wts = _cusp_nodes(profile_make(dyadic(2), DELTA), 4, 4)
-    for a in (rule.nodes, rule.weights, pts, wts):
+    for a in (rule.nodes, rule.weights):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -151,42 +146,12 @@ def test_jensen_loop_builds_each_rule_once(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     quad._gauss_rule.cache_clear()
-    quad._cusp_grid.cache_clear()
     prof = profile_make(dyadic(8), DELTA)
     for p in range(1, 65):
         powers.jensen_lower(prof, p)
     # both orders of the doubling check still run, each rule built once
     assert set(calls) == {64, 128}
     assert max(calls.values()) == 1
-
-
-def test_cached_cusp_grid_matches_direct_build():
-    prof = profile_make(dyadic(8), DELTA)
-    mt, my = 12, 7
-    quad._cusp_grid.cache_clear()
-    u, wu = np.polynomial.legendre.leggauss(my)
-    x, wx = np.polynomial.legendre.leggauss(mt)
-    pts, wts = [], []
-    for a, b in zip(prof.knots[:-1], prof.knots[1:]):
-        half = 0.5 * (float(b) - float(a))
-        t, wt = float(a) + half * (x + 1.0), half * wx
-        th = prof.eval(t)
-        pts.append(((1.0 - t)[:, None] + 1j * (th[:, None] * u[None, :])).ravel())
-        wts.append(((wt * th / math.pi)[:, None] * wu[None, :]).ravel())
-    for _ in range(2):                      # a fresh build, then a cache hit
-        got_pts, got_wts = _cusp_nodes(prof, mt, my)
-        assert got_pts.tobytes() == np.concatenate(pts).tobytes()
-        assert got_wts.tobytes() == np.concatenate(wts).tobytes()
-
-
-def test_cusp_grid_cache_is_keyed_on_values_and_bounded():
-    # equal breakpoints in distinct profile objects share one grid
-    assert (_cusp_nodes(profile_make(dyadic(3), DELTA), 4, 4)
-            is _cusp_nodes(profile_make(dyadic(3), DELTA), 4, 4))
-    for k in range(20):
-        _cusp_nodes(profile_make(dyadic(3), DELTA * (1.0 - k / 40.0)), 4, 4)
-    info = quad._cusp_grid.cache_info()
-    assert info.currsize <= info.maxsize == quad._CUSP_GRID_SLOTS
 
 
 # -- order-doubling verifier -------------------------------------------------

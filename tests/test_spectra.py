@@ -155,6 +155,36 @@ def test_eigh_cusp_moment_matrix_matches_lapack():
     assert np.all(np.abs(M.spectrum[:8] - ref[:8]) <= 1e-10 * ref[:8])
 
 
+def _rotations_per_step(app, aqq, apq):
+    """The rotation as it was when each call entered its own np.errstate."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = 0.5 * (aqq - app) / apq
+        at = np.abs(theta)
+        t = np.where(at > 1e150, 0.5 / theta,
+                     np.sign(theta) / (at + np.hypot(1.0, theta)))
+    t[theta == 0.0] = 1.0
+    t[apq == 0.0] = 0.0
+    c = 1.0 / np.hypot(1.0, t)
+    return t, c, t * c
+
+
+def test_eigh_errstate_once_per_call_is_bit_identical(monkeypatch):
+    # the floating-point state is entered once per eigh call, not once per
+    # rotation step; the K = 128 cusp moment matrix's eigenvalues are the
+    # same bits either way, and no warning escapes
+    from dirichletlab import spectra
+    from dirichletlab.galerkin import moment_matrix
+    from dirichletlab.geometry import profile_make
+    from dirichletlab.seqs import dyadic
+    A = moment_matrix(profile_make(dyadic(8), 1.0 / 200.0), 128).entries
+    A[3, 4] = A[4, 3] = 0.0             # a pair with apq == 0 in sweep one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        once = eigh(A)
+    monkeypatch.setattr(spectra, "_rotations", _rotations_per_step)
+    assert once.tobytes() == eigh(A).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 13, 31])
 def test_eigh_matches_lapack_at_any_size(n):
     # odd n leaves one index idle in every step of a sweep
