@@ -19,7 +19,7 @@ from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
 from .carleson import (BoundednessSummary, WindowMeasureReport,
                        boundedness_index, cusp_window_report,
                        eksy_window_measure, eksy_window_table,
-                       half_window_area, rho, window_area_cusp, window_report)
+                       half_window_area, window_area_cusp, window_report)
 from .powers import (GrowthReport, eksy_growth_report, growth_grid,
                      growth_majorant, growth_term, growth_term_sum,
                      jensen_lower, log2_targets, norms, power_coeffs,
@@ -43,7 +43,7 @@ __all__ = [
     "nu_bound", "tec_report",
     "BoundednessSummary", "WindowMeasureReport", "boundedness_index",
     "cusp_window_report", "eksy_window_measure", "eksy_window_table",
-    "half_window_area", "rho", "window_area_cusp", "window_report",
+    "half_window_area", "window_area_cusp", "window_report",
     "GrowthReport", "eksy_growth_report", "growth_grid", "growth_majorant",
     "growth_term", "growth_term_sum", "jensen_lower", "log2_targets",
     "norms", "power_coeffs", "power_norm_region", "power_norm_series",

@@ -6,7 +6,9 @@ arc-annulus window W(1, h) = {1 - h <= |z| < 1, |arg z| < pi h} with its
 half-depth variant W'_n, used for the exponential image of the
 rectilinear domain.  All measures are w.r.t. dA = dx dy / pi.  Both are
 closed forms: the cusp window at xi = 1 over the profile's breakpoint
-table, the staircase windows over the band spans of the rectangles.
+table, the staircase windows over the band spans of the rectangles.  The
+supremum of the cusp window over the unit circle is enclosed between the
+window at xi = 1 and the one of radius C h there (``cone_constant``).
 """
 
 from __future__ import annotations
@@ -59,59 +61,51 @@ def _window_at_one(profile, h: float) -> float:
     return float(area)
 
 
-def window_area_cusp(profile, h: float, xi: complex = 1.0,
-                     resolution: int = 800) -> float:
-    """Normalized area of S(xi, h) intersected with the cusp domain.
-
-    At xi = 1 the intersection reduces to one dimension,
-    (1/pi) int_0^h 2 min(theta(t), sqrt(h^2 - t^2)) dt, evaluated in
-    closed form over the profile's breakpoint table (``_window_at_one``).
-    Off xi = 1 a midpoint indicator grid of the given resolution is used.
-    h up to 2 is accepted so a window can cover the whole domain.
+def window_area_cusp(profile, h: float) -> float:
+    """Normalized area of S(1, h) intersected with the cusp domain,
+    (1/pi) int_0^h 2 min(theta(t), sqrt(h^2 - t^2)) dt, in closed form over
+    the profile's breakpoint table (``_window_at_one``).  h up to 2 is
+    accepted so a window can cover the whole domain.
     """
     if not (0.0 < h <= 2.0):
         raise ValidationError(f"h {h} outside (0, 2]")
-    xi = complex(xi)
-    if abs(xi - 1.0) < 1e-15:
-        return _window_at_one(profile, h)
-    if resolution < 8:
-        raise ValidationError("resolution must be at least 8")
-    ymax = profile.sup_half_width()
-    xlo, xhi = max(0.0, xi.real - h), min(1.0, xi.real + h)
-    ylo, yhi = max(-ymax, xi.imag - h), min(ymax, xi.imag + h)
-    if not (xlo < xhi and ylo < yhi):
-        return 0.0
-    xs = xlo + (xhi - xlo) * (np.arange(resolution) + 0.5) / resolution
-    ys = ylo + (yhi - ylo) * (np.arange(resolution) + 0.5) / resolution
-    th = np.asarray(profile.eval(1.0 - xs))
-    in_win = ((xs[:, None] - xi.real) ** 2 + (ys[None, :] - xi.imag) ** 2
-              < h * h)
-    in_dom = np.abs(ys[None, :]) < th[:, None]
-    frac = np.count_nonzero(in_win & in_dom) / (resolution * resolution)
-    return frac * (xhi - xlo) * (yhi - ylo) / math.pi
+    return _window_at_one(profile, h)
 
 
-def rho(profile, h: float, xis, resolution: int = 800) -> float:
-    """Grid estimate of rho(h) = sup over boundary points of the window mass."""
-    xis = [complex(x) for x in xis]
-    if not xis:
-        raise ValidationError("xi grid must be non-empty")
-    if not any(abs(x - 1.0) < 1e-12 for x in xis):
-        raise ValidationError("xi grid must include 1 (the mass clusters there)")
-    return max(window_area_cusp(profile, h, xi, resolution) for xi in xis)
+def cone_constant(profile: CuspProfile) -> float:
+    """C with S(xi, h) & Omega inside S(1, C h) & Omega for every |xi| = 1,
+    so that A(S(1, h) & Omega) <= rho(h) <= A(S(1, C h) & Omega), where
+    rho(h) = sup over the unit circle of A(S(xi, h) & Omega).  Both ends are
+    ``window_area_cusp`` windows at xi = 1.
+
+    Take w = 1 - t + iy in Omega, 0 < t < 1.  Then |y| < theta(t) <= s t
+    with s = max_k theta_k / t_k over the knots t_k > 0: on a linear piece
+    theta / t is monotone, so its maximum sits at a knot (for a
+    ``profile_make`` profile s = eps_1 <= 2^-8, up to rounding).  For |xi| = 1,
+        |w - xi| >= 1 - |w| >= 1 - ((1 - t) + |y|) >= (1 - s) t,
+    and |w - 1| = sqrt(t^2 + y^2) <= sqrt(1 + s^2) t, so
+    |w - 1| <= C |w - xi| with C = sqrt(1 + s^2) / (1 - s): a point of
+    D(xi, h) lies in D(1, C h).  The bound is sharp at t = 1 (C = 1.0039293
+    at s = 2^-8).  The five rounded operations leave C within 2 ulps; it is
+    rounded up by 4, which also covers the rounding of the product C h.
+    """
+    s = float(np.max(profile.thetas[1:] / profile.knots[1:]))
+    c = math.sqrt(1.0 + s * s) / (1.0 - s)
+    for _ in range(4):
+        c = math.nextafter(c, math.inf)
+    return c
 
 
 @dataclass(frozen=True)
 class WindowMeasureReport:
-    """rho-hat over a strictly decreasing h grid, with the scaled index
-    rho/h^2 and, for anchor grids h_j = delta^j, the decay bound eps_j/delta."""
+    """Window masses A(S(1, h) & Omega) over a strictly decreasing h grid,
+    with the scaled index rho/h^2 and, for anchor grids h_j = delta^j, the
+    decay bound eps_j/delta."""
 
     hs: np.ndarray
     rho: np.ndarray
     index: np.ndarray
     bound: np.ndarray | None
-    xis: tuple[complex, ...]
-    resolution: int
 
     def __post_init__(self):
         if np.any(np.diff(self.hs) >= 0.0):
@@ -120,25 +114,22 @@ class WindowMeasureReport:
             raise ValidationError("window measures must be non-negative")
 
 
-def window_report(profile, hs, xis=(1.0,), resolution: int = 800,
-                  bound=None) -> WindowMeasureReport:
+def window_report(profile, hs, bound=None) -> WindowMeasureReport:
     hs = np.asarray(hs, dtype=float)
-    rhos = np.array([rho(profile, float(h), xis, resolution) for h in hs])
+    rhos = np.array([window_area_cusp(profile, float(h)) for h in hs])
     return WindowMeasureReport(
         hs=hs, rho=rhos, index=rhos / hs ** 2,
-        bound=None if bound is None else np.asarray(bound, dtype=float),
-        xis=tuple(complex(x) for x in xis), resolution=resolution)
+        bound=None if bound is None else np.asarray(bound, dtype=float))
 
 
-def cusp_window_report(profile: CuspProfile, js, xis=(1.0,),
-                       resolution: int = 800) -> WindowMeasureReport:
+def cusp_window_report(profile: CuspProfile, js) -> WindowMeasureReport:
     """Report on the anchor grid h_j = delta^j with bounds eps_j / delta."""
     js = list(js)
     if any(not (1 <= j <= profile.n) for j in js):
         raise ValidationError("anchor indices must lie in 1..n")
     hs = [profile.delta ** j for j in js]
     bound = [profile.eps.values[j - 1] / profile.delta for j in js]
-    return window_report(profile, hs, xis, resolution, bound=bound)
+    return window_report(profile, hs, bound=bound)
 
 
 @dataclass(frozen=True)

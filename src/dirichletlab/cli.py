@@ -158,32 +158,28 @@ def _cusp_gram(args, log):
 
 
 def _cusp_rho(args, log):
-    if args.xi_grid < 1:
-        raise ValidationError(f"xi-grid {args.xi_grid} must be >= 1")
-    if args.resolution < 8:
-        raise ValidationError(f"resolution {args.resolution} must be >= 8")
     eps = _parse_eps(args.eps)
     profile = profile_make(eps, args.delta)
-    xis = [complex(math.cos(2 * math.pi * k / args.xi_grid),
-                   math.sin(2 * math.pi * k / args.xi_grid))
-           for k in range(args.xi_grid)]
-    xis[0] = 1.0 + 0.0j
-    report = carleson.cusp_window_report(
-        profile, range(1, profile.n + 1), xis, args.resolution)
+    report = carleson.cusp_window_report(profile, range(1, profile.n + 1))
     summary = carleson.boundedness_index(report)
-    # xi = 1 windows are closed forms; the others are indicator-grid counts
-    source = ("closed form" if args.xi_grid == 1 else
-              f"closed form and {args.resolution}^2 indicator grid")
-    log.check("index_below_decay_bound", float(np.min(summary.bound_margins)),
-              0.0, ">=", source)
+    # rho(h) lies between the xi = 1 windows of radius h and C h
+    C = carleson.cone_constant(profile)
+    upper = np.array([carleson.window_area_cusp(profile, C * h)
+                      for h in report.hs])
+    source = "closed form at radius C h"
+    log.check("index_below_decay_bound",
+              float(np.min(report.bound - upper / report.hs ** 2)), 0.0,
+              ">=", source)
     log.check("index_strictly_decreasing",
-              float(np.max(np.diff(summary.indices))), 0.0, "<=", source)
-    for h, r in zip(report.hs, report.rho):
+              float(np.max(np.diff(summary.indices))), 0.0, "<=",
+              "closed form")
+    for h, r in zip(report.hs, upper):
         log.check(f"rho_le_h_theta_h_at_{h:.3e}", float(r),
                   float(h * profile.eval(h)), "<=", source)
+    log.info(f"cone_constant C={C:.9e}: on the cusp, S(xi, h) lies in "
+             "S(1, C h) for every |xi| = 1")
     log.info(f"max_index={summary.max_index:.6e}")
-    return (f"cusp-rho delta={args.delta} eps={args.eps} "
-            f"xi_grid={args.xi_grid} resolution={args.resolution}",
+    return (f"cusp-rho delta={args.delta} eps={args.eps}",
             [("rho.csv", ("h", "rho", "index", "bound"),
               zip(report.hs, report.rho, report.index, report.bound))],
             [("rho.svg", [("index", report.hs, report.index),
@@ -325,8 +321,7 @@ EXPERIMENTS = {
         ("--n", int, 0, "family size (default all)"),
         ("--order", int, 32, f"accepted (1..{ORDER_CAP}) but has no effect:"
                              " the entries come from their closed form"))),
-    "cusp-rho": Experiment(_cusp_rho, "window measure decay", (
-        *CUSP_FLAGS, ("--xi-grid", int, 1), ("--resolution", int, 800))),
+    "cusp-rho": Experiment(_cusp_rho, "window measure decay", CUSP_FLAGS),
     "cusp-galerkin": Experiment(_cusp_galerkin, "moment-matrix compressions",
                                 (*CUSP_FLAGS, ("--Ks", str, "32,64,128"))),
     "eksy-growth": Experiment(_eksy_growth, "power norm growth",
@@ -382,7 +377,7 @@ def run(config) -> int:
         raise ValidationError("config must name an experiment") from None
     argv = [str(name)]
     for key, value in sorted(config.items()):
-        flag = "--" + key.replace("_", "-")
+        flag = "--" + key
         if isinstance(value, bool):
             if value:
                 argv.append(flag)

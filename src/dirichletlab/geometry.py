@@ -51,10 +51,6 @@ class CuspProfile:
     def eval(self, h):
         return np.interp(h, self.knots, self.thetas)
 
-    def sup_half_width(self) -> float:
-        # sup of theta on (0, 1)
-        return float(self.thetas[-1])
-
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -76,9 +72,6 @@ class PowerProfile:
 
     def eval(self, h):
         return self.scale * np.asarray(h, dtype=float)
-
-    def sup_half_width(self) -> float:
-        return self.scale
 
 
 def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:

@@ -1,4 +1,4 @@
-"""Gram matrix of the normalized disk indicators and its certificates.
+"""Gram matrix of the normalized disk test functions and its certificates.
 
 The test functions f_j = (1/r_j) 1_{D(c_j, r_j)} are orthonormal in
 L^2(mu) for mu = 1_Omega dA.  Their Gram matrix under the Bergman

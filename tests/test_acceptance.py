@@ -22,6 +22,10 @@ def test_criterion_01_gram_inequalities_with_positive_margin(gram8):
     assert gram8.order == 32                     # stabilized without escalation
     assert gram8.doubling_residual is not None
     assert gram8.doubling_residual <= 1e-8       # order-doubling agreement
+    # the witness agrees with the closed form that cusp-gram certifies; the
+    # doubling residual alone cannot see two orders that alias alike
+    closed = gram.closed_form_gram(gram8.family).entries
+    assert np.allclose(gram8.entries, closed, rtol=1e-12, atol=0.0)
     rep = gram.tec_report(gram8)
     assert np.all(rep.diag_floor_margin > 0.0)   # m_ii above eps_i^2/32
     assert np.all(rep.diag_window_margin > 0.0)  # m_ii within the cubic window

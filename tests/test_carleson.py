@@ -1,22 +1,26 @@
+import bisect
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dirichletlab.carleson import (
     boundedness_index,
+    cone_constant,
     cusp_window_report,
     eksy_window_measure,
     eksy_window_table,
     half_window_area,
-    rho,
     window_area_cusp,
     window_report,
 )
 from dirichletlab.errors import ValidationError
 from dirichletlab.geometry import PowerProfile, cusp_area, eksy_build, profile_make
-from dirichletlab.seqs import DecaySequence, dyadic
+from dirichletlab.seqs import (DecaySequence, clamp_monotone, dyadic,
+                              slow_decay)
 
 from test_acceptance import _band_measure_by_quadrature
 
@@ -108,24 +112,88 @@ def test_window_area_validates_h():
         window_area_cusp(prof, 2.5)
 
 
-def test_window_area_off_center_grid():
-    prof = profile_make(dyadic(2), DELTA)
-    on_axis = window_area_cusp(prof, 1e-2)
-    off = window_area_cusp(prof, 1e-2, xi=0.99 + 1e-4j, resolution=200)
-    assert off >= 0.0
-    assert on_axis > 0.0
-    with pytest.raises(ValidationError):
-        window_area_cusp(prof, 1e-2, xi=0.99, resolution=4)
+def _seeded_profile(seed):
+    """A profile drawn the way benchmarks/inputs.py draws a seeded cusp
+    instance (delta in [0.002, 1/200], 8 strictly decreasing raw eps terms
+    below the 2^-8 cap), clamped and slowed as an ``--eps file:`` input."""
+    rng = random.Random(seed)
+    delta = rng.uniform(0.002, 1.0 / 200.0)
+    raw, v = [], 2.0 ** -8 * rng.uniform(0.5, 0.99)
+    for _ in range(8):
+        raw.append(v)
+        v *= rng.uniform(0.3, 0.95)
+    return profile_make(slow_decay(clamp_monotone(raw)), delta)
 
 
-def test_rho_requires_the_corner_point():
-    prof = profile_make(dyadic(2), DELTA)
-    with pytest.raises(ValidationError):
-        rho(prof, 1e-2, xis=[0.99])
-    with pytest.raises(ValidationError):
-        rho(prof, 1e-2, xis=[])
-    val = rho(prof, 1e-2, xis=[1.0], resolution=64)
-    assert val == window_area_cusp(prof, 1e-2)
+def _window_by_slices(profile, h, phi):
+    """A(S(xi, h) & Omega) at xi = e^{i phi}, by scipy quad.
+
+    In t = 1 - x = h u, y = h v the window is the unit disk about
+    (cs, sig) = ((1 - cos phi) / h, sin phi / h), and the mass is
+    (h^2 / pi) int len(u) du, len(u) the length of {|v| < theta(h u) / h}
+    inside it.  The breakpoints are the knots, the circle's edges
+    u = cs -+ 1 and the crossings of the circle with the edges
+    v = +-theta(h u) / h; breakpoints closer than 1e-13 are merged, since
+    len is continuous and the rounding of such slivers would dominate.
+    """
+    cs = 2.0 * math.sin(phi / 2.0) ** 2 / h
+    sig = math.sin(phi) / h
+    lo, hi = max(0.0, cs - 1.0), min(1.0 / h, cs + 1.0)
+    ku, kth = list(profile.knots / h), list(profile.thetas / h)
+    lines = []                  # theta(h u) / h = alpha + beta u on piece k
+    cuts = [lo, hi] + [k for k in ku if lo < k < hi]
+    for k in range(len(ku) - 1):
+        beta = (kth[k + 1] - kth[k]) / (ku[k + 1] - ku[k])
+        alpha = kth[k] - beta * ku[k]
+        lines.append((alpha, beta))
+        for sign in (1.0, -1.0):
+            # sign (alpha + beta u) = sig +- sqrt(1 - (u - cs)^2)
+            p, q = sign * alpha - sig, sign * beta
+            a, b, c = q * q + 1.0, 2.0 * (p * q - cs), p * p + cs * cs - 1.0
+            disc = b * b - 4.0 * a * c
+            if disc > 0.0:
+                cuts += [u for u in ((-b - math.sqrt(disc)) / (2.0 * a),
+                                     (-b + math.sqrt(disc)) / (2.0 * a))
+                         if max(lo, ku[k]) < u < min(hi, ku[k + 1])]
+
+    def length(u):
+        alpha, beta = lines[min(bisect.bisect_right(ku, u), len(lines)) - 1]
+        th = alpha + beta * u
+        r = math.sqrt(max(0.0, 1.0 - (u - cs) ** 2))
+        return max(0.0, min(th, sig + r) - max(-th, sig - r))
+
+    pts = [lo]
+    for c in sorted(cuts):
+        if c - pts[-1] > 1e-13:
+            pts.append(c)
+    pts[-1] = hi
+    tol = 1e-15 * float(profile.eval(h)) / h
+    total = sum(quad(length, a, b, epsabs=tol, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(pts[:-1], pts[1:]))
+    return h * h * total / math.pi
+
+
+@pytest.mark.parametrize("profile", [profile_make(dyadic(8), DELTA),
+                                     _seeded_profile(7), _seeded_profile(29)],
+                         ids=["dyadic8", "seed7", "seed29"])
+def test_window_supremum_enclosure(profile):
+    # A(S(1, h) & Omega) <= A(S(xi, h) & Omega) <= A(S(1, C h) & Omega)
+    # fails as an equality at xi = 1 or as an enclosure off it
+    C = cone_constant(profile)
+    s = profile.eps.values[0]
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(1 + mpmath.mpf(s) ** 2) / (1 - mpmath.mpf(s))
+        assert exact <= C <= exact * (1 + mpmath.mpf(2) ** -49)
+    psis = [*np.linspace(-2.0, 2.0, 41), -1e-3, 1e-3]   # 42 xi != 1, xi = 1
+    for j in range(1, 9):
+        h = profile.delta ** j
+        lower = window_area_cusp(profile, h)
+        upper = window_area_cusp(profile, C * h)
+        assert math.isclose(_window_by_slices(profile, h, 0.0), lower,
+                            rel_tol=1e-10), j
+        for psi in psis:
+            assert _window_by_slices(profile, h, psi * h) <= \
+                upper * (1.0 + 1e-12), (j, psi)
 
 
 def test_cusp_window_report_decays_under_envelope():

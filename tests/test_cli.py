@@ -53,8 +53,7 @@ def test_cusp_gram_artifacts(tmp_path):
 
 
 def test_cusp_rho_artifacts(tmp_path):
-    code = cli.main(["cusp-rho", "--eps", "dyadic:3",
-                     "--resolution", "64", "--out", str(tmp_path)])
+    code = cli.main(["cusp-rho", "--eps", "dyadic:3", "--out", str(tmp_path)])
     assert code == 0
     header, rows = _read_csv(tmp_path / "rho.csv")
     assert header == ["h", "rho", "index", "bound"]
@@ -65,17 +64,18 @@ def test_cusp_rho_artifacts(tmp_path):
 
 
 def test_cusp_rho_source_names_the_window_route(tmp_path):
-    # xi = 1 windows are closed forms; other xi add indicator-grid counts
-    for xi_grid, source in ((1, "closed form"),
-                            (2, "closed form and 64^2 indicator grid")):
-        assert cli.main(["cusp-rho", "--eps", "dyadic:3", "--xi-grid",
-                         str(xi_grid), "--resolution", "64",
-                         "--out", str(tmp_path)]) == 0
-        checks = [line for line in
-                  (tmp_path / "certificates.txt").read_text().splitlines()
-                  if line.startswith(("PASS", "FAIL"))]
-        assert len(checks) == 5
-        assert all(line.endswith(f"; {source})") for line in checks)
+    # the supremum bounds come from the xi = 1 window of radius C h; the
+    # strict decrease is a property of the xi = 1 windows themselves
+    assert cli.main(["cusp-rho", "--eps", "dyadic:3",
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "certificates.txt").read_text().splitlines()
+    checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert len(checks) == 5
+    for line in checks:
+        source = ("closed form" if "index_strictly_decreasing" in line
+                  else "closed form at radius C h")
+        assert line.endswith(f"; {source})"), line
+    assert "INFO cone_constant C=1.003929228e+00" in lines[-3]
 
 
 def test_cusp_galerkin_artifacts(tmp_path):
@@ -217,10 +217,6 @@ def test_usage_errors_return_two(tmp_path, capsys):
                  ["eksy-growth", "--M", f"file:{m_file}"] + out,
                  ["cusp-galerkin", "--Ks", "32,a"] + out,
                  ["cusp-gram", "--order", "0"] + out,
-                 ["cusp-rho", "--xi-grid", "0"] + out,
-                 ["cusp-rho", "--xi-grid", "-2"] + out,
-                 ["cusp-rho", "--resolution", "0"] + out,
-                 ["cusp-rho", "--resolution", "-3"] + out,
                  ["eksy-windows", "--threshold", "nan"] + out,
                  ["--config", str(listed)]):
         assert cli.main(argv) == 2, argv
@@ -232,6 +228,18 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_argparse_rejects_removed_window_flags(tmp_path):
+    # cusp-rho takes no xi grid; a config key is passed on as its flag
+    # name unchanged, so xi_grid is unknown too
+    for call in (lambda: cli.main(["cusp-rho", "--xi-grid", "4"]),
+                 lambda: cli.main(["cusp-rho", "--resolution", "64"]),
+                 lambda: cli.run({"experiment": "cusp-rho", "xi_grid": 1,
+                                  "out": str(tmp_path)})):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        assert exc.value.code == 2
 
 
 def test_numeric_integrity_returns_three(tmp_path, monkeypatch):
@@ -267,12 +275,6 @@ def test_run_accepts_config_dict(tmp_path):
     assert code == 0
     header, rows = _read_csv(tmp_path / "seq.csv")
     assert len(rows) == 5
-
-
-def test_run_converts_underscored_keys(tmp_path):
-    code = cli.run({"experiment": "cusp-rho", "eps": "dyadic:2",
-                    "xi_grid": 1, "resolution": 64, "out": str(tmp_path)})
-    assert code == 0
 
 
 def test_config_file_route(tmp_path):

@@ -39,7 +39,7 @@ def test_profile_is_sublinear():
     # theta(h) = eps_1 h exactly on the outermost piece, so allow an ulp
     assert np.all(vals <= 2.0**-8 * hs * (1.0 + 1e-12))
     assert np.all(np.diff(vals) >= 0.0)
-    assert prof.sup_half_width() == 2.0**-8
+    assert prof.eval(1.0) == 2.0**-8
 
 
 def test_profile_make_validates_delta():
@@ -139,7 +139,6 @@ def test_disk_family_validates_n():
 def test_power_profile_lens():
     lens = PowerProfile(alpha=0.0)
     assert lens.eval(0.25) == 0.25
-    assert lens.sup_half_width() == 1.0
     assert list(lens.knots) == [0.0, 1.0]
     assert list(lens.thetas) == [0.0, 1.0]
     for alpha in (-0.5, 0.5):
