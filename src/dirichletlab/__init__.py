@@ -16,10 +16,9 @@ from .spectra import (NeumannBounds, eigh, neumann_lower, schur_bound,
 from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
                    bernstein_certificate, build_gram, closed_form_gram,
                    nu_bound, tec_report)
-from .carleson import (BoundednessSummary, WindowMeasureReport,
-                       boundedness_index, cusp_window_report,
+from .carleson import (WindowMeasureReport, cusp_window_report,
                        eksy_window_measure, eksy_window_table,
-                       half_window_area, window_area_cusp, window_report)
+                       half_window_area, window_area_cusp)
 from .powers import (GrowthReport, eksy_growth_report, growth_grid,
                      growth_majorant, growth_term, growth_term_sum,
                      jensen_lower, log2_targets, norms, power_coeffs,
@@ -41,9 +40,8 @@ __all__ = [
     "CertificateReport", "CheckResult", "GramMatrix", "TecReport",
     "bernstein_certificate", "build_gram", "closed_form_gram",
     "nu_bound", "tec_report",
-    "BoundednessSummary", "WindowMeasureReport", "boundedness_index",
-    "cusp_window_report", "eksy_window_measure", "eksy_window_table",
-    "half_window_area", "window_area_cusp", "window_report",
+    "WindowMeasureReport", "cusp_window_report", "eksy_window_measure",
+    "eksy_window_table", "half_window_area", "window_area_cusp",
     "GrowthReport", "eksy_growth_report", "growth_grid", "growth_majorant",
     "growth_term", "growth_term_sum", "jensen_lower", "log2_targets",
     "norms", "power_coeffs", "power_norm_region", "power_norm_series",

@@ -98,63 +98,30 @@ def cone_constant(profile: CuspProfile) -> float:
 
 @dataclass(frozen=True)
 class WindowMeasureReport:
-    """Window masses A(S(1, h) & Omega) over a strictly decreasing h grid,
-    with the scaled index rho/h^2 and, for anchor grids h_j = delta^j, the
-    decay bound eps_j/delta."""
+    """rho(h) on the anchor scales h_j = delta^j, j = 1..n, enclosed between
+    the xi = 1 windows of radius h (``lower``) and C h (``upper``), with
+    C = ``cone_constant``, the index lower / h^2 and the decay bounds
+    eps_j / delta."""
 
     hs: np.ndarray
-    rho: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    cone_constant: float
+    bound: np.ndarray
     index: np.ndarray
-    bound: np.ndarray | None
-
-    def __post_init__(self):
-        if np.any(np.diff(self.hs) >= 0.0):
-            raise ValidationError("h grid must be strictly decreasing")
-        if np.any(self.rho < 0.0):
-            raise ValidationError("window measures must be non-negative")
 
 
-def window_report(profile, hs, bound=None) -> WindowMeasureReport:
-    hs = np.asarray(hs, dtype=float)
-    rhos = np.array([window_area_cusp(profile, float(h)) for h in hs])
+def cusp_window_report(profile: CuspProfile) -> WindowMeasureReport:
+    """Both ends of the rho(h) enclosure at every anchor of the profile."""
+    scales = [profile.delta ** j for j in range(1, profile.n + 1)]
+    C = cone_constant(profile)
+    lower = np.array([window_area_cusp(profile, h) for h in scales])
+    upper = np.array([window_area_cusp(profile, C * h) for h in scales])
+    hs = np.array(scales)
     return WindowMeasureReport(
-        hs=hs, rho=rhos, index=rhos / hs ** 2,
-        bound=None if bound is None else np.asarray(bound, dtype=float))
-
-
-def cusp_window_report(profile: CuspProfile, js) -> WindowMeasureReport:
-    """Report on the anchor grid h_j = delta^j with bounds eps_j / delta."""
-    js = list(js)
-    if any(not (1 <= j <= profile.n) for j in js):
-        raise ValidationError("anchor indices must lie in 1..n")
-    hs = [profile.delta ** j for j in js]
-    bound = [profile.eps.values[j - 1] / profile.delta for j in js]
-    return window_report(profile, hs, bound=bound)
-
-
-@dataclass(frozen=True)
-class BoundednessSummary:
-    max_index: float
-    indices: np.ndarray
-    strictly_decreasing: bool
-    below_bound: bool | None    # None when the report carries no bounds
-    bound_margins: np.ndarray | None
-
-
-def boundedness_index(report: WindowMeasureReport) -> BoundednessSummary:
-    """Summary of the embedding index h^-2 rho(h) over the report grid.
-
-    Bounded index across scales witnesses boundedness; decay to zero (here:
-    strict decrease under the eps_j/delta envelope) witnesses compactness.
-    """
-    idx = report.index
-    margins = None if report.bound is None else report.bound - idx
-    return BoundednessSummary(
-        max_index=float(idx.max()),
-        indices=idx,
-        strictly_decreasing=bool(np.all(np.diff(idx) < 0.0)),
-        below_bound=None if margins is None else bool(np.all(margins > 0.0)),
-        bound_margins=margins)
+        hs=hs, lower=lower, upper=upper, cone_constant=C,
+        bound=np.array(profile.eps.values) / profile.delta,
+        index=lower / hs ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -160,28 +160,23 @@ def _cusp_gram(args, log):
 def _cusp_rho(args, log):
     eps = _parse_eps(args.eps)
     profile = profile_make(eps, args.delta)
-    report = carleson.cusp_window_report(profile, range(1, profile.n + 1))
-    summary = carleson.boundedness_index(report)
     # rho(h) lies between the xi = 1 windows of radius h and C h
-    C = carleson.cone_constant(profile)
-    upper = np.array([carleson.window_area_cusp(profile, C * h)
-                      for h in report.hs])
+    report = carleson.cusp_window_report(profile)
     source = "closed form at radius C h"
     log.check("index_below_decay_bound",
-              float(np.min(report.bound - upper / report.hs ** 2)), 0.0,
-              ">=", source)
+              float(np.min(report.bound - report.upper / report.hs ** 2)),
+              0.0, ">=", source)
     log.check("index_strictly_decreasing",
-              float(np.max(np.diff(summary.indices))), 0.0, "<=",
-              "closed form")
-    for h, r in zip(report.hs, upper):
+              float(np.max(np.diff(report.index))), 0.0, "<=", "closed form")
+    for h, r in zip(report.hs, report.upper):
         log.check(f"rho_le_h_theta_h_at_{h:.3e}", float(r),
                   float(h * profile.eval(h)), "<=", source)
-    log.info(f"cone_constant C={C:.9e}: on the cusp, S(xi, h) lies in "
-             "S(1, C h) for every |xi| = 1")
-    log.info(f"max_index={summary.max_index:.6e}")
+    log.info(f"cone_constant C={report.cone_constant:.9e}: on the cusp, "
+             "S(xi, h) lies in S(1, C h) for every |xi| = 1")
+    log.info(f"max_index={float(np.max(report.index)):.6e}")
     return (f"cusp-rho delta={args.delta} eps={args.eps}",
             [("rho.csv", ("h", "rho", "index", "bound"),
-              zip(report.hs, report.rho, report.index, report.bound))],
+              zip(report.hs, report.lower, report.index, report.bound))],
             [("rho.svg", [("index", report.hs, report.index),
                           ("bound", report.hs, report.bound)],
               dict(title="window index", log_x=True, log_y=True))])

@@ -55,15 +55,11 @@ class CuspProfile:
 @dataclass(frozen=True)
 class PowerProfile:
     """Lens profile theta(h) = scale * h, the non-compact contrast case of
-    criterion 4, with the one-piece breakpoint table (0, 0), (1, scale).
-    ``alpha``, the exponent excess of scale * h^(1+alpha), must be 0."""
+    criterion 4, with the one-piece breakpoint table (0, 0), (1, scale)."""
 
-    alpha: float
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.alpha != 0.0:
-            raise ValidationError("alpha must be 0 (the lens)")
         if not (0.0 < self.scale <= 1.0):
             raise ValidationError("scale must be in (0, 1]")
 

@@ -23,7 +23,6 @@ from .errors import AccuracyWarning, ValidationError
 ORDER_CAP = 512
 DOUBLING_RTOL = 1e-8    # Gram entries
 MOMENT_RTOL = 1e-10     # cusp |w|^2q moments
-_PANEL_BUDGET = 1024    # panels one adaptive rectangle integral may evaluate
 
 
 Doubling = collections.namedtuple("Doubling", "value check order residual")
@@ -107,33 +106,19 @@ def integrate_rect(f, rect, m: int, tol: float = None) -> complex:
     """Tensor Gauss-Legendre integral of f over an axis-aligned rectangle.
 
     ``f`` must accept a complex ndarray.  Exact for polynomials of degree
-    <= 2m - 1 per variable.  With ``tol`` set, the x-interval is bisected
-    adaptively until order doubling changes each panel value by less than
-    tol relative (needed for e^{-2px} with large p).  At most
-    ``_PANEL_BUDGET`` panels are evaluated; a panel that would split past
-    the budget keeps its unconfirmed order-2m value, with one
-    AccuracyWarning for the whole integral.
+    <= 2m - 1 per variable.  With ``tol`` set, the order-m value is
+    verified by ``doubling`` (needed for e^{-2px} with large p) and the
+    confirming value at twice the settled order comes back; no order above
+    ORDER_CAP is evaluated, and an unconfirmed value carries one
+    AccuracyWarning.
     """
-    x1, x2, y1, y2 = _rect_sides(rect)
+    sides = _rect_sides(rect)
+    x1, x2, y1, y2 = sides
     if x1 == x2 or y1 == y2:
         return 0.0 + 0.0j
     if tol is None:
-        return _rect_value(f, (x1, x2, y1, y2), m)
-    total, work, spent, settled = 0.0 + 0.0j, [(x1, x2)], 0, True
-    while work:
-        a, b = work.pop()
-        spent += 1
-        fine = _rect_value(f, (a, b, y1, y2), 2 * m)
-        done = (abs(fine - _rect_value(f, (a, b, y1, y2), m))
-                <= tol * max(abs(fine), 1e-300))
-        if done or spent + len(work) + 2 > _PANEL_BUDGET:
-            total, settled = total + fine, settled and done
-        else:
-            work += [(0.5 * (a + b), b), (a, 0.5 * (a + b))]
-    if not settled:
-        warnings.warn(f"adaptive rectangle integral did not converge within "
-                      f"{_PANEL_BUDGET} panels", AccuracyWarning, stacklevel=2)
-    return total
+        return _rect_value(f, sides, m)
+    return doubling(lambda k: _rect_value(f, sides, k), m, tol).check
 
 
 def _disk_rule(m: int, half: bool = False, angles: int | None = None):

@@ -34,21 +34,22 @@ OFF_RTOL = 1e-13
 MAX_SWEEPS = 60
 
 
-def _as_real_symmetric(A) -> np.ndarray:
+def _as_real(A) -> np.ndarray:
+    """A as a float array; complex input is rejected whatever its imaginary
+    part, since no construction here produces it."""
     A = np.asarray(A)
+    if np.iscomplexobj(A):
+        raise ValidationError("only real matrices are supported")
+    return np.array(A, dtype=float)
+
+
+def _as_real_symmetric(A) -> np.ndarray:
+    A = _as_real(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("matrix must be square")
-    if not np.all(np.isfinite(A.view(float) if A.dtype.kind == "c" else A)):
+    if not np.all(np.isfinite(A)):
         raise ValidationError("matrix entries must be finite")
     scale = np.max(np.abs(A)) if A.size else 0.0
-    if np.iscomplexobj(A):
-        if np.max(np.abs(A.imag)) > 1e-12 * max(scale, 1e-300):
-            raise ValidationError(
-                "only real symmetric matrices are supported; the constructions"
-                " here are conjugation-symmetric, so genuine complex input"
-                " signals an upstream bug")
-        A = A.real
-    A = np.array(A, dtype=float)
     if A.size and np.max(np.abs(A - A.T)) > 1e-12 * max(scale, 1e-300):
         raise ValidationError("matrix is not symmetric")
     return A
@@ -144,14 +145,9 @@ def eigh(A) -> np.ndarray:
 
 def singular_values(A) -> np.ndarray:
     """Singular values (non-increasing) via eigenvalues of A^T A."""
-    A = np.asarray(A, dtype=float if not np.iscomplexobj(A) else complex)
+    A = _as_real(A)
     if A.ndim != 2:
         raise ValidationError("matrix must be 2-dimensional")
-    if np.iscomplexobj(A):
-        scale = np.max(np.abs(A)) if A.size else 0.0
-        if A.size and np.max(np.abs(A.imag)) > 1e-12 * max(scale, 1e-300):
-            raise ValidationError("only real matrices are supported")
-        A = A.real.astype(float)
     H = A.T @ A
     lam = eigh(H)
     return np.sqrt(np.clip(lam, 0.0, None))

@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The canonical disk-family instance (delta = 1/200, eps_i = 2^-7-i, n = 8,
-quadrature order 32) is expensive to assemble because of the order-doubling
-verification pass, so it is built once per session and shared by the unit
-and acceptance tests.
+quadrature order 32, with its order-doubling verification pass) takes
+under a second to assemble; it is built once per session and shared by
+the unit and acceptance tests.
 """
 
 import pytest

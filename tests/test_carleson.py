@@ -8,14 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 from dirichletlab.carleson import (
-    boundedness_index,
     cone_constant,
     cusp_window_report,
     eksy_window_measure,
     eksy_window_table,
     half_window_area,
     window_area_cusp,
-    window_report,
 )
 from dirichletlab.errors import ValidationError
 from dirichletlab.geometry import PowerProfile, cusp_area, eksy_build, profile_make
@@ -31,7 +29,7 @@ def test_lens_window_index_is_one_quarter():
     # for theta(t) = t the window mass splits at t = h/sqrt(2) into a
     # triangle and a circular sector whose areas sum to h^2 pi/4, so the
     # normalized mass is h^2/4 at every scale
-    lens = PowerProfile(alpha=0.0)
+    lens = PowerProfile()
     for h in (0.5, 0.1, 1e-3, 1e-6):
         val = window_area_cusp(lens, h)
         assert math.isclose(val, h * h / 4.0, rel_tol=1e-12)
@@ -92,7 +90,7 @@ def test_window_closed_form_matches_quadrature():
             assert math.isclose(window_area_cusp(prof, h),
                                 _window_by_quadrature(prof, h),
                                 rel_tol=1e-12), (prof, h)
-    lens = PowerProfile(alpha=0.0, scale=0.5)
+    lens = PowerProfile(scale=0.5)
     for h in (1e-3, 0.4, 1.0, 1.1, 2.0):
         assert math.isclose(window_area_cusp(lens, h),
                             _window_by_quadrature(lens, h), rel_tol=1e-12)
@@ -198,29 +196,22 @@ def test_window_supremum_enclosure(profile):
 
 def test_cusp_window_report_decays_under_envelope():
     prof = profile_make(dyadic(6), DELTA)
-    rep = cusp_window_report(prof, js=range(1, 5))
+    rep = cusp_window_report(prof)
+    C = cone_constant(prof)
+    assert rep.cone_constant == C
+    assert np.allclose(rep.hs, [DELTA ** j for j in range(1, 7)], rtol=1e-15)
     assert np.allclose(rep.bound,
-                       [2.0 ** (-7 - j) / DELTA for j in range(1, 5)],
+                       [2.0 ** (-7 - j) / DELTA for j in range(1, 7)],
                        rtol=1e-15)
-    summary = boundedness_index(rep)
-    assert summary.strictly_decreasing
-    assert summary.below_bound
-    assert np.all(summary.bound_margins > 0.0)
-    assert summary.max_index == rep.index[0]
-
-
-def test_cusp_window_report_validates_indices():
-    prof = profile_make(dyadic(3), DELTA)
-    with pytest.raises(ValidationError):
-        cusp_window_report(prof, js=[0, 1])
-    with pytest.raises(ValidationError):
-        cusp_window_report(prof, js=[4])
-
-
-def test_window_report_requires_decreasing_grid():
-    prof = profile_make(dyadic(2), DELTA)
-    with pytest.raises(ValidationError):
-        window_report(prof, hs=[1e-3, 1e-2])
+    for h, lower, upper in zip(rep.hs, rep.lower, rep.upper):
+        assert lower == window_area_cusp(prof, h)
+        assert upper == window_area_cusp(prof, C * h)
+    assert np.array_equal(rep.index, rep.lower / rep.hs ** 2)
+    assert np.all(rep.lower < rep.upper)
+    # the upper end of the enclosure stays under the envelope, and the
+    # xi = 1 index decreases strictly
+    assert np.all(rep.upper / rep.hs ** 2 < rep.bound)
+    assert np.all(np.diff(rep.index) < 0.0)
 
 
 def test_half_window_area_closed_form():

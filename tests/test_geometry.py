@@ -137,13 +137,16 @@ def test_disk_family_validates_n():
 
 
 def test_power_profile_lens():
-    lens = PowerProfile(alpha=0.0)
+    lens = PowerProfile()
     assert lens.eval(0.25) == 0.25
     assert list(lens.knots) == [0.0, 1.0]
     assert list(lens.thetas) == [0.0, 1.0]
-    for alpha in (-0.5, 0.5):
+    half = PowerProfile(scale=0.5)
+    assert half.eval(0.25) == 0.125
+    assert list(half.thetas) == [0.0, 0.5]
+    for scale in (0.0, -0.5, 1.5):
         with pytest.raises(ValidationError):
-            PowerProfile(alpha=alpha)
+            PowerProfile(scale=scale)
 
 
 def test_eps_exp_values():

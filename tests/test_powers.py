@@ -120,7 +120,7 @@ def test_region_moment_validations():
         power_norm_region(STRIP, 0)
     # unsupported regions: the lens and a list that holds no rectangles
     with pytest.raises(ValidationError):
-        region_moment(PowerProfile(0.0), 1)
+        region_moment(PowerProfile(), 1)
     with pytest.raises(ValidationError):
         region_moment([1, 2], 0)
     with pytest.raises(ValidationError):

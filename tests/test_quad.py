@@ -64,31 +64,39 @@ def test_rect_integral_polynomials():
 
 
 def test_rect_integral_adaptive_sharp_exponential():
-    # int_0^3 e^{-2px} dx * 1 for p = 1000: GL alone is hopeless at any
-    # fixed order, bisection must kick in
-    p = 1000.0
-    val = integrate_rect(lambda z: np.exp(-2.0 * p * z.real),
-                         (0.0, 3.0, 0.0, 1.0), 16, tol=1e-12)
+    # int_0^3 e^{-2px} dx * 1 for p = 100: the order-16 rule is far off,
+    # order doubling settles below the cap without a warning
+    p = 100.0
     exact = (1.0 - math.exp(-6.0 * p)) / (2.0 * p)
+
+    def f(z):
+        return np.exp(-2.0 * p * z.real)
+
+    rough = integrate_rect(f, (0.0, 3.0, 0.0, 1.0), 16)
+    assert abs(rough.real - exact) > 1e-3 * exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = integrate_rect(f, (0.0, 3.0, 0.0, 1.0), 16, tol=1e-12)
     assert math.isclose(val.real, exact, rel_tol=1e-10)
     assert abs(val.imag) < 1e-18
 
 
-def test_rect_integral_panel_budget():
-    # an integrand that never settles at tol 1e-12: the work stops at the
-    # panel budget (two rule evaluations per panel) with one warning
+def test_rect_integral_order_cap():
+    # an integrand that never settles at tol 1e-12: order doubling stops at
+    # ORDER_CAP after the orders 8, 16, ..., 512, with one warning
     rng = np.random.default_rng(0)
     calls = []
 
     def noisy(z):
-        calls.append(z.size)
+        calls.append(z.shape)
         return 1.0 + 1e-6 * rng.standard_normal(z.shape)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         val = integrate_rect(noisy, (0.0, 1.0, 0.0, 1.0), 8, tol=1e-12)
     assert [w.category for w in caught] == [AccuracyWarning]
-    assert len(calls) <= 2 * quad._PANEL_BUDGET
+    assert len(calls) <= 7
+    assert calls[-1] == (quad.ORDER_CAP, quad.ORDER_CAP)
     assert math.isclose(val.real, 1.0, rel_tol=1e-5)
 
 

@@ -75,12 +75,23 @@ def test_eigh_validates_input():
         eigh(np.ones((2, 3)))
     with pytest.raises(ValidationError):
         eigh([[1.0, 1.0j], [-1.0j, 1.0]])     # genuinely complex
+    with pytest.raises(ValidationError):
+        eigh(np.eye(2, dtype=complex))        # complex dtype, real values
 
 
 def test_singular_values_hand_matrix():
     sv = singular_values([[3.0, 0.0], [4.0, 0.0]])
     assert math.isclose(sv[0], 5.0, rel_tol=1e-13)
     assert abs(sv[1]) < 1e-12
+
+
+def test_singular_values_validates_input():
+    with pytest.raises(ValidationError):
+        singular_values(np.ones(3))
+    with pytest.raises(ValidationError):
+        singular_values([[1.0, 1.0j], [-1.0j, 1.0]])
+    with pytest.raises(ValidationError):
+        singular_values(np.eye(2, dtype=complex))
 
 
 def test_singular_values_match_frobenius():
