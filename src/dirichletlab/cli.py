@@ -166,8 +166,13 @@ def _cusp_rho(args, log):
     log.check("index_below_decay_bound",
               float(np.min(report.bound - report.upper / report.hs ** 2)),
               0.0, ">=", source)
-    log.check("index_strictly_decreasing",
-              float(np.max(np.diff(report.index))), 0.0, "<=", "closed form")
+    if len(report.index) > 1:
+        log.check("index_strictly_decreasing",
+                  float(np.max(np.diff(report.index))), 0.0, "<=",
+                  "closed form")
+    else:
+        log.info("one anchor: no consecutive windows, "
+                 "index_strictly_decreasing skipped")
     for h, r in zip(report.hs, report.upper):
         log.check(f"rho_le_h_theta_h_at_{h:.3e}", float(r),
                   float(h * profile.eval(h)), "<=", source)

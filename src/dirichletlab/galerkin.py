@@ -96,6 +96,19 @@ def _edge_table(profile: CuspProfile, K: int):
     return (T.imag / (j + 1.0) + close) / math.pi
 
 
+def _eigh(entries) -> np.ndarray:
+    """Eigenvalues of a moment matrix or a principal submatrix of one,
+    resolved down to the floor TRIANGLE_RTOL times its trace.  That is the
+    bound on ||E||_F that moment_matrix's triangle check proves, and the
+    entrywise bound it comes from holds on every principal submatrix; the
+    eigenvalues below it are noise, so spectra.eigh need not resolve them
+    to relative accuracy.  The Frobenius test of spectra.eigh still holds
+    each of them to about 1e-13 ||M||_F <= 1e-13 trace, well inside the
+    PSD_RTOL guard."""
+    floor = TRIANGLE_RTOL * float(np.trace(entries))
+    return spectra.eigh(entries, floor=floor)
+
+
 def moment_matrix(region, K: int) -> MomentMatrix:
     """Moment matrix of the region's counting measure, truncation K.
 
@@ -130,7 +143,7 @@ def moment_matrix(region, K: int) -> MomentMatrix:
             f" sqrt(mu_jj mu_kk), above {TRIANGLE_RTOL:.0e}")
     root = np.sqrt(np.arange(1, K + 1, dtype=float))
     entries = root[:, None] * moments * root[None, :]
-    spectrum = spectra.eigh(entries)
+    spectrum = _eigh(entries)
     if spectrum[-1] < -PSD_RTOL * np.trace(entries):
         raise NumericIntegrityError(
             f"moment matrix lost positive semidefiniteness: {spectrum[-1]:.3e}")
@@ -162,7 +175,7 @@ def compression_scan(region, Ks) -> CompressionScan:
     M = moment_matrix(region, Ks[-1])
     by_K = {}
     for K in Ks:
-        by_K[K] = M.spectrum if K == M.K else spectra.eigh(M.entries[:K, :K])
+        by_K[K] = M.spectrum if K == M.K else _eigh(M.entries[:K, :K])
     return CompressionScan(Ks=tuple(Ks), matrix=M, spectrum_by_K=by_K)
 
 

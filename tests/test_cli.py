@@ -78,6 +78,19 @@ def test_cusp_rho_source_names_the_window_route(tmp_path):
     assert "INFO cone_constant C=1.003929228e+00" in lines[-3]
 
 
+def test_cusp_rho_single_anchor(tmp_path):
+    # one window has no successor to decrease to: an INFO line stands in
+    # for the strict-decrease check
+    assert cli.main(["cusp-rho", "--eps", "dyadic:1",
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "certificates.txt").read_text()
+    assert ("INFO one anchor: no consecutive windows, "
+            "index_strictly_decreasing skipped") in text
+    assert "PASS index_strictly_decreasing" not in text
+    assert text.count("PASS rho_le_h_theta_h_at_") == 1
+    assert text.strip().endswith("RESULT PASS")
+
+
 def test_cusp_galerkin_artifacts(tmp_path):
     code = cli.main(["cusp-galerkin", "--eps", "dyadic:3", "--Ks", "4,8",
                      "--plot", "--out", str(tmp_path)])

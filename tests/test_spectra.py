@@ -260,3 +260,45 @@ def test_eigh_graded_smallest_eigenvalue_against_mpmath():
                                    eigvals_only=True))
             rel = abs((mpmath.mpf(float(eigh(A)[-1])) - ref) / ref)
         assert rel <= 1e-12, (d[0], float(rel))
+
+
+def test_eigh_validates_floor():
+    for floor in (-1e-300, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            eigh(np.eye(2), floor=floor)
+    # the test is strict: floor 0 exempts not even exact-zero diagonals
+    assert list(eigh([[0.0, 1e-300], [1e-300, 0.0]], floor=0.0)) == [
+        1e-300, -1e-300]
+
+
+def _cusp_profile():
+    from dirichletlab.geometry import profile_make
+    from dirichletlab.seqs import dyadic
+    return profile_make(dyadic(8), 1.0 / 200.0)
+
+
+def test_galerkin_floor_keeps_the_printed_eigenvalues_bit_for_bit():
+    # below TRIANGLE_RTOL * trace the moment matrix is noise: the top 8
+    # eigenvalues that cusp-galerkin prints at every K are the same bits
+    # as with the relative test run to the end
+    from dirichletlab.galerkin import compression_scan
+    scan = compression_scan(_cusp_profile(), (32, 64, 128))
+    for K, spectrum in scan.spectrum_by_K.items():
+        full = eigh(scan.matrix.entries[:K, :K])
+        assert spectrum[:8].tobytes() == full[:8].tobytes(), K
+
+
+def test_galerkin_eigensolve_stops_at_the_noise_floor(monkeypatch):
+    # a sweep is n steps; relative convergence of the noise takes 17
+    # sweeps at K = 128, the floor leaves 10
+    from dirichletlab import spectra
+    from dirichletlab.galerkin import moment_matrix
+    steps = []
+    step = spectra._step
+
+    def counted(*args):
+        steps.append(1)
+        step(*args)
+    monkeypatch.setattr(spectra, "_step", counted)
+    moment_matrix(_cusp_profile(), 128)
+    assert len(steps) <= 11 * 128
