@@ -212,7 +212,7 @@ def _cusp_galerkin(args, log):
     lam_full = scan.spectrum_by_K[scan.Ks[-1]]
     trace = scan.matrix.trace
     log.check("trace_identity_rel_error",
-              abs(float(lam_full.sum()) - trace) / abs(trace), 1e-10, "<=",
+              abs(math.fsum(lam_full) - trace) / abs(trace), 1e-10, "<=",
               "eigensolver")
     for n, K in galerkin.floor_crossings(scan, floors):
         log.info(f"floor_crossing n={n}: "

@@ -5,12 +5,12 @@ space, the operator has matrix t_jk = sqrt((j+1)(k+1)) mu_hat_jk with
 mu_hat_jk = int w^k conj(w)^j dmu.  Truncations are Gram matrices of the
 e_k in L^2(mu), hence PSD, and their eigenvalues grow with the
 truncation size by Cauchy interlacing, approaching the operator's
-singular values from below.  Every rule here integrates the moments
-exactly.  On a cusp profile the moments are sums over the profile edges
-(Green's theorem, see _edge_table); the unit-disk calibration sums its
-polar rule directly.  Either table is formed in both triangles; the one
-where the conjugate power j is the larger index is kept and mirrored,
-and the other one's disagreement is a checked residual.
+singular values from below.  Every moment is a sum over the region's
+boundary (Green's theorem, see _boundary_table) by an exact rule: Gauss
+on the cusp profile's edges, the trapezoid on the unit circle for the
+disk calibration.  The table is formed in both triangles; the one where
+the conjugate power j is the larger index is kept and mirrored, and the
+other one's disagreement is a checked residual.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from . import spectra
 from .errors import NumericIntegrityError, ValidationError
 from .geometry import CuspProfile
-from .quad import _disk_rule, gauss_nodes
 
 K_CAP = 400
 PSD_RTOL = 1e-12
@@ -35,65 +34,67 @@ class MomentMatrix:
     K: int
     entries: np.ndarray             # sqrt((j+1)(k+1)) mu_hat_jk, symmetric
     moments: np.ndarray             # mu_hat_jk itself
-    order: int
     spectrum: np.ndarray            # eigenvalues, non-increasing
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.entries))
+        """The correctly rounded sum of the diagonal."""
+        return math.fsum(np.diag(self.entries))
 
 
-def _power_sums(z, c, K: int):
-    """S_jk = sum_l c_l conj(z_l)^j z_l^k for j, k < K: one complex product
-    of the power table z^k, built by the recurrence z^(k+1) = z^k z."""
+def _boundary_table(z, c, K: int, close=0.0):
+    """mu_hat_jk for j, k < K, in both triangles, from a rule on the upper
+    half of a boundary that is symmetric about the real axis.
+
+    Green's theorem gives int z^k conj(z)^j dA/pi = (1/(2 pi i (j+1)))
+    times the contour integral of z^k conj(z)^(j+1) dz.  With nodes z_l
+    on the upper half, run counterclockwise, and c_l = w_l (dz/ds)_l
+    conj(z_l), the upper half gives T_jk = sum_l c_l conj(z_l)^j z_l^k
+    (exact when the rule is exact for the integrand), one complex product
+    of the power table z^k, built by the recurrence z^(k+1) = z^k z.  The
+    mirrored lower half, run the other way, adds -conj(T), so both halves
+    give 2i Im T.  ``close`` is pi (j + 1) times the moment of any part of
+    the boundary outside that pair (the cusp's closing edge).
+    """
     P = np.empty((K, z.size), dtype=complex)
     P[0] = 1.0
     np.cumprod(np.broadcast_to(z, (K - 1, z.size)), axis=0, out=P[1:])
-    return (P.conj() * c) @ P.T
+    j = np.arange(K)[:, None]
+    return (((P.conj() * c) @ P.T).imag / (j + 1.0) + close) / math.pi
 
 
 def _disk_table(K: int):
-    """Moments of the unit disk from its polar rule, and the rule's order.
-
-    Radial degree K-1 needs order >= K/2, and 4m angular points alias only
-    differences >= 4m > K-1.  The folded rule holds one node of each
-    conjugate pair, so the real part of its sum is the full sum.  One
-    radial ring at a time keeps the power table at K x (2 order + 1).
-    """
-    order = (K + 1) // 2
-    pts, wts = _disk_rule(order, half=True)
-    rings = zip(pts.reshape(order, -1), wts.reshape(order, -1))
-    return sum(_power_sums(z, w, K) for z, w in rings).real, order
+    """Moments of the unit disk from the trapezoid rule on the upper unit
+    semicircle: K intervals, nodes z = e^(i pi l / K), end weights halved,
+    and dz/dphi = i z.  With its mirror this is the 2K-point trapezoid on
+    the circle, where the integrand i e^(i (k - j) phi) has |k - j| <= K - 1
+    < 2K, so the rule is exact (Trefethen & Weideman, SIAM Review 56,
+    2014)."""
+    z = np.exp(1j * math.pi * np.arange(K + 1) / K)
+    w = np.full(K + 1, math.pi / K)
+    w[[0, -1]] *= 0.5
+    return _boundary_table(z, w * (1j * z) * z.conj(), K)
 
 
 def _edge_table(profile: CuspProfile, K: int):
     """mu_hat_jk for j, k < K from the profile edges, in both triangles.
 
-    Green's theorem gives int z^k conj(z)^j dA/pi = (1/(2 pi i (j+1)))
-    times the contour integral of z^k conj(z)^(j+1) dz.  The upper edges
-    P(s) = P0 + s (P1 - P0), P = (1 - t, theta), run counterclockwise as t
-    grows; on each the integrand has degree j + k + 1 <= 2K - 1 in s, so
-    the order-K Gauss rule is exact, and the upper edges give T_jk =
-    sum_l c_l conj(z_l)^j z_l^k with c_l = w_l (P1 - P0) conj(z_l).  The
-    mirrored lower edges, run the other way, add -conj(T), so both halves
-    give 2i Im T.  The closing edge z = iy, y from eps_1 down to -eps_1,
-    gives -(-1)^((k-j-1)/2) eps_1^(j+k+2) / (pi (j+1)(j+k+2)) for odd
-    j + k and 0 for even j + k.  Edge points are rounded once from their
-    own t, as in powers._boundary_moment.
+    The upper edges P(s) = P0 + s (P1 - P0), P = (1 - t, theta), run
+    counterclockwise as t grows, and dz/ds = P1 - P0; on each the
+    integrand of _boundary_table has degree j + k + 1 <= 2K - 1 in s, so
+    the order-K Gauss rule is exact.  The closing edge z = iy, y from
+    eps_1 down to -eps_1, gives -(-1)^((k-j-1)/2) eps_1^(j+k+2) /
+    (pi (j+1)(j+k+2)) for odd j + k and 0 for even j + k.
     """
     t, th = profile.knots, profile.thetas
-    t0, t1, th0, th1 = t[:-1], t[1:], th[:-1], th[1:]
-    rule = gauss_nodes(K)
-    s, ws = 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
-    z = (1.0 - (t0[:, None] + (t1 - t0)[:, None] * s)
-         + 1j * (th0[:, None] + (th1 - th0)[:, None] * s)).ravel()
-    dz = (t0 - t1) + 1j * (th1 - th0)
-    T = _power_sums(z, (dz[:, None] * ws).ravel() * z.conj(), K)
+    x, y, ws = profile.edge_points(K)
+    z = (x + 1j * y).ravel()
+    dz = (t[:-1] - t[1:]) + 1j * (th[1:] - th[:-1])
     j, k = np.arange(K)[:, None], np.arange(K)[None, :]
     sign = 1.0 - 2.0 * ((k - j - 1) // 2 % 2)
     close = np.where((j + k) % 2 == 1, -sign * th[-1] ** (j + k + 2.0)
                      / ((j + 1.0) * (j + k + 2.0)), 0.0)
-    return (T.imag / (j + 1.0) + close) / math.pi
+    return _boundary_table(z, (dz[:, None] * ws).ravel() * z.conj(), K, close)
 
 
 def _eigh(entries) -> np.ndarray:
@@ -129,9 +130,9 @@ def moment_matrix(region, K: int) -> MomentMatrix:
     if not (1 <= K <= K_CAP):
         raise ValidationError(f"K must lie in 1..{K_CAP}")
     if region is None:
-        table, order = _disk_table(K)
+        table = _disk_table(K)
     elif isinstance(region, CuspProfile):
-        table, order = _edge_table(region, K), K
+        table = _edge_table(region, K)
     else:
         raise ValidationError("region must be a cusp profile or None (unit disk)")
     moments = np.tril(table) + np.tril(table, -1).T
@@ -147,7 +148,7 @@ def moment_matrix(region, K: int) -> MomentMatrix:
     if spectrum[-1] < -PSD_RTOL * np.trace(entries):
         raise NumericIntegrityError(
             f"moment matrix lost positive semidefiniteness: {spectrum[-1]:.3e}")
-    return MomentMatrix(K=K, entries=entries, moments=moments, order=order,
+    return MomentMatrix(K=K, entries=entries, moments=moments,
                         spectrum=spectrum)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, ValidationError
+from .quad import _gl
 from .seqs import DecaySequence
 
 TWO_PI = 2.0 * math.pi
@@ -50,6 +51,18 @@ class CuspProfile:
 
     def eval(self, h):
         return np.interp(h, self.knots, self.thetas)
+
+    def edge_points(self, m: int):
+        """The order-m Gauss rule on every piece P(s) = P0 + s (P1 - P0),
+        P = (1 - t, theta), s in [0, 1]: real arrays x and y of shape
+        (pieces, m) and the m weights.  Each point is rounded once from its
+        own t, as 1 - t, rather than interpolated between the rounded ends
+        1 - t0 and 1 - t1."""
+        t, th = self.knots, self.thetas
+        s, w = _gl(0.0, 1.0, m)
+        x = 1.0 - (t[:-1, None] + (t[1:] - t[:-1])[:, None] * s)
+        y = th[:-1, None] + (th[1:] - th[:-1])[:, None] * s
+        return x, y, w
 
 
 @dataclass(frozen=True)
@@ -306,14 +319,18 @@ def eksy_build(M, n_max: int) -> RectilinearDomain:
                               "pipe", k, n))
     x1, x2, y1, y2, lo, hi = np.array(
         [(r.x1, r.x2, r.y1, r.y2, *r.band_span) for r in rects]).T.copy()
-    # strict interior disjointness (shared edges have zero overlap length)
-    xov = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
-    yov = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
-    bad = (xov > 0.0) & (yov > 0.0)
-    np.fill_diagonal(bad, False)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ConstructionError(f"rectangles {i} and {j} overlap")
+    # strict interior disjointness (shared edges have zero overlap length),
+    # on row blocks of about 2^18 pairs so that memory stays O(R)
+    rows = max(1, (1 << 18) // len(rects))
+    for a in range(0, len(rects), rows):
+        b = slice(a, a + rows)
+        xov = np.minimum(x2[b, None], x2) - np.maximum(x1[b, None], x1)
+        yov = np.minimum(y2[b, None], y2) - np.maximum(y1[b, None], y1)
+        bad = (xov > 0.0) & (yov > 0.0)
+        np.fill_diagonal(bad[:, a:], False)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ConstructionError(f"rectangles {a + i} and {j} overlap")
     return RectilinearDomain(n_max=n_max, l=tuple(l), rectangles=tuple(rects),
                              eps4=eps4, _x1=x1, _x2=x2, _y1=y1, _y2=y2,
                              _lo=lo, _hi=hi)

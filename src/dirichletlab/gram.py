@@ -10,15 +10,17 @@ has the closed form r_i r_j / s_ij^2: the kernel is holomorphic in one
 slot and anti-holomorphic in the other, so both disk averages collapse
 to its value at the centres.  ``closed_form_gram`` builds the matrix
 from that form for any family; ``build_gram`` assembles it by tensor
-disk quadrature in centered coordinates and stays as the independent
-witness (acceptance criterion 1).  The report and certificate
-operations verify the diagonal floors, the geometric off-diagonal
-decay, the Schur bound on the scaled off-diagonal part, and the
-resulting smallest-eigenvalue floor.
+disk quadrature in centered coordinates, on its own polar rule
+(``_disk_rule``), and stays as the independent witness (acceptance
+criterion 1).  The report and certificate operations verify the
+diagonal floors, the geometric off-diagonal decay, the Schur bound on
+the scaled off-diagonal part, and the resulting smallest-eigenvalue
+floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from . import spectra
 from .errors import NumericIntegrityError, ValidationError
 from .geometry import DiskFamily
-from .quad import DOUBLING_RTOL, ORDER_CAP, _disk_rule, doubling
+from .quad import DOUBLING_RTOL, ORDER_CAP, _gl, doubling
 
 MAX_N = 12              # witness size: n(n+1)/2 quadrature entries
 IMAG_RTOL = 1e-12
@@ -191,13 +193,28 @@ def _angles(m: int) -> int:
     return 2 * max(8, m // 4)
 
 
+def _disk_rule(m: int, half: bool = False):
+    """Polar rule for the integral over the unit disk w.r.t. dA = dx dy / pi:
+    Gauss-Legendre of order m in s = rho^2 and the trapezoid with
+    T = ``_angles(m)`` points in angle; the weights sum to 1.  With
+    ``half=True`` the angular range is folded onto [0, pi] with doubled
+    interior weights; by conjugation symmetry the real part of the folded
+    sum equals the full sum, at half the cost (the verification pass)."""
+    s, ws = _gl(0.0, 1.0, m)
+    T = _angles(m)
+    tt = np.arange(T // 2 + 1 if half else T)
+    mult = np.where(half & (0 < tt) & (tt < T // 2), 2.0, 1.0)
+    ang = 2.0 * math.pi * tt / T
+    pts = np.sqrt(s)[:, None] * np.exp(1j * ang)[None, :]
+    wts = (ws[:, None] / T) * mult[None, :]
+    return pts.ravel(), wts.ravel()
+
+
 def _entry_raw(i, j, family, m, half):
     """Quadrature value of the double disk integral of the centered kernel:
-    the full order-m rule in xi, the full or conjugate-folded rule in zeta,
-    each with ``_angles(m)`` angular points."""
-    T = _angles(m)
-    xi, wxi = _disk_rule(m, angles=T)
-    zeta, wz = _disk_rule(m, half, angles=T)
+    the full rule in xi, the full or conjugate-folded rule in zeta."""
+    xi, wxi = _disk_rule(m)
+    zeta, wz = _disk_rule(m, half)
     return wz @ kernel_centered(i, j, xi, zeta, family, wxi)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CuspProfile, Rect, RectilinearDomain, exp_drop
-from .quad import MOMENT_RTOL, doubling, gauss_nodes
+from .quad import MOMENT_RTOL, doubling
 
 DEGREE_CAP = 1 << 20
 
@@ -91,26 +91,20 @@ def _rect_arrays(region):
 
 def _boundary_moment(profile: CuspProfile, q: int, m: int) -> float:
     """int |w|^{2q} dA over the cusp domain by the order-m Gauss rule on
-    the profile edges.
+    the profile edges (``CuspProfile.edge_points``).
 
     div(r^{2q} (x, y)) = (2q + 2) r^{2q}, so the integral is the flux
     (1/((2q + 2) pi)) of r^{2q} (x dy - y dx) around the boundary.  The
     closing edge x = 0 carries none, and the lower half mirrors the upper:
     the upper edges count twice, with weight 1/((q + 1) pi).  On the edge
     P(s) = P0 + s (P1 - P0) the form is (P0 x P1) ds, and |P(s)|^{2q} has
-    degree 2q in s, so order q + 1 is exact.  With P = (1 - t, theta),
-    the cross product (1 - t0) theta1 - theta0 (1 - t1) is written as the
-    sum of the non-negative terms (1 - t0)(theta1 - theta0) + theta0
-    (t1 - t0), and each edge point is rounded once from its own t, as
-    1 - t, rather than interpolated between the rounded ends 1 - t0 and
-    1 - t1.
+    degree 2q in s, so order q + 1 is exact.  With P = (1 - t, theta), the
+    cross product (1 - t0) theta1 - theta0 (1 - t1) is written as the sum
+    of the non-negative terms (1 - t0)(theta1 - theta0) + theta0 (t1 - t0).
     """
     t, th = profile.knots, profile.thetas
     t0, t1, th0, th1 = t[:-1], t[1:], th[:-1], th[1:]
-    rule = gauss_nodes(m)
-    s, ws = 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
-    x = 1.0 - (t0[:, None] + (t1 - t0)[:, None] * s)
-    y = th0[:, None] + (th1 - th0)[:, None] * s
+    x, y, ws = profile.edge_points(m)
     cross = (1.0 - t0) * (th1 - th0) + th0 * (t1 - t0)
     edge = (x * x + y * y) ** q @ ws
     return float(cross @ edge) / ((q + 1) * math.pi)
@@ -121,9 +115,8 @@ def region_moment(region, q: int) -> float:
 
     Rectilinear route: w = e^{-u} turns the integrand into e^{-2(q+1)x},
     so each rectangle contributes (dy/pi)(e^{-2(q+1)x1} - e^{-2(q+1)x2})
-    / (2(q+1)) exactly.  Cusp route (mu = 1_Omega dA): the divergence
-    identity moves the integral onto the profile edges, where the order
-    q + 1 Gauss rule is exact (see ``_boundary_moment``).  Any other
+    / (2(q+1)) exactly.  Cusp route (mu = 1_Omega dA): a flux through the
+    profile edges, exact at order q + 1 (``_boundary_moment``).  Any other
     region, the lens ``PowerProfile`` included, raises ValidationError.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 0):

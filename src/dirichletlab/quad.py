@@ -1,18 +1,15 @@
 """Quadrature engines.
 
-Gauss-Legendre rules, tensor rules on rectangles, polar rules on disks
-with respect to the normalized area measure dA = dx dy / pi, and the
-order-doubling verifier.  Moments over the cusp domain (the |w|^2q
-moments in ``powers``, the Galerkin table in ``galerkin``) are sums over
-the profile edges, where a Gauss rule is exact; no 2-D grid covers the
-cusp.
+Gauss-Legendre rules, tensor rules on rectangles and the order-doubling
+verifier.  ``_gl`` also feeds the edge rule of the cusp profile
+(``CuspProfile.edge_points``) and the Gram witness's polar disk rule
+(``gram._disk_rule``); no 2-D grid covers the cusp.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -119,29 +116,3 @@ def integrate_rect(f, rect, m: int, tol: float = None) -> complex:
     if tol is None:
         return _rect_value(f, sides, m)
     return doubling(lambda k: _rect_value(f, sides, k), m, tol).check
-
-
-def _disk_rule(m: int, half: bool = False, angles: int | None = None):
-    """Polar rule for integral over the unit disk w.r.t. dA = dx dy / pi.
-
-    Gauss-Legendre of order m in s = rho^2, trapezoid with ``angles``
-    points in angle (4m when not given; even when ``half``); weights sum
-    to 1.  With ``half=True`` the angular range is folded onto [0, pi]
-    with doubled interior weights; by conjugation symmetry the real part
-    of the folded sum equals the full sum, at half the cost (used by the
-    Gram witness's verification pass and the Galerkin disk calibration).
-    """
-    rule = gauss_nodes(m)
-    s = 0.5 * (rule.nodes + 1.0)
-    ws = 0.5 * rule.weights
-    T = 4 * m if angles is None else angles
-    if half:
-        tt = np.arange(T // 2 + 1)
-        mult = np.where((tt == 0) | (tt == T // 2), 1.0, 2.0)
-    else:
-        tt = np.arange(T)
-        mult = np.ones(T)
-    ang = 2.0 * math.pi * tt / T
-    pts = np.sqrt(s)[:, None] * np.exp(1j * ang)[None, :]
-    wts = (ws[:, None] / T) * mult[None, :]
-    return pts.ravel(), wts.ravel()

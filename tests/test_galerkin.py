@@ -16,13 +16,13 @@ DELTA = 1.0 / 200.0
 
 def test_disk_calibration_is_identity():
     # on the unit disk the normalized monomials are orthonormal, so the
-    # moment matrix is the K x K identity up to quadrature rounding; the
-    # table runs on the conjugation-folded disk rule
-    for K in (1, 2, 7, 16):
+    # moment matrix is the K x K identity up to rounding; the table runs
+    # the cusp's boundary route, on the exact trapezoid rule of the circle
+    for K in (1, 2, 7, 16, 128):
         M = moment_matrix(None, K)
         assert M.K == K
-        assert np.max(np.abs(M.entries - np.eye(K))) < 1e-13
-        assert np.all(np.abs(M.spectrum - 1.0) < 1e-13)
+        assert np.max(np.abs(M.entries - np.eye(K))) < 1e-14
+        assert np.all(np.abs(M.spectrum - 1.0) < 1e-14)
 
 
 def test_moment_matrix_matches_direct_moments():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichletlab import geometry
 from dirichletlab.errors import ConstructionError, ValidationError
 from dirichletlab.geometry import (
     PowerProfile,
@@ -209,6 +210,14 @@ def test_eksy_validates_targets():
         eksy_build(lambda n: 1.5, 3)
     with pytest.raises(ValidationError):
         eksy_build(lambda n: 1, 0)
+
+
+def test_eksy_build_rejects_overlapping_rectangles(monkeypatch):
+    # with a band period of 0.01 instead of 2 pi the first tower of level
+    # 2 (rectangle 12) lands on its base box B(0, 4) (rectangle 2)
+    monkeypatch.setattr(geometry, "TWO_PI", 0.01)
+    with pytest.raises(ConstructionError, match="rectangles 2 and 12 overlap"):
+        eksy_build(lambda n: n, 6)
 
 
 def test_eksy_contains_points():

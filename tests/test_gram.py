@@ -178,8 +178,8 @@ def test_build_gram_imag_check_trips_on_asymmetric_rule(monkeypatch):
     # of the full rule, so the order-m entries keep an imaginary part
     rule = gram._disk_rule
 
-    def lopsided(m, half=False, angles=None):
-        pts, wts = rule(m, half, angles)
+    def lopsided(m, half=False):
+        pts, wts = rule(m, half)
         return (pts, wts) if half else (np.delete(pts, 1), np.delete(wts, 1))
 
     monkeypatch.setattr(gram, "_disk_rule", lopsided)

@@ -1,3 +1,7 @@
+import ast
+import pathlib
+import sys
+
 import dirichletlab
 from dirichletlab import carleson
 
@@ -12,3 +16,38 @@ def test_window_summary_layer_is_gone():
         assert name not in dirichletlab.__all__
         assert not hasattr(dirichletlab, name)
         assert not hasattr(carleson, name)
+
+
+def _module_trees():
+    root = pathlib.Path(dirichletlab.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_runtime_dependencies_are_numpy_and_the_stdlib():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dirichletlab"}
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            assert set(tops) <= allowed, (name, node.lineno, tops)
+
+
+def test_no_linalg_routine_but_norm():
+    # one eigen path (spectra.eigh): LAPACK appears only in the tests
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr != "norm":
+                assert not (isinstance(node.value, ast.Attribute)
+                            and node.value.attr == "linalg"), (name, node.lineno)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # no alias for numpy.linalg, and from it only norm
+                module = getattr(node, "module", None) or ""
+                names = {alias.name.split(".")[-1] for alias in node.names}
+                assert "linalg" not in names, (name, node.lineno)
+                if module.endswith("linalg"):
+                    assert names == {"norm"}, (name, node.lineno)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dirichletlab.errors import ValidationError
+from dirichletlab.galerkin import moment_matrix
 from dirichletlab.geometry import (
     PowerProfile,
     Rect,
@@ -161,6 +162,23 @@ def test_cusp_moment_matches_tensor_oracle(name):
     for q in (0, 1, 2, 3, 7, 16, 29, 40):
         assert math.isclose(region_moment(profile, q),
                             cusp_moment(profile, q, q).real, rel_tol=1e-12), q
+
+
+def test_cusp_moment_matches_galerkin_diagonal():
+    # two independent routes to int |w|^2q dA/pi: the real flux of the
+    # edge rule, and the diagonal of the complex Green sum that builds the
+    # Galerkin table; both sit on the leggauss floor (about 1.5e-12).  The
+    # loop over q is outermost, so that each Gauss order is built once.
+    diags = {K: {name: np.diag(moment_matrix(profile, K).moments)
+                 for name, profile in CUSP_PROFILES.items()}
+             for K in (32, 128)}
+    for q in range(128):
+        for name, profile in CUSP_PROFILES.items():
+            want = region_moment(profile, q)
+            for K, diag in diags.items():
+                if q < K:
+                    assert math.isclose(diag[name][q], want,
+                                        rel_tol=5e-12), (name, K, q)
 
 
 def test_cusp_moment_at_zero_is_the_area():

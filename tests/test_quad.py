@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dirichletlab import powers, quad
+from dirichletlab import gram, powers, quad
 from dirichletlab.errors import AccuracyWarning, ValidationError
 from dirichletlab.geometry import cusp_area, profile_make
 from dirichletlab.quad import doubling, gauss_nodes, integrate_rect
@@ -103,7 +103,7 @@ def test_rect_integral_order_cap():
 def test_disk_integral_oracles():
     c = 0.3 + 0.1j
     r = 0.25
-    pts, wts = quad._disk_rule(8)
+    pts, wts = gram._disk_rule(8)
     w = c + r * pts
     one = r * r * np.sum(wts)
     assert math.isclose(one, r * r, rel_tol=1e-13)
