@@ -27,16 +27,21 @@ from .geometry import CuspProfile, RectilinearDomain, exp_drop
 # cusp windows S(xi, h)
 
 
-def _window_at_one(profile, h: float) -> float:
-    """(1/pi) int_0^t_hi 2 min(theta(t), r(t)) dt, r = sqrt(h^2 - t^2),
-    t_hi = min(h, 1): trapezoids up to the one crossing c of the increasing
-    theta^2 + t^2 with h^2 (else c = 1, and no segment), then the segment
+def window_area_cusp(profile, h: float) -> float:
+    """Normalized area of S(1, h) intersected with the cusp domain, in
+    closed form over the profile's breakpoint table: (1/pi) int_0^t_hi
+    2 min(theta(t), r(t)) dt, r = sqrt(h^2 - t^2), t_hi = min(h, 1), for h
+    up to 2 so that a window can cover the whole domain.  Trapezoids up to
+    the one crossing c of the increasing theta^2 + t^2 with h^2 (else
+    c = 1, and no segment), then the segment
     (1/pi)[h^2 (atan2(r_c, c) - atan2(r_t, t_hi)) + t_hi r_t - c r_c] with
     r_c = theta(c).  On the piece [k0, k1] of slope s holding c, t = k0 + u
     solves (1 + s^2) u^2 + 2 B u + C = 0 with B = t0 s + k0 >= 0 and
     C = t0^2 + k0^2 - h^2 <= 0; its larger root is written without
     cancellation.  A mass that is not a finite normal float raises
     ``NumericIntegrityError``."""
+    if not (0.0 < h <= 2.0):
+        raise ValidationError(f"h {h} outside (0, 2]")
     knots, thetas = profile.knots, profile.thetas
     trap = (thetas[1:] + thetas[:-1]) * np.diff(knots)   # 2 x piece areas
     i = int(np.searchsorted(knots ** 2 + thetas ** 2, h * h, side="right"))
@@ -59,17 +64,6 @@ def _window_at_one(profile, h: float) -> float:
         raise NumericIntegrityError(
             f"window area at h={h!r} is {float(area)!r}, not a normal float")
     return float(area)
-
-
-def window_area_cusp(profile, h: float) -> float:
-    """Normalized area of S(1, h) intersected with the cusp domain,
-    (1/pi) int_0^h 2 min(theta(t), sqrt(h^2 - t^2)) dt, in closed form over
-    the profile's breakpoint table (``_window_at_one``).  h up to 2 is
-    accepted so a window can cover the whole domain.
-    """
-    if not (0.0 < h <= 2.0):
-        raise ValidationError(f"h {h} outside (0, 2]")
-    return _window_at_one(profile, h)
 
 
 def cone_constant(profile: CuspProfile) -> float:

@@ -214,9 +214,12 @@ def _cusp_galerkin(args, log):
     log.check("trace_identity_rel_error",
               abs(math.fsum(lam_full) - trace) / abs(trace), 1e-10, "<=",
               "eigensolver")
+    top = scan.Ks[-1]
     for n, K in galerkin.floor_crossings(scan, floors):
-        log.info(f"floor_crossing n={n}: "
-                 + (f"K={K}" if K else "not reached (converges from below)"))
+        noise = n <= top and scan.eigenvalue(n, top) < scan.noise_floor(top)
+        missed = ("unresolved (below the noise floor)" if noise
+                  else "not reached (converges from below)")
+        log.info(f"floor_crossing n={n}: " + (f"K={K}" if K else missed))
     series = [(f"K={K}", range(1, min(len(eps), K) + 1),
                [scan.eigenvalue(i + 1, K) for i in range(min(len(eps), K))])
               for K in scan.Ks]

@@ -168,6 +168,11 @@ class CompressionScan:
     def eigenvalue(self, n: int, K: int) -> float:
         return float(self.spectrum_by_K[K][n - 1])
 
+    def noise_floor(self, K: int) -> float:
+        """TRIANGLE_RTOL times the fsum trace of truncation K: the accuracy
+        that moment_matrix's triangle check proves for its eigenvalues."""
+        return TRIANGLE_RTOL * math.fsum(np.diag(self.matrix.entries)[:K])
+
 
 def compression_scan(region, Ks) -> CompressionScan:
     Ks = sorted({int(K) for K in Ks})
@@ -182,14 +187,16 @@ def compression_scan(region, Ks) -> CompressionScan:
 
 def floor_crossings(scan: CompressionScan, floors) -> list:
     """Per index n: smallest K in the scan with sqrt(lambda_n^(K)) at or
-    above floors[n-1], or None.  Convergence is from below, so a missing
-    crossing is a report, not a failure."""
+    above floors[n-1] and lambda_n^(K) at or above the noise floor, or
+    None.  Convergence is from below, so a missing crossing is a report,
+    not a failure."""
     floors = np.asarray(floors, dtype=float)
     out = []
     for n in range(1, len(floors) + 1):
         hit = None
         for K in scan.Ks:
-            if K >= n and np.sqrt(max(scan.eigenvalue(n, K), 0.0)) >= floors[n - 1]:
+            lam = scan.eigenvalue(n, K) if K >= n else -math.inf
+            if lam >= scan.noise_floor(K) and math.sqrt(lam) >= floors[n - 1]:
                 hit = K
                 break
         out.append((n, hit))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import CuspProfile, Rect, RectilinearDomain, exp_drop
-from .quad import MOMENT_RTOL, doubling
+from .quad import ORDER_CAP
 
 DEGREE_CAP = 1 << 20
 
@@ -116,16 +116,16 @@ def region_moment(region, q: int) -> float:
     Rectilinear route: w = e^{-u} turns the integrand into e^{-2(q+1)x},
     so each rectangle contributes (dy/pi)(e^{-2(q+1)x1} - e^{-2(q+1)x2})
     / (2(q+1)) exactly.  Cusp route (mu = 1_Omega dA): a flux through the
-    profile edges, exact at order q + 1 (``_boundary_moment``).  Any other
-    region, the lens ``PowerProfile`` included, raises ValidationError.
+    profile edges, exact at order q + 1 <= ORDER_CAP and evaluated once
+    (``_boundary_moment``).  Any other region, the lens ``PowerProfile``
+    included, raises ValidationError.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 0):
         raise ValidationError("q must be an integer >= 0")
     if isinstance(region, CuspProfile):
-        # the order-(q + 1) edge rule is already exact, so the doubling
-        # check only corroborates
-        return float(doubling(lambda m: _boundary_moment(region, int(q), m),
-                              max(64, int(q) + 1), MOMENT_RTOL).check)
+        if q >= ORDER_CAP:
+            raise ValidationError(f"q {q} outside 0..{ORDER_CAP - 1} on a cusp")
+        return _boundary_moment(region, int(q), int(q) + 1)
     x1, x2, dy_pi = _rect_arrays(region)
     s = 2.0 * (q + 1.0)
     return float(dy_pi @ exp_drop(s, x1, x2)) / s

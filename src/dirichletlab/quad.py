@@ -1,7 +1,8 @@
 """Quadrature engines.
 
 Gauss-Legendre rules, tensor rules on rectangles and the order-doubling
-verifier.  ``_gl`` also feeds the edge rule of the cusp profile
+verifier, which only the witnesses ``gram.build_gram`` and
+``integrate_rect(..., tol)`` run.  ``_gl`` also feeds the cusp edge rule
 (``CuspProfile.edge_points``) and the Gram witness's polar disk rule
 (``gram._disk_rule``); no 2-D grid covers the cusp.
 """
@@ -19,7 +20,6 @@ from .errors import AccuracyWarning, ValidationError
 
 ORDER_CAP = 512
 DOUBLING_RTOL = 1e-8    # Gram entries
-MOMENT_RTOL = 1e-10     # cusp |w|^2q moments
 
 
 Doubling = collections.namedtuple("Doubling", "value check order residual")
@@ -56,23 +56,18 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
-def _readonly(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=ORDER_CAP)
 def _gauss_rule(m: int) -> QuadratureRule:
-    x, w = _readonly(*np.polynomial.legendre.leggauss(m))
-    return QuadratureRule(nodes=x, weights=w, order=m)
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return QuadratureRule(nodes=x, weights=w)
 
 
 def gauss_nodes(m: int) -> QuadratureRule:
-    """The order-m rule, built once per process; its arrays are read-only."""
+    """The order-m rule, built once per process; its arrays are read-only.
+    Every order up to ORDER_CAP stays cached (2.1 MB for all 512)."""
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValidationError(f"order {m} must be an integer >= 1")
     return _gauss_rule(int(m))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def test_cusp_galerkin_K_below_tracked_count(tmp_path):
     header, rows = _read_csv(tmp_path / "plain" / "galerkin.csv")
     assert [(int(r[0]), int(r[1])) for r in rows] == [(n, 4) for n in range(1, 5)]
     assert runs[False]["certificates.txt"].strip().endswith(b"RESULT PASS")
+
+
+def test_cusp_galerkin_noise_floor_is_unresolved(tmp_path):
+    # at dyadic:20, lambda_13 lies below TRIANGLE_RTOL * trace at K = 32,
+    # lambda_14 and lambda_15 below it at K = 64, and lambda_16..20 at
+    # every K: no crossing is named at a K where lambda_n is noise
+    code = cli.main(["cusp-galerkin", "--eps", "dyadic:20",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "certificates.txt").read_text()
+    verdicts = dict(re.findall(r"floor_crossing n=(\d+): (.*)", text))
+    assert [verdicts[str(n)] for n in (12, 13, 14, 15)] == [
+        "K=32", "K=64", "K=128", "K=128"]
+    for n in range(16, 21):
+        assert verdicts[str(n)] == "unresolved (below the noise floor)"
+    assert text.strip().endswith("RESULT PASS")
 
 
 def test_eksy_growth_artifacts(tmp_path):

@@ -5,7 +5,12 @@ import pytest
 
 from dirichletlab import cli, galerkin
 from dirichletlab.errors import NumericIntegrityError, ValidationError
-from dirichletlab.galerkin import compression_scan, floor_crossings, moment_matrix
+from dirichletlab.galerkin import (
+    TRIANGLE_RTOL,
+    compression_scan,
+    floor_crossings,
+    moment_matrix,
+)
 from dirichletlab.geometry import profile_make
 from dirichletlab.seqs import dyadic
 
@@ -100,6 +105,23 @@ def test_floor_crossings_structure():
     assert out[0][1] == 4
     # an unreachable floor reports None instead of failing
     assert out[3][1] is None
+
+
+def test_floor_crossings_skip_eigenvalues_below_the_noise_floor():
+    # with zero floors every resolved eigenvalue crosses, so a crossing is
+    # the first K where lambda_n clears TRIANGLE_RTOL * trace of that
+    # truncation; lambda_32 at K = 32 is noise and never crosses
+    scan = compression_scan(profile_make(dyadic(20), DELTA), [16, 32])
+    for K in scan.Ks:
+        diag = np.diag(scan.matrix.entries)[:K]
+        assert scan.noise_floor(K) == TRIANGLE_RTOL * math.fsum(diag)
+    out = floor_crossings(scan, [0.0] * 32)
+    for n, hit in out:
+        clear = [K for K in scan.Ks
+                 if K >= n and scan.eigenvalue(n, K) >= scan.noise_floor(K)]
+        assert hit == (clear[0] if clear else None), n
+    assert out[-1] == (32, None)
+    assert out[0] == (1, 16)
 
 
 def test_edge_table_matches_tensor_oracle():

@@ -51,3 +51,28 @@ def test_no_linalg_routine_but_norm():
                 assert "linalg" not in names, (name, node.lineno)
                 if module.endswith("linalg"):
                     assert names == {"norm"}, (name, node.lineno)
+
+
+def _names(tree):
+    """Every name a module defines, imports or references."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+            yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_order_doubling_serves_only_the_two_witnesses():
+    # an exact rule runs once: doubling verifies only the Gram witness
+    # (gram) and integrate_rect with a tolerance (quad), and no moment
+    # tolerance is left to verify an exact rule against
+    users = {name for name, tree in _module_trees()
+             if "doubling" in set(_names(tree))}
+    assert users == {"quad.py", "gram.py"}
+    for name, tree in _module_trees():
+        assert "MOMENT_RTOL" not in set(_names(tree)), name

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,20 @@ def test_cusp_moment_matches_galerkin_diagonal():
                 if q < K:
                     assert math.isclose(diag[name][q], want,
                                         rel_tol=5e-12), (name, K, q)
+
+
+def test_cusp_moment_top_of_range():
+    # the order-(q + 1) edge rule is exact, so it runs once, without an
+    # AccuracyWarning, up to q + 1 = ORDER_CAP; q = 512 is out of range
+    # and the error names q, not the Gauss order behind it
+    profile = CUSP_PROFILES["canonical"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        region_moment(profile, 300)
+        top = region_moment(profile, 511)
+    assert math.isclose(top, fan_moment(profile, 511, 511), rel_tol=1e-12)
+    with pytest.raises(ValidationError, match=r"^q 512 "):
+        region_moment(profile, 512)
 
 
 def test_cusp_moment_at_zero_is_the_area():

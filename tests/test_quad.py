@@ -157,9 +157,19 @@ def test_jensen_loop_builds_each_rule_once(monkeypatch):
     prof = profile_make(dyadic(8), DELTA)
     for p in range(1, 65):
         powers.jensen_lower(prof, p)
-    # both orders of the doubling check still run, each rule built once
-    assert set(calls) == {64, 128}
-    assert max(calls.values()) == 1
+    # each moment runs once, at its exact order q + 1: 1 and 2 for the
+    # Jensen bound, p for the norm
+    assert calls == {m: 1 for m in range(1, 65)}
+    # the cache holds every order a moment loop asks for: a second pass
+    # and a second profile rebuild none of them
+    calls.clear()
+    quad._gauss_rule.cache_clear()
+    profiles = (prof, profile_make(dyadic(20), DELTA))
+    for _ in range(2):
+        for profile in profiles:
+            for q in range(128):
+                powers.region_moment(profile, q)
+    assert calls == {m: 1 for m in range(1, 129)}
 
 
 # -- order-doubling verifier -------------------------------------------------
@@ -208,9 +218,6 @@ def test_doubling_start_above_half_cap_checks_at_cap():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         d = doubling(value, quad.ORDER_CAP // 2 + 1, 1e-8)
-        # the order-301 rule is exact for |w|^600; order 512 confirms it
-        profile = profile_make(dyadic(8), DELTA)
-        powers.region_moment(profile, 300)
     assert orders == [quad.ORDER_CAP // 2 + 1, quad.ORDER_CAP]
     assert d == (3.0 + 0.0j, 3.0 + 0.0j, quad.ORDER_CAP // 2 + 1, 0.0)
 
