@@ -193,15 +193,14 @@ def _cusp_galerkin(args, log):
     Ks = sorted({_number(int, s, "Ks") for s in args.Ks.split(",")})
     scan = galerkin.compression_scan(profile, Ks)
     floors = [e / 8.0 for e in eps]
-    rows = []
-    for K in scan.Ks:
-        lam = scan.spectrum_by_K[K]
-        for i in range(min(len(eps), K)):
-            rows.append((i + 1, K, lam[i], floors[i]))
+    # indices past the numerical rank r_K of a truncation have no Ritz value
+    shown = {K: min(len(eps), scan.spectrum_by_K[K].size) for K in scan.Ks}
+    rows = [(i + 1, K, scan.spectrum_by_K[K][i], floors[i])
+            for K in scan.Ks for i in range(shown[K])]
 
     if len(scan.Ks) > 1:
         worst = math.inf
-        for i in range(min(len(eps), scan.Ks[0])):
+        for i in range(shown[scan.Ks[0]]):
             lam = [scan.eigenvalue(i + 1, K) for K in scan.Ks]
             worst = min(worst, float(np.min(np.diff(lam))))
         log.check("eigenvalues_nondecreasing_in_K", worst,
@@ -216,13 +215,13 @@ def _cusp_galerkin(args, log):
               "eigensolver")
     top = scan.Ks[-1]
     for n, K in galerkin.floor_crossings(scan, floors):
-        noise = n <= top and scan.eigenvalue(n, top) < scan.noise_floor(top)
-        missed = ("unresolved (below the noise floor)" if noise
+        missed = (f"beyond the largest truncation (K={top})" if n > top
+                  else "unresolved (below the noise floor)"
+                  if scan.eigenvalue(n, top) < scan.noise_floor(top)
                   else "not reached (converges from below)")
         log.info(f"floor_crossing n={n}: " + (f"K={K}" if K else missed))
-    series = [(f"K={K}", range(1, min(len(eps), K) + 1),
-               [scan.eigenvalue(i + 1, K) for i in range(min(len(eps), K))])
-              for K in scan.Ks]
+    series = [(f"K={K}", range(1, shown[K] + 1),
+               scan.spectrum_by_K[K][:shown[K]]) for K in scan.Ks]
     return (f"cusp-galerkin delta={args.delta} eps={args.eps} Ks={Ks}",
             [("galerkin.csv", ("n", "K", "lambda", "floor"), rows)],
             [("galerkin.svg", series,

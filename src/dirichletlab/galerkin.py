@@ -10,7 +10,8 @@ boundary (Green's theorem, see _boundary_table) by an exact rule: Gauss
 on the cusp profile's edges, the trapezoid on the unit circle for the
 disk calibration.  The table is formed in both triangles; the one where
 the conjugate power j is the larger index is kept and mirrored, and the
-other one's disagreement is a checked residual.
+other one's disagreement is a checked residual.  Eigenvalues are Ritz
+values on the numerical range, found by a pivoted Cholesky (_ritz).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class MomentMatrix:
     K: int
     entries: np.ndarray             # sqrt((j+1)(k+1)) mu_hat_jk, symmetric
     moments: np.ndarray             # mu_hat_jk itself
-    spectrum: np.ndarray            # eigenvalues, non-increasing
+    spectrum: np.ndarray            # the r Ritz values, non-increasing
 
     @property
     def trace(self) -> float:
@@ -97,17 +98,46 @@ def _edge_table(profile: CuspProfile, K: int):
     return _boundary_table(z, (dz[:, None] * ws).ravel() * z.conj(), K, close)
 
 
-def _eigh(entries) -> np.ndarray:
-    """Eigenvalues of a moment matrix or a principal submatrix of one,
-    resolved down to the floor TRIANGLE_RTOL times its trace.  That is the
-    bound on ||E||_F that moment_matrix's triangle check proves, and the
-    entrywise bound it comes from holds on every principal submatrix; the
-    eigenvalues below it are noise, so spectra.eigh need not resolve them
-    to relative accuracy.  The Frobenius test of spectra.eigh still holds
-    each of them to about 1e-13 ||M||_F <= 1e-13 trace, well inside the
-    PSD_RTOL guard."""
-    floor = TRIANGLE_RTOL * float(np.trace(entries))
-    return spectra.eigh(entries, floor=floor)
+def _ritz(entries) -> np.ndarray:
+    """Ritz values, non-increasing, of a moment matrix M or of a principal
+    submatrix of one, on its numerical range.
+
+    A diagonal-pivoted Cholesky M = L L^T + S stops once no pivot left
+    exceeds 2^-53 times the trace, at the numerical rank r (23 at K = 128
+    on the default profile; Higham 1990).  Q spans L's columns (modified
+    Gram-Schmidt, twice); the eigenvalues of the r x r matrix Q^T M Q are
+    lower bounds for the top r of M by interlacing, off by second order in
+    ||S|| (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012); the
+    other K - r lie within +-||S||_F.  A boundary sum is not PSD by
+    construction, so the PSD guard is live: ||S||_F, and minus the smallest
+    Ritz value, must stay within PSD_RTOL times the trace."""
+    trace = math.fsum(np.diag(entries))
+    d = np.diag(entries).copy()
+    Q = np.zeros_like(entries)          # row i: column i of L, then of Q
+    r = 0
+    while r < d.size and d.max() > 2.0 ** -53 * trace:
+        p = int(np.argmax(d))
+        Q[r] = (entries[p] - Q[:r, p] @ Q[:r]) / math.sqrt(d[p])
+        d -= Q[r] ** 2
+        d[p] = 0.0                      # its residual, 0 in exact arithmetic
+        r += 1
+    Q = Q[:r]
+    residual = float(np.linalg.norm(entries - Q.T @ Q))
+    if not residual <= PSD_RTOL * trace:
+        raise NumericIntegrityError(
+            "moment matrix lost positive semidefiniteness:"
+            f" ||M - LL^T||_F = {residual:.3e}, trace {trace:.3e}")
+    for _ in range(2):
+        for i in range(r):
+            Q[i] /= np.linalg.norm(Q[i])
+            Q[i + 1:] -= np.outer(Q[i + 1:] @ Q[i], Q[i])
+    B = Q @ entries @ Q.T
+    ritz = spectra.eigh(0.5 * (B + B.T))
+    if ritz[-1] < -PSD_RTOL * trace:
+        raise NumericIntegrityError(
+            "moment matrix lost positive semidefiniteness:"
+            f" Ritz value {ritz[-1]:.3e}, trace {trace:.3e}")
+    return ritz
 
 
 def moment_matrix(region, K: int) -> MomentMatrix:
@@ -122,11 +152,8 @@ def moment_matrix(region, K: int) -> MomentMatrix:
     values).  The upper triangle must agree to TRIANGLE_RTOL sqrt(mu_jj
     mu_kk) entry by entry, which bounds the Frobenius norm of the
     disagreement, and so its effect on any eigenvalue, by TRIANGLE_RTOL
-    times the trace.  A boundary sum, unlike a weighted sum of squares, is
-    not PSD by construction, so the PSD_RTOL guard on the smallest
-    eigenvalue is a live check.  Either failure raises
-    NumericIntegrityError.
-    """
+    times the trace.  This check, and the PSD guard of _ritz, which gives
+    the spectrum's r Ritz values, raise NumericIntegrityError."""
     if not (1 <= K <= K_CAP):
         raise ValidationError(f"K must lie in 1..{K_CAP}")
     if region is None:
@@ -144,12 +171,8 @@ def moment_matrix(region, K: int) -> MomentMatrix:
             f" sqrt(mu_jj mu_kk), above {TRIANGLE_RTOL:.0e}")
     root = np.sqrt(np.arange(1, K + 1, dtype=float))
     entries = root[:, None] * moments * root[None, :]
-    spectrum = _eigh(entries)
-    if spectrum[-1] < -PSD_RTOL * np.trace(entries):
-        raise NumericIntegrityError(
-            f"moment matrix lost positive semidefiniteness: {spectrum[-1]:.3e}")
     return MomentMatrix(K=K, entries=entries, moments=moments,
-                        spectrum=spectrum)
+                        spectrum=_ritz(entries))
 
 
 @dataclass(frozen=True)
@@ -166,7 +189,10 @@ class CompressionScan:
     spectrum_by_K: dict
 
     def eigenvalue(self, n: int, K: int) -> float:
-        return float(self.spectrum_by_K[K][n - 1])
+        """lambda_n of truncation K; 0.0 past its numerical rank, where
+        every eigenvalue lies within +-||S||_F, under the noise floor."""
+        spectrum = self.spectrum_by_K[K]
+        return float(spectrum[n - 1]) if n <= spectrum.size else 0.0
 
     def noise_floor(self, K: int) -> float:
         """TRIANGLE_RTOL times the fsum trace of truncation K: the accuracy
@@ -179,10 +205,9 @@ def compression_scan(region, Ks) -> CompressionScan:
     if not Ks or Ks[0] < 1:
         raise ValidationError("truncation sizes must be positive")
     M = moment_matrix(region, Ks[-1])
-    by_K = {}
-    for K in Ks:
-        by_K[K] = M.spectrum if K == M.K else _eigh(M.entries[:K, :K])
-    return CompressionScan(Ks=tuple(Ks), matrix=M, spectrum_by_K=by_K)
+    by_K = {K: _ritz(M.entries[:K, :K]) for K in Ks[:-1]}
+    return CompressionScan(Ks=tuple(Ks), matrix=M,
+                           spectrum_by_K={**by_K, M.K: M.spectrum})
 
 
 def floor_crossings(scan: CompressionScan, floors) -> list:
@@ -191,13 +216,9 @@ def floor_crossings(scan: CompressionScan, floors) -> list:
     None.  Convergence is from below, so a missing crossing is a report,
     not a failure."""
     floors = np.asarray(floors, dtype=float)
-    out = []
-    for n in range(1, len(floors) + 1):
-        hit = None
-        for K in scan.Ks:
-            lam = scan.eigenvalue(n, K) if K >= n else -math.inf
-            if lam >= scan.noise_floor(K) and math.sqrt(lam) >= floors[n - 1]:
-                hit = K
-                break
-        out.append((n, hit))
-    return out
+
+    def crossed(n, K):
+        lam = scan.eigenvalue(n, K)
+        return lam >= scan.noise_floor(K) and math.sqrt(lam) >= floors[n - 1]
+    return [(n, next((K for K in scan.Ks if crossed(n, K)), None))
+            for n in range(1, len(floors) + 1)]

@@ -104,30 +104,14 @@ def _frobenius(A, unit: float) -> float:
     return unit * float(np.linalg.norm(A / unit))
 
 
-def eigh(A, floor: float = 0.0) -> np.ndarray:
+def eigh(A) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted non-increasing.
 
     Round-robin Jacobi sweeps until the off-diagonal Frobenius norm drops
     below 1e-13 times the Frobenius norm of the input and every
     off-diagonal entry below 1e-13 sqrt(|a_pp a_qq|).  Both norms are
     taken on the matrix scaled by a power of two near its largest entry.
-
-    ``floor`` is a bound the caller has proved on ||E||_F, E the error of
-    the input's entries, so by Weyl no eigenvalue of A is determined
-    better than to +-floor.  A pair (p, q) with |a_pp| < floor or |a_qq| <
-    floor is exempt from the relative test; the Frobenius test still
-    covers every entry, so |a_pq| <= 1e-13 ||A||_F.  Relative accuracy is
-    given up only where the input has none: if both diagonals are below
-    the floor, both eigenvalues are noise; if only |a_qq| is, the 2x2
-    block moves a_pp by at most min(|a_pq|, a_pq^2 / |a_pp - a_qq|), second
-    order in the coupling, which is below the floor unless a_pp lies
-    within a_pq^2 / floor of a_qq, and is never more than the absolute test
-    allows.  The comparison is strict, so the default floor 0 exempts
-    nothing, exact-zero diagonals included; graded matrices whose small
-    eigenvalues are meaningful, such as the Gram matrices, keep it at 0.
     """
-    if not (0.0 <= floor < math.inf):
-        raise ValidationError(f"floor {floor} must be finite and non-negative")
     S = _as_real_symmetric(A).copy()    # C order: views below write to it
     n = S.shape[0]
     if n == 1:
@@ -146,10 +130,6 @@ def eigh(A, floor: float = 0.0) -> np.ndarray:
         for _ in range(MAX_SWEEPS):
             off = S - np.diag(diag)
             root = np.sqrt(np.abs(diag))
-            # an infinite root exempts its row and column from the relative
-            # test; no product inf * 0 arises, since a zero root lies below
-            # any positive floor and is made infinite too
-            root[np.abs(diag) < floor] = np.inf
             if (_frobenius(off, unit) <= threshold and np.all(
                     np.abs(off) <= OFF_RTOL * (root[:, None] * root[None, :]))):
                 break

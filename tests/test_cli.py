@@ -123,7 +123,8 @@ def test_cusp_galerkin_single_truncation(tmp_path):
 
 def test_cusp_galerkin_K_below_tracked_count(tmp_path):
     # K = 4 has fewer eigenvalues than the 8 tracked indices: the CSV and
-    # the plot both stop at K, and --plot changes no other file
+    # the plot both stop at K, --plot changes no other file, and n = 5..8
+    # are reported as beyond the scan, not as still converging
     runs = {}
     for plot in ([], ["--plot"]):
         out = tmp_path / ("plot" if plot else "plain")
@@ -134,16 +135,24 @@ def test_cusp_galerkin_K_below_tracked_count(tmp_path):
     assert runs[True] == runs[False]
     header, rows = _read_csv(tmp_path / "plain" / "galerkin.csv")
     assert [(int(r[0]), int(r[1])) for r in rows] == [(n, 4) for n in range(1, 5)]
-    assert runs[False]["certificates.txt"].strip().endswith(b"RESULT PASS")
+    text = runs[False]["certificates.txt"].decode()
+    verdicts = dict(re.findall(r"floor_crossing n=(\d+): (.*)", text))
+    for n in range(5, 9):
+        assert verdicts[str(n)] == "beyond the largest truncation (K=4)"
+    assert text.strip().endswith("RESULT PASS")
 
 
 def test_cusp_galerkin_noise_floor_is_unresolved(tmp_path):
     # at dyadic:20, lambda_13 lies below TRIANGLE_RTOL * trace at K = 32,
     # lambda_14 and lambda_15 below it at K = 64, and lambda_16..20 at
-    # every K: no crossing is named at a K where lambda_n is noise
+    # every K: no crossing is named at a K where lambda_n is noise.  The
+    # CSV stops at the numerical rank, r = 18 at K = 32.
     code = cli.main(["cusp-galerkin", "--eps", "dyadic:20",
                      "--out", str(tmp_path)])
     assert code == 0
+    _, rows = _read_csv(tmp_path / "galerkin.csv")
+    assert [sum(r[1] == K for r in rows) for K in ("32", "64", "128")] == [
+        18, 20, 20]
     text = (tmp_path / "certificates.txt").read_text()
     verdicts = dict(re.findall(r"floor_crossing n=(\d+): (.*)", text))
     assert [verdicts[str(n)] for n in (12, 13, 14, 15)] == [

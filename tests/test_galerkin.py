@@ -197,3 +197,16 @@ def test_psd_guard_refuses_indefinite_tables(tmp_path, monkeypatch):
         moment_matrix(prof, 8)
     assert cli.main(["cusp-galerkin", "--Ks", "8",
                      "--out", str(tmp_path)]) == 3
+
+
+def test_psd_guard_refuses_a_slightly_indefinite_matrix():
+    # lowering the K = 32 cusp matrix's 16th diagonal entry by 1.25e-11 of
+    # the trace drives its smallest eigenvalue to about -1e-11 trace, ten
+    # times past PSD_RTOL: the Ritz solve must refuse it
+    M = moment_matrix(profile_make(dyadic(8), DELTA), 32)
+    galerkin._ritz(M.entries)           # the unperturbed matrix passes
+    A = M.entries.copy()
+    A[15, 15] -= 1.25e-11 * M.trace
+    assert -2e-11 < np.linalg.eigvalsh(A)[0] / M.trace < -0.5e-11
+    with pytest.raises(NumericIntegrityError, match="semidefinite"):
+        galerkin._ritz(A)
