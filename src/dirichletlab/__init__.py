@@ -14,8 +14,8 @@ from .quad import QuadratureRule, gauss_nodes, integrate_rect
 from .spectra import (NeumannBounds, eigh, neumann_lower, schur_bound,
                       singular_values)
 from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
-                   bernstein_certificate, build_gram, closed_form_gram,
-                   nu_bound, tec_report)
+                   bernstein_certificate, closed_form_gram, nu_bound,
+                   tec_report)
 from .carleson import (WindowMeasureReport, cusp_window_report,
                        eksy_window_measure, eksy_window_table,
                        half_window_area, window_area_cusp)
@@ -38,8 +38,7 @@ __all__ = [
     "NeumannBounds", "eigh", "neumann_lower", "schur_bound",
     "singular_values",
     "CertificateReport", "CheckResult", "GramMatrix", "TecReport",
-    "bernstein_certificate", "build_gram", "closed_form_gram",
-    "nu_bound", "tec_report",
+    "bernstein_certificate", "closed_form_gram", "nu_bound", "tec_report",
     "WindowMeasureReport", "cusp_window_report", "eksy_window_measure",
     "eksy_window_table", "half_window_area", "window_area_cusp",
     "GrowthReport", "eksy_growth_report", "growth_grid", "growth_majorant",

@@ -32,8 +32,10 @@ from .quad import DOUBLING_RTOL, ORDER_CAP, _gl, doubling
 
 MAX_N = 12              # witness size: n(n+1)/2 quadrature entries
 IMAG_RTOL = 1e-12
-_BLOCK_POINTS = 1 << 15  # weighted-kernel block: its three buffers (1.25 MB)
-                         # stay in a 2 MB L2; 1 << 16 ran ~30% slower
+_ANGLES = 16            # trapezoid points in angle at every order (_disk_rule)
+_BLOCK_POINTS = 1 << 13  # kernel points per call, 128 KB per complex temporary;
+                         # blocks of 1 << 16 and more page-faulted their
+                         # temporaries back in on every call, up to 3x slower
 _FLOOR_SQ = (1.0 - 1e-8) ** 2   # |den / delta^i|^2 floor, with rounding slack
 
 
@@ -94,20 +96,14 @@ def closed_form_gram(family: DiskFamily) -> GramMatrix:
 # quadrature witness
 
 
-def kernel_centered(i: int, j: int, xi, zeta, family: DiskFamily,
-                    weights=None):
+def kernel_centered(i: int, j: int, xi, zeta, family: DiskFamily):
     """Bergman kernel 1/(1 - w conj(z))^2 at z = c_i + r_i xi, w = c_j + r_j zeta.
 
-    Evaluated through 1 - w conj(z) = s_ij - c_i r_j zeta - c_j r_i conj(xi)
-    - r_i r_j conj(xi) zeta with s_ij = 2 delta^i + (1 - 2 delta^i) 2 delta^j,
-    which keeps full relative precision where the direct form loses every
-    digit.  Guards the bound |1 - w conj(z)| >= delta^i.
-
-    Without ``weights``, xi and zeta broadcast and the kernel values come
-    back.  With ``weights`` (one real weight per point of the 1-D ``xi``),
-    the weighted sums over xi come back, one per point of the 1-D ``zeta``:
-    the contraction is done in real arithmetic on blocks of _BLOCK_POINTS
-    kernel points, without forming the xi-by-zeta kernel matrix.
+    xi and zeta broadcast.  1 - w conj(z) = A - conj(xi) B with A = s_ij -
+    c_i r_j zeta, B = c_j r_i + r_i r_j zeta and s_ij = 2 delta^i +
+    (1 - 2 delta^i) 2 delta^j; both are taken over delta^i, which keeps full
+    relative precision where the direct form loses every digit, and the
+    bound |1 - w conj(z)| >= delta^i is guarded.
     """
     if not (1 <= i <= j <= family.n):
         raise ValidationError(f"need 1 <= i <= j <= {family.n}")
@@ -115,137 +111,77 @@ def kernel_centered(i: int, j: int, xi, zeta, family: DiskFamily,
     zeta = np.asarray(zeta, dtype=complex)
     if np.any(np.abs(xi) > 1.0 + 1e-12) or np.any(np.abs(zeta) > 1.0 + 1e-12):
         raise ValidationError("kernel parameters must lie in the closed unit disk")
-    rows = _den_rows(i, j, zeta, family)
-    inv = 1.0 / family.delta_pows[i - 1]
-    if weights is None:
-        d = (rows @ np.stack([np.ones(xi.shape), xi.real, xi.imag],
-                             axis=-1)[..., None])[..., 0]
-        re, im, abs2 = (np.empty(d.shape[:-1]) for _ in range(3))
-        _inv_square(d[..., 0], d[..., 1], re, im, abs2, i)
-        return (re - 2j * im) * inv * inv
-    weights = np.asarray(weights, dtype=float)
-    if xi.ndim != 1 or zeta.ndim != 1 or weights.shape != xi.shape:
-        raise ValidationError("weighted kernel needs 1-D xi and zeta and one "
-                              "weight per xi point")
-    basis = np.stack([np.ones(xi.size), xi.real, xi.imag])
-    bz = max(1, _BLOCK_POINTS // max(xi.size, 1))
-    d, out = np.empty((2, 2 * bz, xi.size))
-    abs2 = np.empty((bz, xi.size))
-    sums = np.empty((2, zeta.size))
-    for lo in range(0, zeta.size, bz):
-        k = min(bz, zeta.size - lo)
-        np.matmul(rows[lo:lo + k].transpose(1, 0, 2).reshape(2 * k, 3), basis,
-                  out=d[:2 * k])
-        _inv_square(d[:k], d[k:2 * k], out[:k], out[k:2 * k], abs2[:k], i)
-        sums[:, lo:lo + k] = (out[:2 * k] @ weights).reshape(2, k)
-    # inv * inv alone can overflow before the result does
-    return (sums[0] - 2j * sums[1]) * inv * inv
-
-
-def _den_rows(i, j, zeta, family):
-    """The kernel denominator over delta^i as two linear forms in
-    (1, Re xi, Im xi), real part then imaginary part: an array of shape
-    zeta.shape + (2, 3)."""
     inv = 1.0 / family.delta_pows[i - 1]
     ci, cj = family.centers[i - 1], family.centers[j - 1]
     ri, rj = family.radii[i - 1], family.radii[j - 1]
     a = (family.s(i, j) - ci * rj * zeta) * inv
     b = (cj * ri + ri * rj * zeta) * inv
-    # a - conj(xi) b = (a_r - x b_r - y b_i) + i (a_i - x b_i + y b_r)
-    return np.stack([np.stack([a.real, -b.real, -b.imag], axis=-1),
-                     np.stack([a.imag, -b.imag, b.real], axis=-1)], axis=-2)
-
-
-def _inv_square(dr, di, re, im, abs2, i):
-    """Write (dr^2 - di^2)/|d|^4 to ``re`` and dr di/|d|^4 to ``im``, so that
-    1/d^2 = re - 2i im for d = dr + i di, after checking the scaled floor
-    |d| >= 1 - 1e-8 at every point (``abs2`` is scratch)."""
-    np.multiply(dr, dr, out=re)
-    np.multiply(di, di, out=im)
-    np.add(re, im, out=abs2)
+    d = a - np.conj(xi) * b
+    abs2 = d.real * d.real + d.imag * d.imag
     if not abs2.min(initial=np.inf) >= _FLOOR_SQ:
         raise NumericIntegrityError(
             f"kernel denominator below its floor delta^{i}; cancellation bug")
-    np.subtract(re, im, out=re)
-    np.multiply(dr, di, out=im)
-    np.multiply(abs2, abs2, out=abs2)
-    np.divide(re, abs2, out=re)
-    np.divide(im, abs2, out=im)
+    return (np.conj(d) * (inv / abs2)) ** 2      # (delta^-i / d)^2
 
 
-def _angles(m: int) -> int:
-    """Angular points T of the witness's order-m disk rules: m/2, at
-    least 16, rounded down to even so that the folded rule applies.
-
-    With 1 - w conj(z) = A - B conj(xi), A = s_ij - c_i r_j zeta and
-    B = c_j r_i + r_i r_j zeta, the kernel is A^-2 sum_n (n + 1)
-    (B conj(xi) / A)^n, and on the disks (i <= j) |A| >= 2 delta^i and
-    |B| <= r_i, so the ratio is at most eps_i / 2 <= 2^-9.  The T-point
-    trapezoid in the angle of xi integrates conj(xi)^n exactly except at
-    the non-zero multiples of T, where it returns rho^n for 0; it aliases
-    about (T + 1) 2^(-9T) of the value.  In zeta the ratio is about
-    eps_j delta^(j-i) / 2 <= 2^-9 as well.  T = 16 leaves about 2^-139,
-    far below rounding, and by the mean value property the radial
-    integrand is constant up to those same terms.  T grows with m only
-    so that order doubling doubles the angles too, and its residual
-    corroborates the angular rule as well as the radial one.
-    """
-    return 2 * max(8, m // 4)
-
-
-def _disk_rule(m: int, half: bool = False):
+def _disk_rule(m: int):
     """Polar rule for the integral over the unit disk w.r.t. dA = dx dy / pi:
-    Gauss-Legendre of order m in s = rho^2 and the trapezoid with
-    T = ``_angles(m)`` points in angle; the weights sum to 1.  With
-    ``half=True`` the angular range is folded onto [0, pi] with doubled
-    interior weights; by conjugation symmetry the real part of the folded
-    sum equals the full sum, at half the cost (the verification pass)."""
+    Gauss-Legendre of order m in s = rho^2 times the trapezoid with
+    _ANGLES = 16 points in angle; the weights sum to 1.
+
+    With 1 - w conj(z) = A - B conj(xi) as in ``kernel_centered``, the
+    kernel is A^-2 sum_n (n + 1) (B conj(xi) / A)^n, and on the disks
+    (i <= j) |A| >= 2 delta^i and |B| <= r_i, so the ratio is at most
+    eps_i / 2 <= 2^-9.  The T-point trapezoid in the angle of xi
+    integrates conj(xi)^n exactly except at the non-zero multiples of T,
+    where it returns rho^n for 0; it aliases about (T + 1) 2^(-9T) of the
+    value.  In zeta the ratio is about eps_j delta^(j-i) / 2 <= 2^-9 as
+    well.  T = 16 leaves about 2^-139, far below rounding, and by the mean
+    value property the radial integrand is constant up to those same
+    terms.  Aliasing would be the same at orders m and 2m, so order
+    doubling cannot see it; the comparison with ``closed_form_gram``
+    (acceptance criterion 1) is what would.
+    """
     s, ws = _gl(0.0, 1.0, m)
-    T = _angles(m)
-    tt = np.arange(T // 2 + 1 if half else T)
-    mult = np.where(half & (0 < tt) & (tt < T // 2), 2.0, 1.0)
-    ang = 2.0 * math.pi * tt / T
+    ang = 2.0 * math.pi * np.arange(_ANGLES) / _ANGLES
     pts = np.sqrt(s)[:, None] * np.exp(1j * ang)[None, :]
-    wts = (ws[:, None] / T) * mult[None, :]
-    return pts.ravel(), wts.ravel()
+    return pts.ravel(), np.repeat(ws / _ANGLES, _ANGLES)
 
 
-def _entry_raw(i, j, family, m, half):
-    """Quadrature value of the double disk integral of the centered kernel:
-    the full rule in xi, the full or conjugate-folded rule in zeta."""
-    xi, wxi = _disk_rule(m)
-    zeta, wz = _disk_rule(m, half)
-    return wz @ kernel_centered(i, j, xi, zeta, family, wxi)
-
-
-def _assemble(family: DiskFamily, m: int, half: bool) -> np.ndarray:
+def _assemble(family: DiskFamily, m: int) -> np.ndarray:
+    """Gram entries at order m: per entry, w_zeta @ K @ w_xi summed over
+    blocks of zeta points, each block one ``kernel_centered`` call of at
+    most _BLOCK_POINTS kernel points."""
     n = family.n
     E = np.zeros((n, n))
     r = family.radii
+    pts, wts = _disk_rule(m)
+    bz = _BLOCK_POINTS // pts.size      # 1 at ORDER_CAP (8,192 points)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            acc = _entry_raw(i, j, family, m, half)
-            if not half and abs(acc.imag) > IMAG_RTOL * abs(acc.real):
+            acc = sum(wts[lo:lo + bz] @ kernel_centered(
+                          i, j, pts, pts[lo:lo + bz, None], family) @ wts
+                      for lo in range(0, pts.size, bz))
+            if abs(acc.imag) > IMAG_RTOL * abs(acc.real):
                 raise NumericIntegrityError(
                     f"Gram entry ({i},{j}) has imaginary residue "
                     f"{acc.imag:.3e} against {acc.real:.3e}")
-            val = r[i - 1] * r[j - 1] * acc.real
-            E[i - 1, j - 1] = E[j - 1, i - 1] = val
+            E[i - 1, j - 1] = E[j - 1, i - 1] = r[i - 1] * r[j - 1] * acc.real
     return E
 
 
 def build_gram(family: DiskFamily, m: int = 32) -> GramMatrix:
     """Assemble the Gram matrix at quadrature order m.
 
-    The entries are recomputed at order 2m (conjugate-folded angular rule)
-    and must agree to 1e-8 relative; on failure the order is doubled up to
-    the cap.  Positive semidefiniteness is checked against -1e-14 * trace.
+    The entries are recomputed at order 2m and must agree to 1e-8
+    relative; on failure the order is doubled up to the cap.  Positive
+    semidefiniteness is checked against -1e-14 * trace.
     """
     if not (1 <= family.n <= MAX_N):
         raise ValidationError(f"family size must lie in 1..{MAX_N}")
     if not (1 <= m <= ORDER_CAP):
         raise ValidationError(f"order must lie in 1..{ORDER_CAP}")
-    d = doubling(lambda k: _assemble(family, k, half=k > m), m, DOUBLING_RTOL)
+    d = doubling(lambda k: _assemble(family, k), m, DOUBLING_RTOL)
     lam = spectra.eigh(d.value)
     if lam[-1] < -1e-14 * np.trace(d.value):
         raise NumericIntegrityError(

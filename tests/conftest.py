@@ -2,7 +2,7 @@
 
 The canonical disk-family instance (delta = 1/200, eps_i = 2^-7-i, n = 8,
 quadrature order 32, with its order-doubling verification pass) takes
-under a second to assemble; it is built once per session and shared by
+about a second to assemble; it is built once per session and shared by
 the unit and acceptance tests.
 """
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from dirichletlab import cli, geometry, gram, seqs
+from dirichletlab import cli, geometry, gram, powers, seqs
 from dirichletlab.errors import NumericIntegrityError
 
 from test_golden import RUNS as GOLDEN_RUNS
@@ -57,8 +58,10 @@ def test_cusp_rho_artifacts(tmp_path):
     code = cli.main(["cusp-rho", "--eps", "dyadic:3", "--out", str(tmp_path)])
     assert code == 0
     header, rows = _read_csv(tmp_path / "rho.csv")
-    assert header == ["h", "rho", "index", "bound"]
+    assert header == ["h", "rho_lower", "rho_upper", "index", "bound"]
     assert len(rows) == 3
+    # rho(h) lies between the xi = 1 windows of radius h and C h
+    assert all(0.0 < float(r[1]) < float(r[2]) for r in rows)
     # grid h values are the anchor scales delta^j
     hs = [float(r[0]) for r in rows]
     assert hs == [0.005, 0.005**2, 0.005**3]
@@ -187,6 +190,27 @@ def test_eksy_growth_single_exponent(tmp_path):
             "sup_ratio_stable_under_pmax_halving skipped") in text
     assert "PASS sup_ratio_stable_under_pmax_halving" not in text
     assert text.strip().endswith("RESULT PASS")
+
+
+def test_eksy_growth_fails_when_the_top_octave_grows(tmp_path, monkeypatch):
+    # raising the ratios at p > pmax/2 to 1.06 times the supremum below
+    # must fail the stability check
+    real = powers.eksy_growth_report
+
+    def raised(F, M, p_max):
+        rep = real(F, M, p_max)
+        top = 2 * rep.ps > p_max
+        ratio = rep.ratio.copy()
+        ratio[top] = 1.06 * ratio[~top].max()
+        return dataclasses.replace(rep, ratio=ratio)
+
+    monkeypatch.setattr(powers, "eksy_growth_report", raised)
+    code = cli.main(["eksy-growth", "--nmax", "6", "--pmax", "256",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    text = (tmp_path / "certificates.txt").read_text()
+    assert "FAIL sup_ratio_stable_under_pmax_halving" in text
+    assert text.strip().endswith("RESULT FAIL")
 
 
 def test_eksy_windows_artifacts_and_roundtrip(tmp_path):

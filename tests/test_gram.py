@@ -174,18 +174,36 @@ def test_build_gram_floor_guard_trips_on_corrupted_s(monkeypatch):
 
 
 def test_build_gram_imag_check_trips_on_asymmetric_rule(monkeypatch):
-    # dropping the node at angle 2 pi / T breaks the conjugation symmetry
-    # of the full rule, so the order-m entries keep an imaginary part
+    # dropping the node at angle 2 pi / 16 breaks the conjugation symmetry
+    # of the rule, so the order-m entries keep an imaginary part
     rule = gram._disk_rule
 
-    def lopsided(m, half=False):
-        pts, wts = rule(m, half)
-        return (pts, wts) if half else (np.delete(pts, 1), np.delete(wts, 1))
+    def lopsided(m):
+        pts, wts = rule(m)
+        return np.delete(pts, 1), np.delete(wts, 1)
 
     monkeypatch.setattr(gram, "_disk_rule", lopsided)
     fam = disk_family(dyadic(2), DELTA, 2)
     with pytest.raises(NumericIntegrityError, match="imaginary residue"):
         build_gram(fam, m=4)
+
+
+def test_build_gram_kernel_calls_stay_within_the_block(monkeypatch):
+    # order 64 has 1024 disk points, so one entry is 1024^2 kernel points,
+    # more than a block; the verification pass at order 128 has 2048^2
+    sizes = []
+    kernel = gram.kernel_centered
+
+    def recording(i, j, xi, zeta, family):
+        sizes.append(np.broadcast(xi, zeta).size)
+        return kernel(i, j, xi, zeta, family)
+
+    monkeypatch.setattr(gram, "kernel_centered", recording)
+    fam = disk_family(dyadic(1), DELTA, 1)
+    M = build_gram(fam, m=64)
+    assert M.order == 64
+    assert sum(sizes) == 1024 ** 2 + 2048 ** 2
+    assert max(sizes) <= gram._BLOCK_POINTS < 1024 ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,39 +250,6 @@ def test_kernel_validates_arguments():
         kernel_centered(2, 1, np.array([0.0j]), np.array([0.0j]), fam)
     with pytest.raises(ValidationError):
         kernel_centered(1, 1, np.array([1.5 + 0.0j]), np.array([0.0j]), fam)
-
-
-def test_weighted_kernel_is_the_weighted_pointwise_sum():
-    # with 2^15-point blocks, 3000 xi points make blocks of 10 zeta points,
-    # so 25 zeta points span two full blocks and a partial one; points
-    # include the boundary circle
-    fam = disk_family(dyadic(8), DELTA, 8)
-    rng = np.random.default_rng(11)
-
-    def disk_points(size):
-        angle = 2.0 * math.pi * rng.uniform(0, 1, size)
-        p = np.sqrt(rng.uniform(0, 1, size)) * np.exp(1j * angle)
-        p[:4] /= np.abs(p[:4])
-        return p
-
-    xi, zeta = disk_points(3000), disk_points(25)
-    w = rng.uniform(0.1, 1.0, xi.size)
-    for (i, j) in ((1, 1), (1, 2), (2, 5), (3, 8), (8, 8)):
-        got = kernel_centered(i, j, xi, zeta, fam, w)
-        want = w @ kernel_centered(i, j, xi[:, None], zeta[None, :], fam)
-        assert got.shape == zeta.shape
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
-
-def test_weighted_kernel_validates_arguments():
-    fam = disk_family(dyadic(4), DELTA, 4)
-    pts = np.array([0.0j, 0.5j])
-    for xi, zeta, w in ((pts, pts, np.ones(3)),
-                        (pts[:, None], pts, np.ones((2, 1))),
-                        (pts, pts[None, :], np.ones(2)),
-                        (np.array([1.5 + 0.0j, 0.0j]), pts, np.ones(2))):
-        with pytest.raises(ValidationError):
-            kernel_centered(1, 2, xi, zeta, fam, w)
 
 
 # ---------------------------------------------------------------------------

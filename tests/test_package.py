@@ -76,3 +76,11 @@ def test_order_doubling_serves_only_the_two_witnesses():
     assert users == {"quad.py", "gram.py"}
     for name, tree in _module_trees():
         assert "MOMENT_RTOL" not in set(_names(tree)), name
+
+
+def test_quadrature_witness_stays_off_the_product_path():
+    # the Gram witness backs acceptance criterion 1 from the tests only
+    witness = {"build_gram", "kernel_centered", "_disk_rule", "_assemble"}
+    for name, tree in _module_trees():
+        if name != "gram.py":
+            assert not witness & set(_names(tree)), name
