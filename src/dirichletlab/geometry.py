@@ -288,6 +288,35 @@ def _as_l_values(M, n_max: int) -> list[int]:
     return [min(n, vals[n - 1] ** 2) for n in range(1, n_max + 1)]
 
 
+_PAIR_BLOCK = 1 << 16
+
+
+def _first_overlap(x1, x2, y1, y2):
+    """The lexicographically smallest pair (i, j), i < j, of rectangles whose
+    interiors meet (a shared edge has zero overlap), or None.
+
+    Sweep: with the rectangles ranked by x1, the one of rank a can only
+    overlap the later ranks a + 1 .. stop[a] - 1, whose x1 lies below its
+    own x2.  Only those candidate pairs are tested, in blocks of at most
+    _PAIR_BLOCK, so memory stays O(R) (Six & Wood, BIT 20, 1980).
+    """
+    n = len(x1)
+    order = np.argsort(x1, kind="stable")
+    start = np.arange(1, n + 1)
+    stop = np.maximum(np.searchsorted(x1[order], x2[order]), start)
+    ends = np.cumsum(stop - start)          # candidate pairs up to rank a
+    best = n * n                            # pair (i, j) as the key i n + j
+    for k0 in range(0, int(ends[-1]), _PAIR_BLOCK):
+        k = np.arange(k0, min(k0 + _PAIR_BLOCK, int(ends[-1])))
+        a = np.searchsorted(ends, k, side="right")   # pair k: ranks a and
+        i, j = order[a], order[k - ends[a] + stop[a]]  # stop[a] - (ends[a] - k)
+        bad = ((np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]) > 0.0)
+               & (np.minimum(y2[i], y2[j]) - np.maximum(y1[i], y1[j]) > 0.0))
+        key = np.minimum(i, j) * n + np.maximum(i, j)
+        best = int(key.min(initial=best, where=bad))
+    return None if best == n * n else divmod(best, n)
+
+
 def eksy_build(M, n_max: int) -> RectilinearDomain:
     """Build the truncated domain F for targets M (sequence or callable)."""
     if n_max < 1:
@@ -319,18 +348,9 @@ def eksy_build(M, n_max: int) -> RectilinearDomain:
                               "pipe", k, n))
     x1, x2, y1, y2, lo, hi = np.array(
         [(r.x1, r.x2, r.y1, r.y2, *r.band_span) for r in rects]).T.copy()
-    # strict interior disjointness (shared edges have zero overlap length),
-    # on row blocks of about 2^18 pairs so that memory stays O(R)
-    rows = max(1, (1 << 18) // len(rects))
-    for a in range(0, len(rects), rows):
-        b = slice(a, a + rows)
-        xov = np.minimum(x2[b, None], x2) - np.maximum(x1[b, None], x1)
-        yov = np.minimum(y2[b, None], y2) - np.maximum(y1[b, None], y1)
-        bad = (xov > 0.0) & (yov > 0.0)
-        np.fill_diagonal(bad[:, a:], False)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ConstructionError(f"rectangles {a + i} and {j} overlap")
+    pair = _first_overlap(x1, x2, y1, y2)
+    if pair is not None:
+        raise ConstructionError(f"rectangles {pair[0]} and {pair[1]} overlap")
     return RectilinearDomain(n_max=n_max, l=tuple(l), rectangles=tuple(rects),
                              eps4=eps4, _x1=x1, _x2=x2, _y1=y1, _y2=y2,
                              _lo=lo, _hi=hi)

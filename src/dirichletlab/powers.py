@@ -110,35 +110,44 @@ def _boundary_moment(profile: CuspProfile, q: int, m: int) -> float:
     return float(cross @ edge) / ((q + 1) * math.pi)
 
 
-def region_moment(region, q: int) -> float:
+def _is_exponent(q, least: int) -> bool:
+    """Whether q is an integer >= least, or an integer array of them."""
+    if isinstance(q, np.ndarray):
+        return q.dtype.kind in "iu" and bool(np.all(q >= least))
+    return isinstance(q, (int, np.integer)) and q >= least
+
+
+def region_moment(region, q):
     """int |w|^{2q} dmu for the region's counting measure mu.
 
     Rectilinear route: w = e^{-u} turns the integrand into e^{-2(q+1)x},
     so each rectangle contributes (dy/pi)(e^{-2(q+1)x1} - e^{-2(q+1)x2})
-    / (2(q+1)) exactly.  Cusp route (mu = 1_Omega dA): a flux through the
-    profile edges, exact at order q + 1 <= ORDER_CAP and evaluated once
-    (``_boundary_moment``).  Any other region, the lens ``PowerProfile``
-    included, raises ValidationError.
+    / (2(q+1)) exactly.  An integer array q gives the array of moments in
+    one (len(q) x R) broadcast.  Cusp route (mu = 1_Omega dA), scalar q
+    only: a flux through the profile edges, exact at order q + 1 <=
+    ORDER_CAP and evaluated once (``_boundary_moment``).  Any other
+    region, the lens ``PowerProfile`` included, raises ValidationError.
     """
-    if not (isinstance(q, (int, np.integer)) and q >= 0):
+    if not _is_exponent(q, 0):
         raise ValidationError("q must be an integer >= 0")
     if isinstance(region, CuspProfile):
-        if q >= ORDER_CAP:
+        if isinstance(q, np.ndarray) or q >= ORDER_CAP:
             raise ValidationError(f"q {q} outside 0..{ORDER_CAP - 1} on a cusp")
         return _boundary_moment(region, int(q), int(q) + 1)
     x1, x2, dy_pi = _rect_arrays(region)
-    s = 2.0 * (q + 1.0)
-    return float(dy_pi @ exp_drop(s, x1, x2)) / s
+    s = 2.0 * (np.asarray(q) + 1.0)
+    m = exp_drop(s[..., None], x1, x2) @ dy_pi / s
+    return m if m.ndim else float(m)
 
 
-def power_norm_region(region, p: int) -> float:
+def power_norm_region(region, p):
     """Squared Dirichlet norm of the p-th symbol power via its image:
-    p^2 int |w|^{2p-2} dmu.  The constant |phi(0)|^{2p} <= 1 term depends
-    on the Riemann map and is deliberately left out; growth rates do not
-    see it."""
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
+    p^2 int |w|^{2p-2} dmu, elementwise for an integer array p.  The
+    constant |phi(0)|^{2p} <= 1 term depends on the Riemann map and is
+    deliberately left out; growth rates do not see it."""
+    if not _is_exponent(p, 1):
         raise ValidationError("p must be an integer >= 1")
-    return float(p) * float(p) * region_moment(region, int(p) - 1)
+    return p * (p * 1.0) * region_moment(region, p - 1)
 
 
 def jensen_lower(region, p: int) -> tuple[float, float]:
@@ -183,13 +192,14 @@ def log2_targets(p: int) -> int:
     return int(p).bit_length()
 
 
-def growth_majorant(F: RectilinearDomain, p: int) -> float:
+def growth_majorant(F: RectilinearDomain, p):
     """p^2 sum_n l_n 16^-n e^{-p 4^-n} over the built levels, plus the
-    p^2-weighted truncation tail of F."""
+    p^2-weighted truncation tail of F; elementwise for an array p."""
+    p = np.asarray(p, dtype=float)
     n = np.arange(1, F.n_max + 1)
-    l = np.asarray(F.l, dtype=float)
-    main = float(l @ growth_term(float(p) * 4.0 ** -n))
-    return main + float(p) * float(p) * F.tail_bound()
+    maj = (growth_term(p[..., None] * 4.0 ** -n) @ np.asarray(F.l, dtype=float)
+           + p * p * F.tail_bound())
+    return maj if maj.ndim else float(maj)
 
 
 def growth_grid(p_max: int) -> np.ndarray:
@@ -248,8 +258,8 @@ def eksy_growth_report(F: RectilinearDomain, M, p_max: int) -> GrowthReport:
     ps = growth_grid(p_max)
     if not callable(M) and len(M) < int(ps[-1]):
         raise ValidationError("target sequence too short for the p grid")
-    sq = np.array([power_norm_region(F, int(p)) for p in ps])
-    maj = np.array([growth_majorant(F, int(p)) for p in ps])
+    sq = power_norm_region(F, ps)
+    maj = growth_majorant(F, ps)
     mp = np.array([_target_at(M, int(p)) for p in ps])
     norm = np.sqrt(sq)
     ratio = norm / mp

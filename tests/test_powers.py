@@ -127,6 +127,13 @@ def test_region_moment_validations():
         region_moment([1, 2], 0)
     with pytest.raises(ValidationError):
         jensen_lower([STRIP[0], "box"], 2)
+    # arrays of exponents: integers in range, and on a cusp not at all
+    with pytest.raises(ValidationError):
+        region_moment(STRIP, np.array([0, -1]))
+    with pytest.raises(ValidationError):
+        power_norm_region(STRIP, np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError):
+        region_moment(profile_make(dyadic(4), DELTA), np.array([1, 2]))
 
 
 def _random_profile(seed):
@@ -262,6 +269,21 @@ def test_growth_majorant_dominates_single_level():
         maj = growth_majorant(F, p)
         for N in range(1, 9):
             assert maj >= F.l[N - 1] * float(growth_term(p * 4.0**-N))
+
+
+@pytest.mark.parametrize("targets, p_max", [
+    (log2_targets, 1 << 20),
+    (lambda n: 1, 4096),
+])
+def test_growth_report_matches_the_per_p_routes(targets, p_max):
+    # one broadcast over the p grid against one scalar call per p; they
+    # differ only in summation order (gemv against dot)
+    F = eksy_build(targets, 24)
+    rep = eksy_growth_report(F, targets, p_max)
+    norm = [math.sqrt(power_norm_region(F, int(p))) for p in rep.ps]
+    maj = [growth_majorant(F, int(p)) for p in rep.ps]
+    np.testing.assert_allclose(rep.norm, norm, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(rep.majorant, maj, rtol=1e-14, atol=0.0)
 
 
 def test_growth_report_consistency():
