@@ -6,9 +6,10 @@ arc-annulus window W(1, h) = {1 - h <= |z| < 1, |arg z| < pi h} with its
 half-depth variant W'_n, used for the exponential image of the
 rectilinear domain.  All measures are w.r.t. dA = dx dy / pi.  Both are
 closed forms: the cusp window at xi = 1 over the profile's breakpoint
-table, the staircase windows over the band spans of the rectangles.  The
-supremum of the cusp window over the unit circle is enclosed between the
-window at xi = 1 and the one of radius C h there (``cone_constant``).
+table, the staircase windows over the count-weighted band spans of its
+level rows.  The supremum of the cusp window over the unit circle is
+enclosed between the window at xi = 1 and the one of radius C h there
+(``cone_constant``).
 """
 
 from __future__ import annotations
@@ -127,18 +128,17 @@ def _band_measure(F: RectilinearDomain, xlo: float, xhi: float,
     """mu of {xlo < x < xhi, |y - 2k pi| < pi h for some k} under the
     pullback of n_phi dA.
 
-    The y-overlap with the bands comes from the structural band spans
-    (lo, hi), never from the stored absolute coordinates (whose ulp
-    exceeds the deep half-widths): a rectangle meets its band along
-    2 pi reach with reach = max(0, min(h, hi) - lo), and its x-clipped
-    part [a, b] carries (e^{-2a} - e^{-2b}) / 2 per unit of y / pi.
+    The y-overlap with the bands comes from the rows' band spans (lo, hi),
+    exact at every depth: each of a row's count copies meets its band along
+    2 pi reach, reach = max(0, min(h, hi) - lo), and its x-clipped part
+    [a, b] carries (e^{-2a} - e^{-2b}) / 2 per unit of y / pi.
     """
     if not (0.0 < h <= 0.25):
         raise ValidationError(f"band half-height {h} outside (0, 1/4]")
-    a, b = np.maximum(F._x1, xlo), np.minimum(F._x2, xhi)
+    a, b = np.maximum(F.x1, xlo), np.minimum(F.x2, xhi)
     keep = a < b
-    reach = np.maximum(0.0, np.minimum(h, F._hi[keep]) - F._lo[keep])
-    return float(reach @ exp_drop(2.0, a[keep], b[keep]))
+    reach = np.maximum(0.0, np.minimum(h, F.hi[keep]) - F.lo[keep])
+    return float((F.count[keep] * reach) @ exp_drop(2.0, a[keep], b[keep]))
 
 
 def half_window_area(n: int) -> float:
@@ -153,7 +153,7 @@ def eksy_window_measure(F: RectilinearDomain, N: int) -> tuple[float, float]:
 
     The exponential preimage of W(1, h) is {0 < x <= -log(1-h)} times the
     union of bands |y - 2k pi| < pi h, so both measures reduce to closed
-    forms over the rectangles of F.  Pipes at depth N touch the half
+    forms over the level rows of F.  Pipes at depth N touch the half
     window only along its boundary and contribute zero to mu(W'_{2N}).
     """
     if not (1 <= N <= F.n_max):

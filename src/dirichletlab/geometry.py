@@ -3,8 +3,8 @@
 Cusp side: the profile theta with anchors theta(delta^j) = eps_j delta^j,
 the cusp domain Omega = {0 < x < 1, |y| < theta(1-x)}, and the family of
 disks D(c_j, r_j) sitting inside it.  Rectilinear side: the truncated
-union F of base boxes, tower boxes and pipes in the right half-plane
-whose exponential image drives the power-norm experiments.
+union F of boxes, towers and pipes in the right half-plane, one row per
+level with a copy count, whose exponential image drives the power norms.
 """
 
 from __future__ import annotations
@@ -213,26 +213,6 @@ class Rect:
     k: int              # vertical shift count (0 for base boxes)
     index: int          # box index m for boxes, depth n for pipes
 
-    @property
-    def band_span(self) -> tuple[float, float]:
-        """(lo, hi): the distances from the nearest band centre 2k pi that
-        the rectangle covers, in units of pi, derived from the tag.  A box
-        at level m covers (0, 2^-m); a pipe at depth n covers (4^-n, 1).
-
-        At depth ~48 the half-widths pi 2^-m drop below one ulp of the
-        shift 2 k pi, so spans taken from the stored absolute coordinates
-        lose every digit; the structural form never does.
-        """
-        if self.tag == "pipe":
-            return 4.0 ** -self.index, 1.0
-        return 0.0, 2.0 ** -self.index
-
-    @property
-    def dy_over_pi(self) -> float:
-        """Exact y-extent in units of pi."""
-        lo, hi = self.band_span
-        return 2.0 * (hi - lo)
-
 
 @dataclass(frozen=True)
 class RectilinearDomain:
@@ -243,27 +223,63 @@ class RectilinearDomain:
     width 4^-2n centered in the x-range of B(0,2n) spanning
     [2(k-1)pi + 2^-2n pi, 2k pi - 2^-2n pi].  ``l[n-1]`` stores
     l_n = min(n, M_n^2); ``eps4[m]`` stores eps_m (index 0 unused).
+
+    One row per level, 4 n_max rows (base boxes, towers, pipes): row r is
+    count[r] copies k = first[r], first[r] + 1, ... of a rectangle with
+    x-range [x1, x2] shifted by 2 k pi, with band span (lo, hi), the
+    distances in units of pi from the band centre that a copy covers: a
+    box B(k, m) covers (0, 2^-m) around 2 k pi, a pipe (``pipe``) at depth
+    n (4^-n, 1) above 2 (k - 1) pi and below 2 k pi.
     """
 
     n_max: int
     l: tuple[int, ...]
-    rectangles: tuple[Rect, ...]
     eps4: np.ndarray = field(repr=False)
-    _x1: np.ndarray = field(repr=False)
-    _x2: np.ndarray = field(repr=False)
-    _y1: np.ndarray = field(repr=False)
-    _y2: np.ndarray = field(repr=False)
-    _lo: np.ndarray = field(repr=False)      # band spans (Rect.band_span)
-    _hi: np.ndarray = field(repr=False)
+    x1: np.ndarray = field(repr=False)
+    x2: np.ndarray = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    count: np.ndarray = field(repr=False)
+    pipe: np.ndarray = field(repr=False)
 
     @property
-    def _dy_pi(self) -> np.ndarray:
-        """Exact y-extents in units of pi."""
-        return 2.0 * (self._hi - self._lo)
+    def rectangles(self) -> tuple[Rect, ...]:
+        """Every copy in absolute coordinates, row by row with k ascending,
+        for the tests' oracles; deep y-extents round away here."""
+        rects = []
+        for x1, x2, lo, hi, first, count, pipe in zip(
+                self.x1, self.x2, self.lo, self.hi, self.first, self.count,
+                self.pipe):
+            for k in range(first, first + count):
+                if pipe:
+                    rects.append(Rect(x1, x2, TWO_PI * (k - 1) + math.pi * lo,
+                                      TWO_PI * k - math.pi * lo, "pipe", k,
+                                      round(-math.log2(lo) / 2)))
+                else:
+                    rects.append(Rect(x1, x2, TWO_PI * k - math.pi * hi,
+                                      TWO_PI * k + math.pi * hi,
+                                      "tower" if k else "base", k,
+                                      round(-math.log2(hi))))
+        return tuple(rects)
+
+    def __post_init__(self):
+        """Raise ConstructionError unless the copies have disjoint interiors,
+        in band coordinates: half-band 2c lies below the centre 2 c pi and
+        2c + 1 above it; box copy k covers the half-bands 2k and 2k + 1, pipe
+        copy k covers 2k - 1 and 2k, both at (lo, hi), so a row covers
+        [2 first - pipe, 2 (first + count) - pipe).  Copies meet where x,
+        half-band and span ranges all overlap; the last two are exact."""
+        band = 2 * self.first - self.pipe
+        pair = _first_overlap(self.x1, self.x2, self.lo, self.hi, band,
+                              band + 2 * self.count)
+        if pair is not None:
+            raise ConstructionError(f"rows {pair[0]} and {pair[1]} overlap")
 
     def area(self) -> float:
         """Euclidean area (interiors are disjoint, so plain sum)."""
-        return float(math.pi * ((self._x2 - self._x1) @ self._dy_pi))
+        return float(2.0 * math.pi * ((self.x2 - self.x1) * self.count)
+                     @ (self.hi - self.lo))
 
     def tail_bound(self) -> float:
         """sum_{n > n_max} l_n 16^-n, bounded via l_n <= n in closed form."""
@@ -291,11 +307,12 @@ def _as_l_values(M, n_max: int) -> list[int]:
 _PAIR_BLOCK = 1 << 16
 
 
-def _first_overlap(x1, x2, y1, y2):
-    """The lexicographically smallest pair (i, j), i < j, of rectangles whose
-    interiors meet (a shared edge has zero overlap), or None.
+def _first_overlap(x1, x2, *spans):
+    """The lexicographically smallest pair (i, j), i < j, of boxes whose
+    interiors meet, or None.  Box i spans [x1[i], x2[i]] and [lo[i], hi[i]]
+    for each pair (lo, hi) in ``spans``; a shared edge is no overlap.
 
-    Sweep: with the rectangles ranked by x1, the one of rank a can only
+    Sweep: with the boxes ranked by x1, the one of rank a can only
     overlap the later ranks a + 1 .. stop[a] - 1, whose x1 lies below its
     own x2.  Only those candidate pairs are tested, in blocks of at most
     _PAIR_BLOCK, so memory stays O(R) (Six & Wood, BIT 20, 1980).
@@ -310,8 +327,9 @@ def _first_overlap(x1, x2, y1, y2):
         k = np.arange(k0, min(k0 + _PAIR_BLOCK, int(ends[-1])))
         a = np.searchsorted(ends, k, side="right")   # pair k: ranks a and
         i, j = order[a], order[k - ends[a] + stop[a]]  # stop[a] - (ends[a] - k)
-        bad = ((np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]) > 0.0)
-               & (np.minimum(y2[i], y2[j]) - np.maximum(y1[i], y1[j]) > 0.0))
+        bad = np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]) > 0.0
+        for lo, hi in zip(spans[::2], spans[1::2]):
+            bad &= np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 0.0
         key = np.minimum(i, j) * n + np.maximum(i, j)
         best = int(key.min(initial=best, where=bad))
     return None if best == n * n else divmod(best, n)
@@ -324,50 +342,21 @@ def eksy_build(M, n_max: int) -> RectilinearDomain:
     l = _as_l_values(M, n_max)
     eps4 = eps_exp(np.arange(2 * n_max + 3))
     eps4[0] = np.inf
-    rects = []
-    for m in range(2, 2 * n_max + 2):
-        half = math.pi * 2.0 ** -m
-        rects.append(Rect(eps4[m + 1], eps4[m], -half, half, "base", 0, m))
-    for n in range(1, n_max + 1):
-        m = 2 * n
-        half = math.pi * 2.0 ** -m
-        for k in range(1, l[n - 1]):
-            shift = TWO_PI * k
-            rects.append(Rect(eps4[m + 1], eps4[m],
-                              shift - half, shift + half, "tower", k, m))
-    for n in range(1, n_max + 1):
-        width = 4.0 ** (-2 * n)
-        gap = eps4[2 * n] - eps4[2 * n + 1]
-        if not (width < gap):
-            raise ConstructionError(f"pipe at depth {n} wider than its box")
-        mid = 0.5 * (eps4[2 * n + 1] + eps4[2 * n])
-        margin = math.pi * 2.0 ** (-2 * n)
-        for k in range(1, l[n - 1]):
-            rects.append(Rect(mid - width / 2.0, mid + width / 2.0,
-                              TWO_PI * (k - 1) + margin, TWO_PI * k - margin,
-                              "pipe", k, n))
-    x1, x2, y1, y2, lo, hi = np.array(
-        [(r.x1, r.x2, r.y1, r.y2, *r.band_span) for r in rects]).T.copy()
-    pair = _first_overlap(x1, x2, y1, y2)
-    if pair is not None:
-        raise ConstructionError(f"rectangles {pair[0]} and {pair[1]} overlap")
-    return RectilinearDomain(n_max=n_max, l=tuple(l), rectangles=tuple(rects),
-                             eps4=eps4, _x1=x1, _x2=x2, _y1=y1, _y2=y2,
-                             _lo=lo, _hi=hi)
-
-
-def eksy_contains(F: RectilinearDomain, u: complex) -> bool:
-    """Membership in the closed union of rectangles."""
-    x, y = u.real, u.imag
-    return bool(np.any((F._x1 <= x) & (x <= F._x2) & (F._y1 <= y) & (y <= F._y2)))
-
-
-def count_preimages(F: RectilinearDomain, w: complex) -> int:
-    """#{k : 0 <= k <= l_{n_max}, -Log w + 2k pi i in F} for 0 < |w| < 1."""
-    r = abs(w)
-    if not (0.0 < r < 1.0):
-        raise ValidationError("w must satisfy 0 < |w| < 1")
-    x0 = -math.log(r)
-    y0 = -math.atan2(w.imag, w.real)
-    return sum(eksy_contains(F, complex(x0, y0 + TWO_PI * k))
-               for k in range(F.l[-1] + 1))
+    m = np.arange(2, 2 * n_max + 2)             # base boxes
+    n = np.arange(1, n_max + 1)                 # tower levels, pipe depths
+    width = 4.0 ** (-2 * n)
+    wide = np.flatnonzero(~(width < eps4[2 * n] - eps4[2 * n + 1]))
+    if wide.size:
+        raise ConstructionError(
+            f"pipe at depth {wide[0] + 1} wider than its box")
+    mid = 0.5 * (eps4[2 * n + 1] + eps4[2 * n])
+    copies = np.array(l) - 1
+    return RectilinearDomain(
+        n_max=n_max, l=tuple(l), eps4=eps4,
+        x1=np.concatenate((eps4[m + 1], eps4[2 * n + 1], mid - width / 2.0)),
+        x2=np.concatenate((eps4[m], eps4[2 * n], mid + width / 2.0)),
+        lo=np.concatenate((np.zeros(3 * n_max), 4.0 ** -n)),
+        hi=np.concatenate((2.0 ** -m, 4.0 ** -n, np.ones(n_max))),
+        first=np.repeat([0, 1], [2 * n_max, 2 * n_max]),
+        count=np.concatenate((np.ones(2 * n_max, dtype=int), copies, copies)),
+        pipe=np.repeat([False, True], [3 * n_max, n_max]))

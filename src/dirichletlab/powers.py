@@ -76,10 +76,12 @@ def power_norm_series(c, p: int) -> float:
 
 
 def _rect_arrays(region):
-    """(x1, x2, dy/pi) arrays; exact structural y-extents for the built
-    domain, plain differences for ad-hoc rectangle lists."""
+    """(x1, x2, dy/pi) arrays: per row of the built domain, 2 (hi - lo)
+    times its copy count, exact at every depth; plain differences for
+    ad-hoc rectangle lists."""
     if isinstance(region, RectilinearDomain):
-        return region._x1, region._x2, region._dy_pi
+        dy_pi = 2.0 * (region.hi - region.lo) * region.count
+        return region.x1, region.x2, dy_pi
     rects = tuple(region) if isinstance(region, (list, tuple)) else ()
     if not rects or not all(isinstance(r, Rect) for r in rects):
         raise ValidationError("region must be a cusp profile, a staircase "
@@ -122,11 +124,11 @@ def region_moment(region, q):
 
     Rectilinear route: w = e^{-u} turns the integrand into e^{-2(q+1)x},
     so each rectangle contributes (dy/pi)(e^{-2(q+1)x1} - e^{-2(q+1)x2})
-    / (2(q+1)) exactly.  An integer array q gives the array of moments in
-    one (len(q) x R) broadcast.  Cusp route (mu = 1_Omega dA), scalar q
-    only: a flux through the profile edges, exact at order q + 1 <=
-    ORDER_CAP and evaluated once (``_boundary_moment``).  Any other
-    region, the lens ``PowerProfile`` included, raises ValidationError.
+    / (2(q+1)) exactly (a staircase row count times that), and an integer
+    array q gives the moments in one broadcast.  Cusp route (mu = 1_Omega
+    dA), scalar q only: a flux through the profile edges, exact at order
+    q + 1 <= ORDER_CAP and evaluated once (``_boundary_moment``).  Any
+    other region, the lens ``PowerProfile`` included, raises ValidationError.
     """
     if not _is_exponent(q, 0):
         raise ValidationError("q must be an integer >= 0")

@@ -165,6 +165,20 @@ def test_cusp_galerkin_noise_floor_is_unresolved(tmp_path):
     assert text.strip().endswith("RESULT PASS")
 
 
+def test_cusp_galerkin_interlacing_skips_the_noise(tmp_path):
+    # at dyadic:20, lambda_13..18 lie below the noise floor at K = 32, so
+    # the interlacing check covers n = 1..12; over all 18 it read 1.7e-17,
+    # a comparison of rounding noise
+    code = cli.main(["cusp-galerkin", "--eps", "dyadic:20",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "certificates.txt").read_text()
+    assert ("INFO eigenvalues_nondecreasing_in_K skips n=13..18: below the"
+            " noise floor at K=32") in text
+    value = re.search(r"PASS eigenvalues_nondecreasing_in_K: (\S+)", text)
+    assert math.isclose(float(value.group(1)), 2.624232e-11, rel_tol=1e-6)
+
+
 def test_eksy_growth_artifacts(tmp_path):
     code = cli.main(["eksy-growth", "--nmax", "6", "--pmax", "64",
                      "--out", str(tmp_path)])

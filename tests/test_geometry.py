@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -7,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichletlab import geometry
+from dirichletlab import carleson, geometry, powers
 from dirichletlab.errors import ConstructionError, ValidationError
 from dirichletlab.geometry import (
     PowerProfile,
-    count_preimages,
     cusp_area,
     cusp_contains,
     disk_family,
     eksy_build,
-    eksy_contains,
     eps_exp,
     profile_make,
 )
@@ -181,15 +180,18 @@ def test_eksy_build_structure():
 
 def test_eksy_dy_over_pi_structural():
     F = eksy_build(lambda n: n.bit_length(), 30)
-    for r in F.rectangles:
-        if r.tag == "pipe":
-            assert r.dy_over_pi == 2.0 - 2.0 * 4.0 ** -r.index
-        else:
-            assert r.dy_over_pi == 2.0 * 2.0 ** -r.index
-    # deep towers: absolute y coordinates are useless, the structural
-    # extent is still exact
+    m, n = np.arange(2, 62), np.arange(1, 31)
+    # rows: base boxes m = 2..61, towers at m = 2n, pipes at depth n
+    box = np.concatenate((2.0 * 2.0 ** -m, 2.0 * 2.0 ** (-2 * n)))
+    pipe = 2.0 - 2.0 * 4.0 ** -n
+    dy_over_pi = 2.0 * (F.hi - F.lo)
+    assert list(dy_over_pi) == list(box) + list(pipe)
+    assert list(F.pipe) == [False] * 90 + [True] * 30
+    # deep towers: the absolute y coordinates have lost the extent, the
+    # row span is still exact
+    assert dy_over_pi[60 + 29] == 2.0 * 2.0**-60
     deep = [r for r in F.rectangles if r.tag == "tower" and r.index == 60]
-    assert deep and all(r.dy_over_pi == 2.0 * 2.0**-60 for r in deep)
+    assert deep and all(r.y2 - r.y1 == 0.0 for r in deep)
 
 
 def test_eksy_area_oracle():
@@ -216,12 +218,81 @@ def test_eksy_validates_targets():
         eksy_build(lambda n: 1, 0)
 
 
-def test_eksy_build_rejects_overlapping_rectangles(monkeypatch):
-    # with a band period of 0.01 instead of 2 pi the first tower of level
-    # 2 (rectangle 12) lands on its base box B(0, 4) (rectangle 2)
-    monkeypatch.setattr(geometry, "TWO_PI", 0.01)
-    with pytest.raises(ConstructionError, match="rectangles 2 and 12 overlap"):
-        eksy_build(lambda n: n, 6)
+_ROWS = ("x1", "x2", "lo", "hi", "first", "count", "pipe")
+
+
+def _absolute(F, **rows):
+    """(x1, x2, y1, y2) arrays of the copies of F with its rows replaced,
+    expanded without the row check."""
+    with mock.patch.object(geometry, "_first_overlap", lambda *a: None):
+        rects = dataclasses.replace(F, **rows).rectangles
+    return np.array([(r.x1, r.x2, r.y1, r.y2) for r in rects]).reshape(-1, 4).T
+
+
+def _rows_overlap(F, **rows):
+    """Whether the row check refuses F with its rows replaced."""
+    try:
+        dataclasses.replace(F, **rows)
+    except ConstructionError:
+        return True
+    return False
+
+
+def test_eksy_build_rejects_overlapping_rectangles():
+    # the level-2 towers (row 13) started at copy 0 land on their base box
+    # B(0, 4) (row 2); expanded, that copy is rectangle 12.  Band
+    # coordinates hold no 2 pi, so the rows are mutated, not the period
+    F = eksy_build(lambda n: n, 6)
+    first = F.first.copy()
+    first[13] = 0
+    with pytest.raises(ConstructionError, match="rows 2 and 13 overlap"):
+        dataclasses.replace(F, first=first)
+    assert geometry._first_overlap(*_absolute(F, first=first)) == (2, 12)
+
+
+def test_row_check_catches_a_duplicated_deep_level():
+    # the towers B(k, 60) of level 30 twice: pi 2^-60 lies below one ulp
+    # of 2 k pi, so every expanded copy has y1 == y2 and the absolute
+    # check passes the same mutant; the band spans keep the overlap
+    F = eksy_build(lambda n: n.bit_length(), 40)
+    row = 2 * 40 + 29
+    dup = {f: np.insert(getattr(F, f), row, getattr(F, f)[row])
+           for f in _ROWS}
+    with pytest.raises(ConstructionError,
+                       match=f"rows {row} and {row + 1} overlap"):
+        dataclasses.replace(F, **dup)
+    assert geometry._first_overlap(*_absolute(F, **dup)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_check_agrees_with_the_absolute_check(data):
+    # shallow staircases, where absolute coordinates resolve every span;
+    # box spans widen up to 1/2, because at a box span of 1 the ends
+    # 2 k pi + pi and 2 (k + 1) pi - pi may round apart by an ulp, and the
+    # absolute check would see that ulp
+    n_max = data.draw(st.integers(1, 6))
+    top = data.draw(st.integers(1, 3))
+    F = eksy_build(lambda n: max(top, n.bit_length()), n_max)
+    rows = {f: getattr(F, f).copy() for f in _ROWS}
+    ends = sorted(set(F.x1) | set(F.x2))
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, len(rows["x1"]) - 1))
+        how = data.draw(st.sampled_from(["x-end", "span", "first", "dup"]))
+        if how == "x-end":
+            end = data.draw(st.sampled_from(["x1", "x2"]))
+            rows[end][r] = data.draw(st.sampled_from(ends))
+        elif how == "span" and rows["pipe"][r]:
+            rows["lo"][r] /= 2 ** data.draw(st.integers(1, 12))
+        elif how == "span":
+            rows["hi"][r] = min(0.5, rows["hi"][r] * 2 ** data.draw(
+                st.integers(1, 12)))
+        elif how == "first":
+            rows["first"][r] = data.draw(st.integers(0, rows["first"][r]))
+        else:
+            rows = {f: np.insert(a, r, a[r]) for f, a in rows.items()}
+    absolute = geometry._first_overlap(*_absolute(F, **rows))
+    assert _rows_overlap(F, **rows) == (absolute is not None)
 
 
 def _first_overlap_brute(x1, x2, y1, y2):
@@ -272,6 +343,35 @@ def test_deep_staircase_overlap_check_stays_small():
         tracemalloc.stop()
     assert len(F.rectangles) == 14520
     assert peak <= 12.4e6
+
+
+def test_deep_staircase_holds_one_row_per_level():
+    F = eksy_build(powers.log2_targets, 200)
+    assert len(F.x1) == 800
+    assert len(F.rectangles) == 18850
+    table = np.array(carleson.eksy_window_table(F))
+    assert np.all(np.isfinite(table)) and np.all(table > 0.0)
+    rep = powers.eksy_growth_report(F, powers.log2_targets, 1 << 20)
+    for a in (rep.norm, rep.majorant, rep.ratio):
+        assert np.all(np.isfinite(a)) and np.all(a > 0.0)
+
+
+def eksy_contains(F, u):
+    """Membership in the closed union of F's rectangles, in absolute
+    coordinates."""
+    x, y = u.real, u.imag
+    return any(r.x1 <= x <= r.x2 and r.y1 <= y <= r.y2 for r in F.rectangles)
+
+
+def count_preimages(F, w):
+    """#{k : 0 <= k <= l_{n_max}, -Log w + 2k pi i in F} for 0 < |w| < 1."""
+    r = abs(w)
+    if not (0.0 < r < 1.0):
+        raise ValidationError("w must satisfy 0 < |w| < 1")
+    x0 = -math.log(r)
+    y0 = -math.atan2(w.imag, w.real)
+    return sum(eksy_contains(F, complex(x0, y0 + 2.0 * math.pi * k))
+               for k in range(F.l[-1] + 1))
 
 
 def test_eksy_contains_points():

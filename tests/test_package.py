@@ -78,6 +78,20 @@ def test_order_doubling_serves_only_the_two_witnesses():
         assert "MOMENT_RTOL" not in set(_names(tree)), name
 
 
+def test_staircase_copies_stay_in_geometry():
+    # the product path reads one row per level: only geometry expands the
+    # rows into per-copy rectangles, and the window measures and moments
+    # read the public row arrays, no private field of the domain
+    for name, tree in _module_trees():
+        if name != "geometry.py":
+            assert "rectangles" not in set(_names(tree)), name
+        if name in ("carleson.py", "powers.py"):
+            private = {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr.startswith("_")}
+            assert not private, (name, private)
+
+
 def test_quadrature_witness_stays_off_the_product_path():
     # the Gram witness backs acceptance criterion 1 from the tests only
     witness = {"build_gram", "kernel_centered", "_disk_rule", "_assemble"}

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -284,6 +285,19 @@ def test_growth_report_matches_the_per_p_routes(targets, p_max):
     maj = [growth_majorant(F, int(p)) for p in rep.ps]
     np.testing.assert_allclose(rep.norm, norm, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(rep.majorant, maj, rtol=1e-14, atol=0.0)
+
+
+def test_growth_report_memory_stays_small():
+    # one (P x rows) broadcast over 141 exponents and 480 level rows; on
+    # the 14,520 per-copy rectangles of this domain it peaked at 49.3 MB
+    F = eksy_build(lambda n: 100, 120)
+    tracemalloc.start()
+    try:
+        eksy_growth_report(F, lambda p: 100, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_growth_report_consistency():
