@@ -165,9 +165,17 @@ def eksy_window_measure(F: RectilinearDomain, N: int) -> tuple[float, float]:
 
 
 def eksy_window_table(F: RectilinearDomain):
-    """Rows (N, mu_half, mu_window, index) with index = h_N^-2 mu(W(1,h_N))."""
+    """Rows (N, mu_half, mu_window, index) with index = h_N^-2 mu(W(1,h_N)),
+    scaled by the exact power of two 2^{4N}, where 4.0 ** (2 N) would
+    overflow past N = 255.  A measure that is not a finite normal float
+    (subnormal from N = 258 on) raises ``NumericIntegrityError``."""
     rows = []
     for N in range(1, F.n_max + 1):
         mu_half, mu_window = eksy_window_measure(F, N)
-        rows.append((N, mu_half, mu_window, mu_window * 4.0 ** (2 * N)))
+        if not (math.isfinite(mu_half) and math.isfinite(mu_window)
+                and min(mu_half, mu_window) >= sys.float_info.min):
+            raise NumericIntegrityError(
+                f"window measures at N={N} are {mu_half!r} and {mu_window!r},"
+                " not normal floats")
+        rows.append((N, mu_half, mu_window, math.ldexp(mu_window, 4 * N)))
     return rows

@@ -5,6 +5,8 @@ the cusp domain Omega = {0 < x < 1, |y| < theta(1-x)}, and the family of
 disks D(c_j, r_j) sitting inside it.  Rectilinear side: the truncated
 union F of boxes, towers and pipes in the right half-plane, one row per
 level with a copy count, whose exponential image drives the power norms.
+The lens contrast profile, the area of Omega and its membership test are
+the tests' oracles (``tests/reference_routes.py``).
 """
 
 from __future__ import annotations
@@ -65,24 +67,6 @@ class CuspProfile:
         return x, y, w
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    """Lens profile theta(h) = scale * h, the non-compact contrast case of
-    criterion 4, with the one-piece breakpoint table (0, 0), (1, scale)."""
-
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.scale <= 1.0):
-            raise ValidationError("scale must be in (0, 1]")
-
-    knots = property(lambda self: np.array([0.0, 1.0]))
-    thetas = property(lambda self: np.array([0.0, self.scale]))
-
-    def eval(self, h):
-        return self.scale * np.asarray(h, dtype=float)
-
-
 def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
     """Build the cusp profile for the given targets and aperture delta."""
     if not isinstance(eps, DecaySequence):
@@ -97,28 +81,6 @@ def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
     if not np.all(np.diff(knots) > 0.0):
         raise ValidationError("anchor abscissae collapsed; delta too small for n")
     return CuspProfile(delta=delta, eps=eps, knots=knots, thetas=thetas)
-
-
-def cusp_contains(profile, z: complex) -> bool:
-    """Whether z lies in the open region {0 < x < 1, |y| < theta(1 - x)}.
-
-    Note that points closer to 1 than an ulp are indistinguishable from 1
-    here; the disk-family certificate below therefore works in the
-    cancellation-free coordinate t = 1 - x instead.
-    """
-    x, y = z.real, z.imag
-    if not (0.0 < x < 1.0):
-        return False
-    return abs(y) < float(profile.eval(1.0 - x))
-
-
-def cusp_area(profile: CuspProfile) -> float:
-    """Normalized area of the cusp domain: (2/pi) integral of theta.
-
-    Exact for the piecewise-linear profile (trapezoid on each piece).
-    """
-    t, th = profile.knots, profile.thetas
-    return float((2.0 / math.pi) * np.sum((th[1:] + th[:-1]) * np.diff(t) / 2.0))
 
 
 # ---------------------------------------------------------------------------

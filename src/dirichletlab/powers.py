@@ -1,13 +1,12 @@
-"""Dirichlet norms of symbol powers by two independent routes.
+"""Dirichlet norms of symbol powers by the region route, and the growth
+report.
 
-Series route: expand the p-th power of a polynomial symbol by repeated
-coefficient convolution and sum |c_0|^2 + sum n |c_n|^2.  Region route:
-change variables through the symbol, giving p^2 int |w|^{2p-2} dmu with
+Change variables through the symbol, giving p^2 int |w|^{2p-2} dmu with
 mu the counting measure of the image; on the rectilinear domain the
 integral collapses to a closed form, on the cusp to a one-dimensional
 Gauss rule on the profile edges that is exact for its polynomial
-integrand.
-Coefficient series are plain 1-D complex arrays c_0..c_d.
+integrand.  The coefficient (series) route that criterion 8 holds this
+against is a test oracle, in ``tests/reference_routes.py``.
 """
 
 from __future__ import annotations
@@ -20,55 +19,6 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import CuspProfile, Rect, RectilinearDomain, exp_drop
 from .quad import ORDER_CAP
-
-DEGREE_CAP = 1 << 20
-
-
-# ---------------------------------------------------------------------------
-# series route
-
-
-def norms(c) -> tuple[float, float, float]:
-    """(Dirichlet, Bergman, Hardy) norms of the polynomial sum c_n z^n.
-
-    Squared norms are |c_0|^2 + sum n |c_n|^2, sum |c_n|^2 / (n + 1) and
-    sum |c_n|^2; the Hardy norm never exceeds the Dirichlet norm.
-    """
-    c = np.asarray(c, dtype=complex).ravel()
-    if c.size == 0:
-        raise ValidationError("need at least one coefficient")
-    sq = np.abs(c) ** 2
-    n = np.arange(c.size)
-    dirichlet = float(sq[0] + (n * sq).sum())
-    bergman = float((sq / (n + 1.0)).sum())
-    hardy = float(sq.sum())
-    return math.sqrt(dirichlet), math.sqrt(bergman), math.sqrt(hardy)
-
-
-def power_coeffs(c, p: int) -> np.ndarray:
-    """Coefficients of the p-th power by square-and-multiply convolution."""
-    c = np.asarray(c, dtype=complex).ravel()
-    if c.size == 0:
-        raise ValidationError("need at least one coefficient")
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ValidationError("p must be an integer >= 1")
-    if (c.size - 1) * int(p) > DEGREE_CAP:
-        raise ValidationError(
-            f"power degree {(c.size - 1) * int(p)} exceeds cap {DEGREE_CAP}")
-    out = np.array([1.0 + 0.0j])
-    base, k = c, int(p)
-    while True:
-        if k & 1:
-            out = np.convolve(out, base)
-        k >>= 1
-        if k == 0:
-            return out
-        base = np.convolve(base, base)
-
-
-def power_norm_series(c, p: int) -> float:
-    """Dirichlet norm of the p-th power of the polynomial symbol c."""
-    return norms(power_coeffs(c, p))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +78,7 @@ def region_moment(region, q):
     array q gives the moments in one broadcast.  Cusp route (mu = 1_Omega
     dA), scalar q only: a flux through the profile edges, exact at order
     q + 1 <= ORDER_CAP and evaluated once (``_boundary_moment``).  Any
-    other region, the lens ``PowerProfile`` included, raises ValidationError.
+    other region raises ValidationError.
     """
     if not _is_exponent(q, 0):
         raise ValidationError("q must be an integer >= 0")
@@ -178,13 +128,6 @@ def growth_term(x):
     """
     x = np.asarray(x, dtype=float)
     return x * x * np.exp(-x)
-
-
-def growth_term_sum(p, n_terms: int) -> float:
-    """sum_{n=1..n_terms} of growth_term(p 4^-n)."""
-    if n_terms < 1:
-        raise ValidationError("n_terms must be >= 1")
-    return float(growth_term(float(p) * 4.0 ** -np.arange(1, n_terms + 1)).sum())
 
 
 def log2_targets(p: int) -> int:

@@ -1,8 +1,8 @@
 """Quadrature engines.
 
-Gauss-Legendre rules, tensor rules on rectangles and the order-doubling
-verifier, which only the witnesses ``gram.build_gram`` and
-``integrate_rect(..., tol)`` run.  ``_gl`` also feeds the cusp edge rule
+Gauss-Legendre rules and the order-doubling verifier, which only the
+witnesses run: ``gram.build_gram`` and the tests' rectangle rule
+(``tests/reference_routes.py``).  ``_gl`` feeds the cusp edge rule
 (``CuspProfile.edge_points``) and the Gram witness's polar disk rule
 (``gram._disk_rule``); no 2-D grid covers the cusp.
 """
@@ -79,35 +79,3 @@ def _gl(a: float, b: float, m: int):
     half = 0.5 * (b - a)
     return a + half * (rule.nodes + 1.0), half * rule.weights
 
-
-def _rect_sides(rect):
-    if hasattr(rect, "x1"):
-        return rect.x1, rect.x2, rect.y1, rect.y2
-    return rect
-
-
-def _rect_value(f, sides, m: int) -> complex:
-    x1, x2, y1, y2 = sides
-    xs, wx = _gl(x1, x2, m)
-    ys, wy = _gl(y1, y2, m)
-    vals = f(xs[:, None] + 1j * ys[None, :])
-    return complex(wx @ np.asarray(vals, dtype=complex) @ wy)
-
-
-def integrate_rect(f, rect, m: int, tol: float = None) -> complex:
-    """Tensor Gauss-Legendre integral of f over an axis-aligned rectangle.
-
-    ``f`` must accept a complex ndarray.  Exact for polynomials of degree
-    <= 2m - 1 per variable.  With ``tol`` set, the order-m value is
-    verified by ``doubling`` (needed for e^{-2px} with large p) and the
-    confirming value at twice the settled order comes back; no order above
-    ORDER_CAP is evaluated, and an unconfirmed value carries one
-    AccuracyWarning.
-    """
-    sides = _rect_sides(rect)
-    x1, x2, y1, y2 = sides
-    if x1 == x2 or y1 == y2:
-        return 0.0 + 0.0j
-    if tol is None:
-        return _rect_value(f, sides, m)
-    return doubling(lambda k: _rect_value(f, sides, k), m, tol).check

@@ -1,4 +1,6 @@
-"""Dense symmetric eigenvalues, singular values, and norm certificates.
+"""Dense symmetric eigenvalues and norm certificates.  The singular values
+that criterion 2 holds the Schur bound against are a test oracle
+(``tests/reference_routes.py``).
 
 The eigensolver is a parallel (round-robin) Jacobi iteration.  The Gram
 and moment matrices here are graded (diagonals spanning many orders of
@@ -141,16 +143,6 @@ def eigh(A) -> np.ndarray:
     if abs(diag.sum() - trace) > 1e-12 * max(abs(trace), frob):
         raise NumericIntegrityError("eigenvalue sum drifted from the trace")
     return np.sort(diag)[::-1]
-
-
-def singular_values(A) -> np.ndarray:
-    """Singular values (non-increasing) via eigenvalues of A^T A."""
-    A = _as_real(A)
-    if A.ndim != 2:
-        raise ValidationError("matrix must be 2-dimensional")
-    H = A.T @ A
-    lam = eigh(H)
-    return np.sqrt(np.clip(lam, 0.0, None))
 
 
 def schur_bound(A) -> float:

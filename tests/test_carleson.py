@@ -16,10 +16,11 @@ from dirichletlab.carleson import (
     window_area_cusp,
 )
 from dirichletlab.errors import ValidationError
-from dirichletlab.geometry import PowerProfile, cusp_area, eksy_build, profile_make
+from dirichletlab.geometry import eksy_build, profile_make
 from dirichletlab.seqs import (DecaySequence, clamp_monotone, dyadic,
                               slow_decay)
 
+from reference_routes import PowerProfile, cusp_area
 from test_acceptance import _band_measure_by_quadrature
 
 DELTA = 1.0 / 200.0

@@ -355,6 +355,27 @@ def test_cusp_rho_deep_windows(tmp_path, capsys, n, code):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nmax", [256, 300])
+def test_eksy_windows_deep_staircases(tmp_path, capsys, nmax):
+    # h_N^-2 = 4^{2N} overflows a float past N = 255, and the window
+    # measures turn subnormal at N = 258: a deep run ends in its RESULT line
+    # or in exit 3 with one numeric integrity line, never in a traceback
+    code = cli.main(["eksy-windows", "--nmax", str(nmax),
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if nmax < 258:
+        assert err == ""
+        last = (tmp_path / "certificates.txt").read_text().splitlines()[-1]
+        assert last == ("RESULT PASS" if code == 0 else "RESULT FAIL")
+        header, rows = _read_csv(tmp_path / "windows.csv")
+        assert len(rows) == nmax
+        assert all(math.isfinite(float(row[2])) for row in rows)
+    else:
+        assert code == 3
+        assert err.startswith("numeric integrity: ")
+        assert "N=258" in err and err.count("\n") == 1
+
+
 def test_run_accepts_config_dict(tmp_path):
     code = cli.run({"experiment": "seq-demo", "out": str(tmp_path),
                     "length": 5})

@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 
 from dirichletlab import carleson, geometry, powers
 from dirichletlab.errors import ConstructionError, ValidationError
-from dirichletlab.geometry import (
-    PowerProfile,
-    cusp_area,
-    cusp_contains,
-    disk_family,
-    eksy_build,
-    eps_exp,
-    profile_make,
-)
+from dirichletlab.geometry import disk_family, eksy_build, eps_exp, profile_make
 from dirichletlab.seqs import dyadic
+
+from reference_routes import PowerProfile, cusp_area, cusp_contains
 
 DELTA = 1.0 / 200.0
 

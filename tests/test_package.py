@@ -1,6 +1,9 @@
 import ast
+import dataclasses
+import importlib
 import pathlib
 import sys
+import typing
 
 import dirichletlab
 from dirichletlab import carleson
@@ -68,9 +71,10 @@ def _names(tree):
 
 
 def test_order_doubling_serves_only_the_two_witnesses():
-    # an exact rule runs once: doubling verifies only the Gram witness
-    # (gram) and integrate_rect with a tolerance (quad), and no moment
-    # tolerance is left to verify an exact rule against
+    # an exact rule runs once: doubling (quad) verifies only the Gram
+    # witness (gram) and the tests' rectangle rule, integrate_rect with a
+    # tolerance (tests/reference_routes.py), and no moment tolerance is
+    # left to verify an exact rule against
     users = {name for name, tree in _module_trees()
              if "doubling" in set(_names(tree))}
     assert users == {"quad.py", "gram.py"}
@@ -98,3 +102,80 @@ def test_quadrature_witness_stays_off_the_product_path():
     for name, tree in _module_trees():
         if name != "gram.py":
             assert not witness & set(_names(tree)), name
+
+
+# routes that only the tests use as oracles, by the module that held them
+REFERENCE_ROUTES = {
+    "quad": ("integrate_rect", "_rect_sides", "_rect_value"),
+    "geometry": ("PowerProfile", "cusp_contains", "cusp_area"),
+    "spectra": ("singular_values",),
+    "powers": ("norms", "power_coeffs", "power_norm_series", "DEGREE_CAP",
+               "growth_term_sum"),
+}
+
+
+def test_reference_routes_live_in_the_tests():
+    named = {name: set(_names(tree)) for name, tree in _module_trees()}
+    for module, routes in REFERENCE_ROUTES.items():
+        old = importlib.import_module(f"dirichletlab.{module}")
+        for route in routes:
+            assert route not in dirichletlab.__all__, route
+            assert not hasattr(old, route), (module, route)
+            users = [name for name, names in named.items() if route in names]
+            assert not users, (route, users)
+
+
+BENCH_WORKER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks/worker.py"
+
+
+def test_benchmark_worker_bindings_resolve():
+    # the benchmark's worker wraps and calls package names that no test
+    # imports; read from its source, each must still resolve
+    tree = ast.parse(BENCH_WORKER.read_text(), filename=str(BENCH_WORKER))
+    modules = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module == "dirichletlab":
+            for alias in node.names:
+                modules[alias.name] = importlib.import_module(
+                    f"dirichletlab.{alias.name}")
+        elif (node.module or "").startswith("dirichletlab."):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+    assert {"cli", "geometry", "gram", "powers", "seqs"} <= set(modules)
+    hooks = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    wrapped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            # cli.run, powers.jensen_lower, geometry.profile_make, the seqs
+            # regularizers, on a module or on self.<module>
+            base = node.value
+            key = base.id if isinstance(base, ast.Name) else getattr(
+                base, "attr", None)
+            if key in modules:
+                assert hasattr(modules[key], node.attr), (key, node.attr)
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "wrap"
+                and isinstance(node.args[0], ast.Name)):
+            continue
+        key, name = node.args[0].id, node.args[1].value
+        fn = getattr(modules[key], name, None)
+        assert callable(fn), (key, name)
+        wrapped.add(name)
+        if len(node.args) < 4:
+            continue
+        # a hook reads attributes of the wrapped call's result, such as
+        # eksy_build(...).rectangles and build_gram(...).order
+        returns = typing.get_type_hints(fn).get("return")
+        fields = ({f.name for f in dataclasses.fields(returns)}
+                  if dataclasses.is_dataclass(returns) else set())
+        for sub in ast.walk(hooks[node.args[3].id]):
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "result"):
+                assert (sub.attr in fields
+                        or hasattr(returns, sub.attr)), (name, sub.attr)
+    assert {"build_gram", "kernel_centered", "eksy_build"} <= wrapped

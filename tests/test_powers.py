@@ -9,30 +9,22 @@ import pytest
 
 from dirichletlab.errors import ValidationError
 from dirichletlab.galerkin import moment_matrix
-from dirichletlab.geometry import (
-    PowerProfile,
-    Rect,
-    cusp_area,
-    eksy_build,
-    profile_make,
-)
+from dirichletlab.geometry import Rect, eksy_build, profile_make
 from dirichletlab.powers import (
     eksy_growth_report,
     growth_grid,
     growth_majorant,
     growth_term,
-    growth_term_sum,
     jensen_lower,
     log2_targets,
-    norms,
-    power_coeffs,
     power_norm_region,
-    power_norm_series,
     region_moment,
 )
 from dirichletlab.seqs import clamp_monotone, dyadic, slow_decay
 
 from cusp_oracles import cusp_moment, fan_moment
+from reference_routes import (PowerProfile, cusp_area, growth_term_sum, norms,
+                              power_coeffs, power_norm_series)
 
 DELTA = 1.0 / 200.0
 

@@ -7,11 +7,12 @@ import pytest
 
 from dirichletlab import gram, powers, quad
 from dirichletlab.errors import AccuracyWarning, ValidationError
-from dirichletlab.geometry import cusp_area, profile_make
-from dirichletlab.quad import doubling, gauss_nodes, integrate_rect
+from dirichletlab.geometry import profile_make
+from dirichletlab.quad import doubling, gauss_nodes
 from dirichletlab.seqs import dyadic
 
 from cusp_oracles import cusp_moment
+from reference_routes import cusp_area, integrate_rect
 
 DELTA = 1.0 / 200.0
 
