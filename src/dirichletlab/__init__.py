@@ -9,8 +9,7 @@ from .errors import (AccuracyWarning, ConstructionError, NumericIntegrityError,
 from .seqs import CAP, DecaySequence, clamp_monotone, dyadic, slow_decay
 from .geometry import (CuspProfile, DiskFamily, Rect, RectilinearDomain,
                        disk_family, eksy_build, eps_exp, profile_make)
-from .quad import QuadratureRule, gauss_nodes
-from .spectra import NeumannBounds, eigh, neumann_lower, schur_bound
+from .spectra import eigh, schur_bound
 from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
                    bernstein_certificate, closed_form_gram, nu_bound,
                    tec_report)
@@ -31,8 +30,7 @@ __all__ = [
     "CAP", "DecaySequence", "clamp_monotone", "dyadic", "slow_decay",
     "CuspProfile", "DiskFamily", "Rect", "RectilinearDomain",
     "disk_family", "eksy_build", "eps_exp", "profile_make",
-    "QuadratureRule", "gauss_nodes",
-    "NeumannBounds", "eigh", "neumann_lower", "schur_bound",
+    "eigh", "schur_bound",
     "CertificateReport", "CheckResult", "GramMatrix", "TecReport",
     "bernstein_certificate", "closed_form_gram", "nu_bound", "tec_report",
     "WindowMeasureReport", "cusp_window_report", "eksy_window_measure",

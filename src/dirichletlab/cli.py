@@ -266,12 +266,11 @@ def _eksy_windows(args, log):
     table = carleson.eksy_window_table(F)
     for N, mu_half, _, _ in table:
         l_N = F.l[N - 1]
-        closed = l_N * 4.0 ** (-2 * N) * (1.0 - 0.75 * 2.0 ** (-2 * N))
+        closed = l_N * carleson.half_window_area(2 * N)
         log.check(f"half_window_closed_form_N{N}",
                   abs(mu_half - closed), 1e-12 * closed, "<=", "closed form")
         log.check(f"half_window_ge_area_sum_N{N}", mu_half,
-                  l_N * carleson.half_window_area(2 * N) * (1.0 - 1e-12),
-                  ">=", "closed form")
+                  closed * (1.0 - 1e-12), ">=", "closed form")
     indices = [index for _, _, _, index in table]
     log.check("index_threshold_exceeded", max(indices), args.threshold,
               ">=", "closed form")

@@ -61,7 +61,7 @@ class CuspProfile:
         own t, as 1 - t, rather than interpolated between the rounded ends
         1 - t0 and 1 - t1."""
         t, th = self.knots, self.thetas
-        s, w = _gl(0.0, 1.0, m)
+        s, w = _gl(m)
         x = 1.0 - (t[:-1, None] + (t[1:] - t[:-1])[:, None] * s)
         y = th[:-1, None] + (th[1:] - th[:-1])[:, None] * s
         return x, y, w
@@ -266,9 +266,6 @@ def _as_l_values(M, n_max: int) -> list[int]:
     return [min(n, vals[n - 1] ** 2) for n in range(1, n_max + 1)]
 
 
-_PAIR_BLOCK = 1 << 16
-
-
 def _first_overlap(x1, x2, *spans):
     """The lexicographically smallest pair (i, j), i < j, of boxes whose
     interiors meet, or None.  Box i spans [x1[i], x2[i]] and [lo[i], hi[i]]
@@ -276,41 +273,42 @@ def _first_overlap(x1, x2, *spans):
 
     Sweep: with the boxes ranked by x1, the one of rank a can only
     overlap the later ranks a + 1 .. stop[a] - 1, whose x1 lies below its
-    own x2.  Only those candidate pairs are tested, in blocks of at most
-    _PAIR_BLOCK, so memory stays O(R) (Six & Wood, BIT 20, 1980).
+    own x2 (Six & Wood, BIT 20, 1980).  Only those candidate pairs are
+    tested, all in one pass: the deepest staircase ``eksy_build`` accepts
+    (n_max 537, 2,148 rows) has 1,612 of them, but a hand-built domain of
+    R rows can hold up to R^2/2 pair indices.
     """
     n = len(x1)
     order = np.argsort(x1, kind="stable")
     start = np.arange(1, n + 1)
     stop = np.maximum(np.searchsorted(x1[order], x2[order]), start)
     ends = np.cumsum(stop - start)          # candidate pairs up to rank a
-    best = n * n                            # pair (i, j) as the key i n + j
-    for k0 in range(0, int(ends[-1]), _PAIR_BLOCK):
-        k = np.arange(k0, min(k0 + _PAIR_BLOCK, int(ends[-1])))
-        a = np.searchsorted(ends, k, side="right")   # pair k: ranks a and
-        i, j = order[a], order[k - ends[a] + stop[a]]  # stop[a] - (ends[a] - k)
-        bad = np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]) > 0.0
-        for lo, hi in zip(spans[::2], spans[1::2]):
-            bad &= np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 0.0
-        key = np.minimum(i, j) * n + np.maximum(i, j)
-        best = int(key.min(initial=best, where=bad))
-    return None if best == n * n else divmod(best, n)
+    k = np.arange(int(ends[-1]))
+    a = np.searchsorted(ends, k, side="right")     # pair k: ranks a and
+    i, j = order[a], order[k - ends[a] + stop[a]]  # stop[a] - (ends[a] - k)
+    bad = np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]) > 0.0
+    for lo, hi in zip(spans[::2], spans[1::2]):
+        bad &= np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 0.0
+    key = (np.minimum(i, j) * n + np.maximum(i, j))[bad]  # pair as i n + j
+    return divmod(int(key.min()), n) if key.size else None
 
 
 def eksy_build(M, n_max: int) -> RectilinearDomain:
     """Build the truncated domain F for targets M (sequence or callable)."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    l = _as_l_values(M, n_max)
-    eps4 = eps_exp(np.arange(2 * n_max + 3))
+    # pipes first, before any target is read: from depth 538 on, 4^-2n and
+    # the box width eps_2n - eps_2n+1 both round to 0, so the check fails
+    n = np.arange(1, min(n_max, 538) + 1)       # tower levels, pipe depths
+    eps4 = eps_exp(np.arange(2 * n.size + 3))
     eps4[0] = np.inf
-    m = np.arange(2, 2 * n_max + 2)             # base boxes
-    n = np.arange(1, n_max + 1)                 # tower levels, pipe depths
     width = 4.0 ** (-2 * n)
     wide = np.flatnonzero(~(width < eps4[2 * n] - eps4[2 * n + 1]))
     if wide.size:
         raise ConstructionError(
             f"pipe at depth {wide[0] + 1} wider than its box")
+    l = _as_l_values(M, n_max)
+    m = np.arange(2, 2 * n_max + 2)             # base boxes
     mid = 0.5 * (eps4[2 * n + 1] + eps4[2 * n])
     copies = np.array(l) - 1
     return RectilinearDomain(

@@ -142,7 +142,7 @@ def _disk_rule(m: int):
     doubling cannot see it; the comparison with ``closed_form_gram``
     (acceptance criterion 1) is what would.
     """
-    s, ws = _gl(0.0, 1.0, m)
+    s, ws = _gl(m)
     ang = 2.0 * math.pi * np.arange(_ANGLES) / _ANGLES
     pts = np.sqrt(s)[:, None] * np.exp(1j * ang)[None, :]
     return pts.ravel(), np.repeat(ws / _ANGLES, _ANGLES)
@@ -283,19 +283,18 @@ def _check(name, value, bound, op, source) -> CheckResult:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    applicable: bool
     beta_hat: float
     lambda_min: float
     certified_lower: float | None
     eigenvalues: np.ndarray
     target_sq: float            # eps_n^2 / 64
     target: float               # eps_n / 8
-    neumann: spectra.NeumannBounds | None
+    neumann_floor: float | None  # min_i m_ii (1 - max(1/2, beta_hat))
     checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
-        return self.applicable and all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks)
 
 
 def bernstein_certificate(M: GramMatrix) -> CertificateReport:
@@ -316,15 +315,15 @@ def bernstein_certificate(M: GramMatrix) -> CertificateReport:
     beta = spectra.schur_bound(nu) if n > 1 else 0.0
     lam = spectra.eigh(M.entries)
     lam_min = float(lam[-1])
-    if beta >= 1.0:
+    if beta >= 1.0:                 # no floor holds: the one line fails
         return CertificateReport(
-            applicable=False, beta_hat=beta, lambda_min=lam_min,
-            certified_lower=None, eigenvalues=lam, target_sq=target_sq,
-            target=target, neumann=None, checks=(
-                _check("schur_contraction", beta, 1.0, "<=", "schur"),))
+            beta_hat=beta, lambda_min=lam_min, certified_lower=None,
+            eigenvalues=lam, target_sq=target_sq, target=target,
+            neumann_floor=None, checks=(
+                _check("schur_contraction", beta, math.nextafter(1.0, 0.0),
+                       "<=", "schur"),))
     cert = (1.0 - beta) * float(d.min())
-    q = max(0.5, beta)
-    nb = spectra.neumann_lower(d, nu, q)
+    neumann_floor = float(d.min()) * (1.0 - max(0.5, beta))
     # a single disk has no off-diagonal part, so no Schur bound to check
     checks = ((_check("schur_bound_le_half", beta, 0.5, "<=", "schur"),)
               if n > 1 else ())
@@ -337,10 +336,9 @@ def bernstein_certificate(M: GramMatrix) -> CertificateReport:
                "schur+eigensolver"),
         _check("lambda_min_le_min_diag", lam_min, float(d.min()), "<=",
                "eigensolver"),
-        _check("neumann_floor", lam_min, float(nb.bounds[n - 1]), ">=",
-               "neumann"),
+        _check("neumann_floor", lam_min, neumann_floor, ">=", "neumann"),
     )
     return CertificateReport(
-        applicable=True, beta_hat=float(beta), lambda_min=lam_min,
-        certified_lower=cert, eigenvalues=lam, target_sq=target_sq,
-        target=target, neumann=nb, checks=checks)
+        beta_hat=float(beta), lambda_min=lam_min, certified_lower=cert,
+        eigenvalues=lam, target_sq=target_sq, target=target,
+        neumann_floor=neumann_floor, checks=checks)

@@ -1,7 +1,7 @@
 """Quadrature engines.
 
-Gauss-Legendre rules and the order-doubling verifier, which only the
-witnesses run: ``gram.build_gram`` and the tests' rectangle rule
+The Gauss-Legendre rule on [0, 1] and the order-doubling verifier, which
+only the witnesses run: ``gram.build_gram`` and the tests' rectangle rule
 (``tests/reference_routes.py``).  ``_gl`` feeds the cusp edge rule
 (``CuspProfile.edge_points``) and the Gram witness's polar disk rule
 (``gram._disk_rule``); no 2-D grid covers the cusp.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import collections
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,33 +48,14 @@ def doubling(value, order: int, rtol: float) -> Doubling:
     return Doubling(val, val, order, residual)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1]: weights sum to 2, exact through
-    degree 2m - 1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 @functools.lru_cache(maxsize=ORDER_CAP)
-def _gauss_rule(m: int) -> QuadratureRule:
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = w.flags.writeable = False
-    return QuadratureRule(nodes=x, weights=w)
-
-
-def gauss_nodes(m: int) -> QuadratureRule:
-    """The order-m rule, built once per process; its arrays are read-only.
-    Every order up to ORDER_CAP stays cached (2.1 MB for all 512)."""
+def _gl(m: int):
+    """Read-only nodes and weights of the order-m Gauss-Legendre rule on
+    [0, 1], exact through degree 2m - 1; each order is built once, and all
+    orders up to ORDER_CAP stay cached (2.1 MB for all 512)."""
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValidationError(f"order {m} must be an integer >= 1")
-    return _gauss_rule(int(m))
-
-
-def _gl(a: float, b: float, m: int):
-    """Nodes and weights on [a, b]."""
-    rule = gauss_nodes(m)
-    half = 0.5 * (b - a)
-    return a + half * (rule.nodes + 1.0), half * rule.weights
-
+    x, w = np.polynomial.legendre.leggauss(int(m))
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    s.flags.writeable = ws.flags.writeable = False
+    return s, ws

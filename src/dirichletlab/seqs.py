@@ -96,6 +96,6 @@ def slow_decay(seq, rho: float = 0.5) -> DecaySequence:
 
 def dyadic(n: int) -> DecaySequence:
     """The canonical targets eps_i = 2^(-7-i), i = 1..n."""
-    if n < 1:
-        raise ValidationError("need n >= 1")
+    if not (1 <= n <= 1067):        # refused before any term is built
+        raise ValidationError("need 1 <= n <= 1067: 2^(-7-n) is 0 past 1067")
     return DecaySequence(tuple(2.0 ** (-7 - i) for i in range(1, n + 1)))

@@ -1,6 +1,6 @@
-"""Dense symmetric eigenvalues and norm certificates.  The singular values
-that criterion 2 holds the Schur bound against are a test oracle
-(``tests/reference_routes.py``).
+"""Dense symmetric eigenvalues and the Schur bound, on which the Gram
+certificate builds its floors; the singular values that criterion 2 holds
+that bound against are a test oracle (``tests/reference_routes.py``).
 
 The eigensolver is a parallel (round-robin) Jacobi iteration.  The Gram
 and moment matrices here are graded (diagonals spanning many orders of
@@ -24,7 +24,6 @@ happens at operation entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,34 +152,3 @@ def schur_bound(A) -> float:
     alpha = float(A.sum(axis=1).max())
     beta = float(A.sum(axis=0).max())
     return float(np.sqrt(alpha * beta))
-
-
-@dataclass(frozen=True)
-class NeumannBounds:
-    """Per-index lower bounds d_(n) (1 - q) for the singular values of
-    Dg(I + N); inapplicable when the supplied q reaches 1."""
-
-    applicable: bool
-    q: float
-    bounds: np.ndarray | None
-
-
-def neumann_lower(diag, N, q: float) -> NeumannBounds:
-    """Lower bounds b_n >= d_(n) (1 - q) for M = Dg(I + N) with ||N|| <= q.
-
-    d_(n) is the n-th largest diagonal entry.  The factor (1 - q) comes
-    from inverting I + N by its Neumann series: ||(I + N)^-1|| <= 1/(1 - q),
-    so b_n(M) >= b_n(Dg) (1 - q).  For q = 1/2 this is the m_nn/2 bound.
-    """
-    d = np.asarray(diag, dtype=float).ravel()
-    if d.size == 0 or np.any(d <= 0.0):
-        raise ValidationError("diagonal must be positive")
-    N = np.asarray(N, dtype=float)
-    if N.shape != (d.size, d.size):
-        raise ValidationError("N must be square and match the diagonal")
-    if not (q >= 0.0):
-        raise ValidationError("q must be non-negative")
-    if q >= 1.0:
-        return NeumannBounds(applicable=False, q=float(q), bounds=None)
-    return NeumannBounds(applicable=True, q=float(q),
-                         bounds=np.sort(d)[::-1] * (1.0 - q))

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 
 from dirichletlab.errors import ValidationError
-from dirichletlab.quad import DOUBLING_RTOL, doubling, gauss_nodes
+from dirichletlab.quad import DOUBLING_RTOL, doubling
 
 
 def cusp_nodes(profile, mt: int, my: int):
@@ -24,13 +24,12 @@ def cusp_nodes(profile, mt: int, my: int):
     total degree <= min(2 mt - 2, 2 my - 1).
     """
     knots, thetas = profile.knots, profile.thetas
-    rule = gauss_nodes(my)
-    u, wu = rule.nodes, rule.weights
-    tr = gauss_nodes(mt)
+    u, wu = np.polynomial.legendre.leggauss(my)
+    tn, tw = np.polynomial.legendre.leggauss(mt)
     pts, wts = [], []
     for a, b in zip(knots[:-1], knots[1:]):
         half = 0.5 * (float(b) - float(a))
-        t, wt = float(a) + half * (tr.nodes + 1.0), half * tr.weights
+        t, wt = float(a) + half * (tn + 1.0), half * tw
         th = np.interp(t, knots, thetas)    # as CuspProfile.eval(t)
         pts.append(((1.0 - t)[:, None] + 1j * (th[:, None] * u[None, :])).ravel())
         wts.append(((wt * th / math.pi)[:, None] * wu[None, :]).ravel())

@@ -35,8 +35,9 @@ def _rect_sides(rect):
 
 def _rect_value(f, sides, m: int) -> complex:
     x1, x2, y1, y2 = sides
-    xs, wx = _gl(x1, x2, m)
-    ys, wy = _gl(y1, y2, m)
+    s, w = _gl(m)
+    xs, wx = x1 + (x2 - x1) * s, (x2 - x1) * w
+    ys, wy = y1 + (y2 - y1) * s, (y2 - y1) * w
     vals = f(xs[:, None] + 1j * ys[None, :])
     return complex(wx @ np.asarray(vals, dtype=complex) @ wy)
 

@@ -420,6 +420,9 @@ def test_cusp_gram_family_shorter_than_eps(tmp_path, n):
 @pytest.mark.parametrize("experiment,flag,spec", [
     ("cusp-gram", "--eps", "dyadic:130"),        # disk 124 leaves the cusp
     ("eksy-growth", "--M", "file:{empty}"),      # no targets for the levels
+    ("eksy-growth", "--nmax", "100000"),         # pipes past depth 537
+    ("eksy-windows", "--nmax", "100000"),
+    ("cusp-rho", "--eps", "dyadic:100000"),      # 2^(-7-n) is 0 past 1067
 ])
 def test_construction_and_short_targets_exit_two(tmp_path, capsys,
                                                   experiment, flag, spec):

@@ -314,29 +314,48 @@ _BOXES = st.lists(st.tuples(_GRID, _GRID, _GRID, _GRID), min_size=1,
                   max_size=14)
 
 
-@pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 3])
+@pytest.mark.parametrize("scale", [3, 65536])
 @settings(max_examples=300, deadline=None)
 @given(boxes=_BOXES)
-def test_first_overlap_matches_all_pairs(block, boxes):
-    # block = 3 splits the candidate pairs at block seams, mid-row too
-    x1, x2, y1, y2 = np.array(boxes, dtype=float).reshape(-1, 4).T
-    with mock.patch.object(geometry, "_PAIR_BLOCK", block):
-        got = geometry._first_overlap(x1, x2, y1, y2)
+def test_first_overlap_matches_all_pairs(scale, boxes):
+    # the same grid boxes at two integer scales, both exact in binary: the
+    # answer depends on the order of the corners, not on their size
+    x1, x2, y1, y2 = scale * np.array(boxes, dtype=float).reshape(-1, 4).T
+    got = geometry._first_overlap(x1, x2, y1, y2)
     assert got == _first_overlap_brute(x1, x2, y1, y2)
 
 
 def test_deep_staircase_overlap_check_stays_small():
-    # R = 14,520 rectangles and 866,540 candidate pairs: the blocked
-    # sweep keeps the build's traced peak (9.7 MB) below the 12.4 MB of the
-    # R x R row-blocked check; the same sweep unblocked peaks at 61 MB
+    # the deepest staircase eksy_build accepts: R = 2,148 rows and 1,612
+    # candidate pairs.  The build's traced peak (0.37 MB) stays below
+    # 1 MB, where an R x R mask of bools alone would take 4.6 MB
     tracemalloc.start()
     try:
-        F = eksy_build(lambda n: 100, 120)
+        F = eksy_build(lambda n: 100, 537)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(F.rectangles) == 14520
-    assert peak <= 12.4e6
+    assert len(F.x1) == 2148
+    assert sum(F.count) == 288906
+    assert peak <= 1.0e6
+
+
+def test_too_deep_staircase_fails_before_reading_targets():
+    # from depth 538 on, pipe and box widths both round to 0; the depth
+    # is refused before the targets of 100,000 levels are read
+    calls = []
+
+    def M(n):
+        calls.append(n)
+        return 100
+
+    with pytest.raises(ConstructionError,
+                       match="pipe at depth 538 wider than its box"):
+        eksy_build(M, 100_000)
+    assert len(calls) <= 538
+    with pytest.raises(ConstructionError,
+                       match="pipe at depth 538 wider than its box"):
+        eksy_build(M, 538)
 
 
 def test_deep_staircase_holds_one_row_per_level():

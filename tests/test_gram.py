@@ -99,7 +99,6 @@ def test_nu_row_sums_below_hand_bound(small_gram):
 
 def test_certificate_chain(small_gram):
     rep = bernstein_certificate(small_gram)
-    assert rep.applicable
     assert rep.passed
     eps4 = small_gram.family.eps.values[3]
     assert rep.target_sq == eps4**2 / 64.0
@@ -109,11 +108,10 @@ def test_certificate_chain(small_gram):
     assert rep.certified_lower <= rep.lambda_min <= d.min() * (1.0 + 1e-12)
     assert rep.lambda_min >= rep.target_sq
     assert rep.beta_hat <= 0.5
-    # q = max(1/2, beta) with beta below 1/2 here, so the bottom Neumann
-    # bound is exactly half the smallest diagonal entry
-    assert rep.neumann.q == 0.5
-    assert rep.neumann.bounds[-1] == d.min() / 2.0
-    assert rep.lambda_min >= rep.neumann.bounds[-1]
+    # q = max(1/2, beta) with beta below 1/2 here, so the Neumann floor
+    # is exactly half the smallest diagonal entry
+    assert rep.neumann_floor == d.min() / 2.0
+    assert rep.lambda_min >= rep.neumann_floor
     names = [c.name for c in rep.checks]
     assert len(names) == 7 and len(set(names)) == 7
     assert all(c.passed for c in rep.checks)
@@ -130,6 +128,20 @@ def test_certificate_diagonal_matrix_is_tight():
     assert rep.beta_hat == 0.0
     assert rep.certified_lower == rep.lambda_min == float(np.diag(entries).min())
     assert rep.passed
+
+
+def test_certificate_fails_when_the_schur_bound_reaches_one():
+    # the all-ones matrix has beta = 1 exactly: the contraction line must
+    # fail, not read 1 <= 1
+    fam = disk_family(dyadic(2), DELTA, 2)
+    M = GramMatrix(n=2, entries=np.ones((2, 2)), family=fam, order=None,
+                   doubling_residual=None)
+    rep = bernstein_certificate(M)
+    assert rep.beta_hat == 1.0
+    assert [c.name for c in rep.checks] == ["schur_contraction"]
+    assert not rep.checks[0].passed
+    assert not rep.passed
+    assert rep.neumann_floor is None and rep.certified_lower is None
 
 
 def test_tec_report_family_shorter_than_eps():

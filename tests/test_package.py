@@ -125,6 +125,28 @@ def test_reference_routes_live_in_the_tests():
             assert not users, (route, users)
 
 
+# general forms replaced by the one form their callers use, by the module
+# that held them: the Neumann floor is one number of the Gram certificate,
+# the Gauss rule one cached table on [0, 1] (quad._gl), and the row sweep
+# tests every candidate pair in one pass
+REPLACED_FORMS = {
+    "spectra": ("NeumannBounds", "neumann_lower"),
+    "quad": ("QuadratureRule", "gauss_nodes", "_gauss_rule"),
+    "geometry": ("_PAIR_BLOCK",),
+}
+
+
+def test_replaced_general_forms_are_gone():
+    named = {name: set(_names(tree)) for name, tree in _module_trees()}
+    for module, forms in REPLACED_FORMS.items():
+        old = importlib.import_module(f"dirichletlab.{module}")
+        for form in forms:
+            assert form not in dirichletlab.__all__, form
+            assert not hasattr(old, form), (module, form)
+            users = [name for name, names in named.items() if form in names]
+            assert not users, (form, users)
+
+
 BENCH_WORKER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks/worker.py"
 
 

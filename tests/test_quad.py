@@ -8,7 +8,7 @@ import pytest
 from dirichletlab import gram, powers, quad
 from dirichletlab.errors import AccuracyWarning, ValidationError
 from dirichletlab.geometry import profile_make
-from dirichletlab.quad import doubling, gauss_nodes
+from dirichletlab.quad import _gl, doubling
 from dirichletlab.seqs import dyadic
 
 from cusp_oracles import cusp_moment
@@ -18,41 +18,40 @@ DELTA = 1.0 / 200.0
 
 
 def test_gauss_low_order_classics():
-    r1 = gauss_nodes(1)
-    assert r1.nodes[0] == 0.0
-    assert r1.weights[0] == 2.0
-    r2 = gauss_nodes(2)
-    assert np.allclose(r2.nodes, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)],
-                       rtol=0.0, atol=1e-15)
-    assert np.allclose(r2.weights, [1.0, 1.0], rtol=0.0, atol=1e-15)
+    s1, w1 = _gl(1)
+    assert s1[0] == 0.5
+    assert w1[0] == 1.0
+    s2, w2 = _gl(2)
+    assert np.allclose(s2, [0.5 - 0.5 / math.sqrt(3.0),
+                            0.5 + 0.5 / math.sqrt(3.0)], rtol=0.0, atol=1e-15)
+    assert np.allclose(w2, [0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
-def test_gauss_weights_sum_to_two():
+def test_gauss_weights_sum_to_one():
     for m in (1, 3, 8, 32, 100):
-        r = gauss_nodes(m)
-        assert math.isclose(float(np.sum(r.weights)), 2.0, rel_tol=1e-14)
+        s, w = _gl(m)
+        assert math.isclose(float(np.sum(w)), 1.0, rel_tol=1e-14)
+        assert np.all((s > 0.0) & (s < 1.0))
 
 
 def test_gauss_monomial_exactness():
     # degree 30 with 16 points: 2m - 1 = 31 covers it
-    r = gauss_nodes(16)
-    val = float(r.weights @ r.nodes**30)
-    assert math.isclose(val, 2.0 / 31.0, rel_tol=1e-12)
+    s, w = _gl(16)
+    val = float(w @ s**30)
+    assert math.isclose(val, 1.0 / 31.0, rel_tol=1e-12)
     rng = np.random.default_rng(3)
     for _ in range(20):
         m = int(rng.integers(2, 24))
         k = int(rng.integers(0, 2 * m))     # k <= 2m - 1
-        r = gauss_nodes(m)
-        val = float(r.weights @ r.nodes**k)
-        exact = 0.0 if k % 2 else 2.0 / (k + 1)
-        assert abs(val - exact) < 1e-12
+        s, w = _gl(m)
+        assert abs(float(w @ s**k) - 1.0 / (k + 1)) < 1e-12
 
 
 def test_gauss_validates_order():
     with pytest.raises(ValidationError):
-        gauss_nodes(0)
+        _gl(0)
     with pytest.raises(ValidationError):
-        gauss_nodes(2.5)
+        _gl(2.5)
 
 
 def test_rect_integral_polynomials():
@@ -139,8 +138,7 @@ def test_cusp_moment_validates_degrees():
 
 
 def test_cached_nodes_are_read_only():
-    rule = gauss_nodes(8)
-    for a in (rule.nodes, rule.weights):
+    for a in _gl(8):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -154,7 +152,7 @@ def test_jensen_loop_builds_each_rule_once(monkeypatch):
         return leggauss(deg)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    quad._gauss_rule.cache_clear()
+    quad._gl.cache_clear()
     prof = profile_make(dyadic(8), DELTA)
     for p in range(1, 65):
         powers.jensen_lower(prof, p)
@@ -164,7 +162,7 @@ def test_jensen_loop_builds_each_rule_once(monkeypatch):
     # the cache holds every order a moment loop asks for: a second pass
     # and a second profile rebuild none of them
     calls.clear()
-    quad._gauss_rule.cache_clear()
+    quad._gl.cache_clear()
     profiles = (prof, profile_make(dyadic(20), DELTA))
     for _ in range(2):
         for profile in profiles:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,22 @@ def test_dyadic_values_exact():
 def test_dyadic_rejects_bad_length():
     with pytest.raises(ValidationError):
         dyadic(0)
+
+
+def test_dyadic_refuses_underflowing_lengths_up_front():
+    # 2^(-7-n) is the smallest subnormal at n = 1067 and 0 from 1068 on
+    assert dyadic(1067).values[-1] == 2.0 ** -1074 > 0.0
+    with pytest.raises(ValidationError):
+        dyadic(1068)
+    # refused before any term is built: no 10^6-term tuple (about 32 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            dyadic(1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_cap_value():

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from dirichletlab.errors import ValidationError
-from dirichletlab.spectra import eigh, neumann_lower, schur_bound
+from dirichletlab.geometry import disk_family
+from dirichletlab.gram import GramMatrix, bernstein_certificate
+from dirichletlab.seqs import dyadic
+from dirichletlab.spectra import eigh, schur_bound
 
 from reference_routes import singular_values
 
@@ -123,38 +126,51 @@ def test_schur_bound_dominates_spectral_norm():
         assert top <= schur_bound(A) * (1.0 + 1e-12)
 
 
+def _certificate(entries):
+    """bernstein_certificate on a hand-made Gram matrix; the disk family
+    supplies only the targets eps_n."""
+    n = len(entries)
+    fam = disk_family(dyadic(n), 1.0 / 200.0, n)
+    return bernstein_certificate(GramMatrix(
+        n=n, entries=np.asarray(entries, dtype=float), family=fam,
+        order=None, doubling_residual=None))
+
+
 def test_neumann_lower_oracle():
-    d = [4.0, 1.0, 9.0]
-    nb = neumann_lower(d, np.zeros((3, 3)), q=0.5)
-    assert nb.applicable
-    assert list(nb.bounds) == [4.5, 2.0, 0.5]   # sorted desc, halved
+    # N = 0: q = max(1/2, 0) = 1/2, so the floor is half the smallest entry
+    cert = _certificate(np.diag([4.0, 1.0, 9.0]))
+    assert cert.beta_hat == 0.0
+    assert cert.neumann_floor == 0.5
 
 
 def test_neumann_lower_soundness():
-    # M = Dg (I + N) with a small random N: every singular value of M
-    # must clear the certified bound
+    # symmetric M = D (I + N) with random N of Schur bound below 1: the
+    # Neumann floor never exceeds LAPACK's smallest eigenvalue
     rng = np.random.default_rng(41)
     for _ in range(15):
         n = int(rng.integers(2, 6))
         d = np.exp(rng.uniform(-6.0, 2.0, size=n))
-        N = rng.uniform(-1.0, 1.0, size=(n, n))
-        N *= 0.4 / max(1.0, float(singular_values(N)[0]))
-        q = float(singular_values(N)[0])
-        M = np.diag(d) @ (np.eye(n) + N)
-        sv = singular_values(M)
-        nb = neumann_lower(d, N, q=q)
-        assert nb.applicable
-        assert np.all(sv >= nb.bounds * (1.0 - 1e-10))
+        S = rng.uniform(-1.0, 1.0, size=(n, n))
+        S = np.sqrt(np.outer(d, d)) * (S + S.T)
+        np.fill_diagonal(S, 0.0)
+        S *= rng.uniform(0.05, 0.95) / schur_bound(S / d[:, None])
+        M = np.diag(d) + S
+        assert schur_bound(S / d[:, None]) < 1.0
+        cert = _certificate(M)
+        assert cert.neumann_floor is not None
+        assert cert.neumann_floor <= np.linalg.eigvalsh(M)[0] * (1.0 + 1e-10)
 
 
 def test_neumann_lower_inapplicable_and_validation():
-    nb = neumann_lower([1.0], np.zeros((1, 1)), q=1.0)
-    assert not nb.applicable
-    assert nb.bounds is None
+    # beta > 1: no Neumann floor, and the one line the certificate reports
+    # fails
+    cert = _certificate([[1.0, 2.0], [2.0, 1.0]])
+    assert cert.beta_hat == 2.0
+    assert cert.neumann_floor is None and cert.certified_lower is None
+    assert [c.name for c in cert.checks] == ["schur_contraction"]
+    assert not cert.checks[0].passed and not cert.passed
     with pytest.raises(ValidationError):
-        neumann_lower([0.0], np.zeros((1, 1)), q=0.1)
-    with pytest.raises(ValidationError):
-        neumann_lower([1.0, 2.0], np.zeros((3, 3)), q=0.1)
+        _certificate([[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_eigh_cusp_moment_matrix_matches_lapack():
