@@ -4,13 +4,12 @@ slow decay of approximation numbers, and a box/tower/pipe domain whose
 exponential image has bounded power norms while the operator itself is
 unbounded."""
 
-from .errors import (AccuracyWarning, ConstructionError, NumericIntegrityError,
-                     ValidationError)
+from .errors import ConstructionError, NumericIntegrityError, ValidationError
 from .seqs import CAP, DecaySequence, clamp_monotone, dyadic, slow_decay
 from .geometry import (CuspProfile, DiskFamily, Rect, RectilinearDomain,
                        disk_family, eksy_build, eps_exp, profile_make)
 from .spectra import eigh, schur_bound
-from .gram import (CertificateReport, CheckResult, GramMatrix, TecReport,
+from .gram import (CertificateReport, CheckResult, GramMatrix,
                    bernstein_certificate, closed_form_gram, nu_bound,
                    tec_report)
 from .carleson import (WindowMeasureReport, cusp_window_report,
@@ -25,13 +24,12 @@ from .galerkin import (CompressionScan, MomentMatrix, compression_scan,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyWarning", "ConstructionError", "NumericIntegrityError",
-    "ValidationError",
+    "ConstructionError", "NumericIntegrityError", "ValidationError",
     "CAP", "DecaySequence", "clamp_monotone", "dyadic", "slow_decay",
     "CuspProfile", "DiskFamily", "Rect", "RectilinearDomain",
     "disk_family", "eksy_build", "eps_exp", "profile_make",
     "eigh", "schur_bound",
-    "CertificateReport", "CheckResult", "GramMatrix", "TecReport",
+    "CertificateReport", "CheckResult", "GramMatrix",
     "bernstein_certificate", "closed_form_gram", "nu_bound", "tec_report",
     "WindowMeasureReport", "cusp_window_report", "eksy_window_measure",
     "eksy_window_table", "half_window_area", "window_area_cusp",

@@ -1,4 +1,4 @@
-"""Exception and warning types shared by all modules."""
+"""Exception types shared by all modules."""
 
 
 class ValidationError(ValueError):
@@ -14,9 +14,7 @@ class NumericIntegrityError(ArithmeticError):
 
     Raised when a result is provably wrong (cancellation past a guard,
     imaginary residue on a real quantity, loss of positive
-    semidefiniteness), as opposed to merely inaccurate.
+    semidefiniteness, a quadrature witness that disagrees with its
+    doubled order), as opposed to merely inaccurate.
     """
 
-
-class AccuracyWarning(UserWarning):
-    """A quadrature result did not stabilize under order doubling."""

@@ -12,7 +12,8 @@ to its value at the centres.  ``closed_form_gram`` builds the matrix
 from that form for any family; ``build_gram`` assembles it by tensor
 disk quadrature in centered coordinates, on its own polar rule
 (``_disk_rule``), and stays as the independent witness (acceptance
-criterion 1).  The report and certificate operations verify the
+criterion 1), checked against its own assembly at twice the order.
+``tec_report`` and ``bernstein_certificate`` return check lines: the
 diagonal floors, the geometric off-diagonal decay, the Schur bound on
 the scaled off-diagonal part, and the resulting smallest-eigenvalue
 floor.
@@ -28,9 +29,10 @@ import numpy as np
 from . import spectra
 from .errors import NumericIntegrityError, ValidationError
 from .geometry import DiskFamily
-from .quad import DOUBLING_RTOL, ORDER_CAP, _gl, doubling
+from .quad import ORDER_CAP, _gl
 
 MAX_N = 12              # witness size: n(n+1)/2 quadrature entries
+DOUBLING_RTOL = 1e-8    # witness entries at orders m and 2m
 IMAG_RTOL = 1e-12
 _ANGLES = 16            # trapezoid points in angle at every order (_disk_rule)
 _BLOCK_POINTS = 1 << 13  # kernel points per call, 128 KB per complex temporary;
@@ -171,93 +173,32 @@ def _assemble(family: DiskFamily, m: int) -> np.ndarray:
 
 
 def build_gram(family: DiskFamily, m: int = 32) -> GramMatrix:
-    """Assemble the Gram matrix at quadrature order m.
-
-    The entries are recomputed at order 2m and must agree to 1e-8
-    relative; on failure the order is doubled up to the cap.  Positive
-    semidefiniteness is checked against -1e-14 * trace.
-    """
+    """Assemble the Gram matrix at quadrature order m in 1..ORDER_CAP // 2
+    and once more at 2m: the two must agree to DOUBLING_RTOL in the largest
+    relative difference, or ``NumericIntegrityError`` names both orders and
+    the residual.  Positive semidefiniteness is checked against -1e-14 *
+    trace."""
     if not (1 <= family.n <= MAX_N):
         raise ValidationError(f"family size must lie in 1..{MAX_N}")
-    if not (1 <= m <= ORDER_CAP):
-        raise ValidationError(f"order must lie in 1..{ORDER_CAP}")
-    d = doubling(lambda k: _assemble(family, k), m, DOUBLING_RTOL)
-    lam = spectra.eigh(d.value)
-    if lam[-1] < -1e-14 * np.trace(d.value):
+    if not (1 <= m <= ORDER_CAP // 2):
+        raise ValidationError(f"order must lie in 1..{ORDER_CAP // 2}")
+    E, check = _assemble(family, m), _assemble(family, 2 * m)
+    residual = float(np.max(np.abs(check - E)
+                            / np.maximum(np.abs(check), 1e-300)))
+    if not residual <= DOUBLING_RTOL:
+        raise NumericIntegrityError(
+            f"Gram entries at orders {m} and {2 * m} disagree: "
+            f"residual {residual:.3e} above {DOUBLING_RTOL:g}")
+    lam = spectra.eigh(E)
+    if lam[-1] < -1e-14 * np.trace(E):
         raise NumericIntegrityError(
             f"Gram matrix lost positive semidefiniteness: {lam[-1]:.3e}")
-    return GramMatrix(n=family.n, entries=d.value, family=family,
-                      order=d.order, doubling_residual=d.residual)
+    return GramMatrix(n=family.n, entries=E, family=family, order=m,
+                      doubling_residual=residual)
 
 
 # ---------------------------------------------------------------------------
-# inequality report
-
-
-def nu_bound(i: int, j: int, delta: float) -> float:
-    """Decay bound for nu_ij: 32 delta^(j-i) above, 32 (2 delta)^(i-j) below."""
-    if i == j:
-        return 0.0
-    if i < j:
-        return 32.0 * delta ** (j - i)
-    return 32.0 * (2.0 * delta) ** (i - j)
-
-
-@dataclass(frozen=True)
-class TecReport:
-    """Margins for every Gram inequality; a failure is a report entry."""
-
-    n: int
-    eps_prime: np.ndarray
-    nu: np.ndarray
-    diag_floor_margin: np.ndarray       # m_ii - eps_i^2 / 32
-    diag_window_margin: np.ndarray      # 32 r_i^3/(1-c_i)^3 - |m_ii - eps'_i^2|
-    offdiag_margin: np.ndarray          # eps_i eps_j delta^(j-i) - |m_ij|, i < j
-    nu_margin: np.ndarray               # bound - |nu_ij|, i != j
-    row_sum_margin: np.ndarray          # 1/2 - row sums of |nu|
-    col_sum_margin: np.ndarray
-
-    @property
-    def all_pass(self) -> bool:
-        return all(np.all(m > 0.0) for m in (
-            self.diag_floor_margin, self.diag_window_margin,
-            self.offdiag_margin, self.nu_margin,
-            self.row_sum_margin, self.col_sum_margin))
-
-
-def tec_report(M: GramMatrix) -> TecReport:
-    fam = M.family
-    n = M.n
-    eps = np.array(fam.eps.values[:n])
-    d = M.diag
-    ep = fam.eps_prime
-    # 32 r_i^3 / (1 - c_i)^3 with r_i = eps_i delta^i and 1 - c_i = 2 delta^i;
-    # the powers cancel, and r_i^3 and delta^3i would underflow at large i
-    window = 4.0 * eps ** 3
-    nu = M.nu()
-    iu, ju = np.triu_indices(n, k=1)
-    off_bound = eps[iu] * eps[ju] * fam.delta ** (ju - iu)
-    nub = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            nub[i, j] = nu_bound(i + 1, j + 1, fam.delta)
-    mask = ~np.eye(n, dtype=bool)
-    abs_nu = np.abs(nu)
-    return TecReport(
-        n=n,
-        eps_prime=ep,
-        nu=nu,
-        diag_floor_margin=d - eps ** 2 / 32.0,
-        diag_window_margin=window - np.abs(d - ep ** 2),
-        offdiag_margin=off_bound - np.abs(M.entries[iu, ju]),
-        nu_margin=(nub - abs_nu)[mask],
-        row_sum_margin=0.5 - abs_nu.sum(axis=1),
-        col_sum_margin=0.5 - abs_nu.sum(axis=0),
-    )
-
-
-# ---------------------------------------------------------------------------
-# certificate
+# check lines: the entry inequalities, then the certificate
 
 
 @dataclass(frozen=True)
@@ -279,6 +220,44 @@ def _check(name, value, bound, op, source) -> CheckResult:
     return CheckResult(name=name, value=float(value), bound=float(bound),
                        op=op, margin=float(margin), passed=bool(margin >= 0.0),
                        source=source)
+
+
+def nu_bound(i: int, j: int, delta: float) -> float:
+    """Decay bound for nu_ij: 32 delta^(j-i) above, 32 (2 delta)^(i-j) below."""
+    if i == j:
+        return 0.0
+    if i < j:
+        return 32.0 * delta ** (j - i)
+    return 32.0 * (2.0 * delta) ** (i - j)
+
+
+def tec_report(M: GramMatrix) -> tuple[CheckResult, ...]:
+    """The Gram entry inequalities as check lines, each its smallest margin
+    against 0.  diag_floor: m_ii >= eps_i^2/32; diag_window: |m_ii - eps'_i^2|
+    <= 32 r_i^3/(1-c_i)^3; for n > 1 offdiag_decay: |m_ij| <= eps_i eps_j
+    delta^(j-i), i < j; nu_decay: |nu_ij| <= nu_bound, i != j; nu_row_sums
+    and nu_col_sums: the row and column sums of |nu| <= 1/2."""
+    fam = M.family
+    n = M.n
+    eps = np.array(fam.eps.values[:n])
+    d = M.diag
+    # 32 r_i^3 / (1 - c_i)^3 with r_i = eps_i delta^i and 1 - c_i = 2 delta^i;
+    # the powers cancel, and r_i^3 and delta^3i would underflow at large i
+    margins = [("diag_floor", d - eps ** 2 / 32.0),
+               ("diag_window", 4.0 * eps ** 3 - np.abs(d - fam.eps_prime ** 2))]
+    if n > 1:
+        abs_nu = np.abs(M.nu())
+        iu, ju = np.triu_indices(n, k=1)
+        off_bound = eps[iu] * eps[ju] * fam.delta ** (ju - iu)
+        nub = np.array([[nu_bound(i, j, fam.delta) for j in range(1, n + 1)]
+                        for i in range(1, n + 1)])
+        margins += [
+            ("offdiag_decay", off_bound - np.abs(M.entries[iu, ju])),
+            ("nu_decay", (nub - abs_nu)[~np.eye(n, dtype=bool)]),
+            ("nu_row_sums", 0.5 - abs_nu.sum(axis=1)),
+            ("nu_col_sums", 0.5 - abs_nu.sum(axis=0))]
+    return tuple(_check(f"gram_{name}_min_margin", float(np.min(margin)), 0.0,
+                        ">=", "gram inequalities") for name, margin in margins)
 
 
 @dataclass(frozen=True)

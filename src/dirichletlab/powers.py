@@ -149,8 +149,8 @@ def growth_majorant(F: RectilinearDomain, p):
 
 def growth_grid(p_max: int) -> np.ndarray:
     """Exponent grid: every p <= 128, then powers of two, then p_max."""
-    if p_max < 1:
-        raise ValidationError("p_max must be >= 1")
+    if not (1 <= p_max <= np.iinfo(np.int64).max):
+        raise ValidationError("p_max must lie in 1..2^63 - 1")
     ps = list(range(1, min(p_max, 128) + 1))
     q = 256
     while q <= p_max:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 CAP = 2.0 ** -8
+MAX_TERMS = 1067        # 2^(-7-n) is 0 past n = 1067
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,7 @@ def slow_decay(seq, rho: float = 0.5) -> DecaySequence:
 
 def dyadic(n: int) -> DecaySequence:
     """The canonical targets eps_i = 2^(-7-i), i = 1..n."""
-    if not (1 <= n <= 1067):        # refused before any term is built
-        raise ValidationError("need 1 <= n <= 1067: 2^(-7-n) is 0 past 1067")
+    if not (1 <= n <= MAX_TERMS):   # refused before any term is built
+        raise ValidationError(f"need 1 <= n <= {MAX_TERMS}: "
+                              f"2^(-7-n) is 0 past {MAX_TERMS}")
     return DecaySequence(tuple(2.0 ** (-7 - i) for i in range(1, n + 1)))

@@ -12,7 +12,9 @@ import mpmath
 import numpy as np
 
 from dirichletlab.errors import ValidationError
-from dirichletlab.quad import DOUBLING_RTOL, doubling
+from dirichletlab.gram import DOUBLING_RTOL
+
+from reference_routes import doubling
 
 
 def cusp_nodes(profile, mt: int, my: int):

@@ -1,17 +1,22 @@
 """Second routes to the package's numbers, kept as the tests' oracles.
 
-No experiment runs these: the rectangle rule with order doubling (the
-quadrature witness of criterion 7), the lens profile (the non-compact
-contrast case of criterion 4), the cusp area and membership test,
-singular values through ``spectra.eigh`` (criterion 2), the coefficient
-route to power norms (criterion 8) and the level sum of the majorant
-(criterion 10).  The product path in ``src/`` computes each of these
-numbers, where it needs them, in closed form.
+No experiment runs these: the escalating order-doubling verifier and
+its AccuracyWarning (the Gram witness in ``src/`` compares order m with
+2m once; the rectangle rule and ``cusp_oracles`` still escalate), the
+rectangle rule with order doubling (the quadrature witness of criterion
+7), the lens profile (the non-compact contrast case of criterion 4), the
+cusp area and membership test, singular values through ``spectra.eigh``
+(criterion 2), the coefficient route to power norms (criterion 8) and
+the level sum of the majorant (criterion 10).  The product path in
+``src/`` computes each of these numbers, where it needs them, in closed
+form.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +24,43 @@ import numpy as np
 from dirichletlab.errors import ValidationError
 from dirichletlab.geometry import CuspProfile
 from dirichletlab.powers import growth_term
-from dirichletlab.quad import _gl, doubling
+from dirichletlab.quad import ORDER_CAP, _gl
 from dirichletlab.spectra import _as_real, eigh
+
+
+# ---------------------------------------------------------------------------
+# order doubling (quad) and its warning (errors)
+
+
+class AccuracyWarning(UserWarning):
+    """A quadrature result did not stabilize under order doubling."""
+
+
+Doubling = collections.namedtuple("Doubling", "value check order residual")
+
+
+def doubling(value, order: int, rtol: float) -> Doubling:
+    """Verify ``value(order)`` by order doubling: double k until value(k)
+    and value(k') (scalars or arrays) agree to ``rtol`` in the largest
+    relative difference, and return (value(k), value(k'), k, residual),
+    where k' = min(2k, ORDER_CAP).  No order above ORDER_CAP is evaluated;
+    when the value at ORDER_CAP is not confirmed, it comes back unverified
+    (check = value, the last residual or None) with one AccuracyWarning."""
+    if not (1 <= order <= ORDER_CAP):
+        raise ValidationError(f"order {order} must lie in 1..{ORDER_CAP}")
+    val, residual = value(order), None
+    while order < ORDER_CAP:
+        nxt = min(2 * order, ORDER_CAP)
+        check = value(nxt)
+        residual = float(np.max(np.abs(check - val)
+                                / np.maximum(np.abs(check), 1e-300)))
+        if residual <= rtol:
+            return Doubling(val, check, order, residual)
+        order, val = nxt, check
+    warnings.warn(f"order doubling did not stabilize below order cap "
+                  f"{ORDER_CAP} (residual {residual})",
+                  AccuracyWarning, stacklevel=3)
+    return Doubling(val, val, order, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -308,6 +309,48 @@ def test_usage_errors_return_two(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_non_utf8_files_are_config_errors(tmp_path, capsys):
+    # undecodable bytes are reported like an unreadable path, exit 2,
+    # never a traceback (which exits 1, the certificate-failure code)
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe")
+    out = ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    for argv in (["--config", str(binary)],
+                 ["cusp-rho", "--eps", f"file:{binary}"] + out,
+                 ["eksy-growth", "--M", f"file:{binary}"] + out):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "utf-8" in err, argv
+        assert err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("pmax", [2 ** 63, 10 ** 30])
+def test_pmax_past_int64_exits_two(tmp_path, capsys, pmax):
+    out = str(tmp_path)
+    assert cli.main(["eksy-growth", "--nmax", "6", "--pmax", str(pmax),
+                     "--out", out]) == 2
+    assert cli.run({"experiment": "eksy-growth", "nmax": 6, "pmax": pmax,
+                    "out": out}) == 2
+    err = capsys.readouterr().err
+    assert err == "error: p_max must lie in 1..2^63 - 1\n" * 2
+    assert not (tmp_path / "certificates.txt").exists()
+
+
+def test_seq_demo_length_is_bounded(tmp_path, capsys):
+    # refused before the raw list is built, at the range dyadic accepts
+    t0 = time.perf_counter()
+    assert cli.main(["seq-demo", "--length", str(10 ** 12),
+                     "--out", str(tmp_path / "big")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        f"error: length must be <= {seqs.MAX_TERMS}\n")
+    assert cli.main(["seq-demo", "--length", str(seqs.MAX_TERMS),
+                     "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "seq.csv")
+    assert len(rows) == seqs.MAX_TERMS == 1067
 
 
 def test_argparse_rejects_unknown_subcommand():

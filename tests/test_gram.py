@@ -76,15 +76,21 @@ def test_nu_bound_values():
     assert nu_bound(2, 3, DELTA) == 32.0 * DELTA
 
 
+TEC_LINES = tuple(f"gram_{name}_min_margin" for name in (
+    "diag_floor", "diag_window", "offdiag_decay", "nu_decay", "nu_row_sums",
+    "nu_col_sums"))
+
+
 def test_tec_report_all_margins_positive(small_gram):
-    rep = tec_report(small_gram)
-    assert rep.all_pass
-    assert rep.diag_floor_margin.shape == (4,)
-    assert rep.diag_window_margin.shape == (4,)
-    assert rep.offdiag_margin.shape == (6,)
-    assert rep.nu_margin.shape == (12,)
-    assert np.all(rep.row_sum_margin > 0.0)
-    assert np.all(rep.col_sum_margin > 0.0)
+    lines = tec_report(small_gram)
+    assert tuple(c.name for c in lines) == TEC_LINES
+    assert all(c.op == ">=" and c.bound == 0.0 and c.margin > 0.0
+               and c.source == "gram inequalities" for c in lines)
+    # each line is the smallest margin of its inequality
+    eps = np.array(small_gram.family.eps.values[:4])
+    assert lines[0].value == float(np.min(small_gram.diag - eps ** 2 / 32.0))
+    row_sums = np.abs(small_gram.nu()).sum(axis=1)
+    assert lines[4].value == float(0.5 - row_sums.max())
 
 
 def test_nu_row_sums_below_hand_bound(small_gram):
@@ -145,12 +151,13 @@ def test_certificate_fails_when_the_schur_bound_reaches_one():
 
 
 def test_tec_report_family_shorter_than_eps():
-    # n = 2 disks from an 8-term sequence
-    fam = disk_family(dyadic(8), DELTA, 2)
-    tec = tec_report(closed_form_gram(fam))
-    assert tec.eps_prime.shape == (2,)
-    assert tec.diag_window_margin.shape == (2,)
-    assert tec.all_pass
+    # n = 2 disks from an 8-term sequence, and a lone disk, which has no
+    # off-diagonal part and so only the two diagonal lines
+    for n, names in ((2, TEC_LINES), (1, TEC_LINES[:2])):
+        fam = disk_family(dyadic(8), DELTA, n)
+        lines = tec_report(closed_form_gram(fam))
+        assert tuple(c.name for c in lines) == names
+        assert all(c.margin > 0.0 for c in lines)
 
 
 def test_build_gram_validations():
@@ -160,6 +167,56 @@ def test_build_gram_validations():
     big = disk_family(dyadic(13), DELTA, 13)
     with pytest.raises(ValidationError):
         build_gram(big, m=4)
+
+
+def _stub_assemble(monkeypatch, fam, drift):
+    """Replace the quadrature by the closed form times 1 + drift(m), and
+    record the orders assembled."""
+    closed = closed_form_gram(fam).entries
+    orders = []
+
+    def assemble(family, m):
+        orders.append(m)
+        return closed * (1.0 + drift(m))
+
+    monkeypatch.setattr(gram, "_assemble", assemble)
+    return orders
+
+
+def test_witness_raises_when_orders_disagree(monkeypatch):
+    # entries that move by 1e-6 / m: orders 8 and 16 differ by about
+    # 6.2e-8 relative, above DOUBLING_RTOL, and no higher order is tried
+    fam = disk_family(dyadic(2), DELTA, 2)
+    orders = _stub_assemble(monkeypatch, fam, lambda m: 1e-6 / m)
+    with pytest.raises(NumericIntegrityError,
+                       match=r"orders 8 and 16 disagree: residual 6\.250e-08"):
+        build_gram(fam, m=8)
+    assert orders == [8, 16]
+
+
+def test_witness_keeps_order_m_and_its_residual(monkeypatch):
+    fam = disk_family(dyadic(2), DELTA, 2)
+    orders = _stub_assemble(monkeypatch, fam, lambda m: 1e-12 / m)
+    M = build_gram(fam, m=8)
+    assert orders == [8, 16]
+    assert M.order == 8
+    E8, E16 = (closed_form_gram(fam).entries * (1.0 + 1e-12 / m)
+               for m in (8, 16))
+    assert np.array_equal(M.entries, E8)
+    assert M.doubling_residual == float(np.max(np.abs(E16 - E8) / np.abs(E16)))
+
+
+def test_witness_order_range(monkeypatch):
+    # m = 256 is checked against ORDER_CAP = 512; above it no doubling fits
+    fam = disk_family(dyadic(2), DELTA, 2)
+    orders = _stub_assemble(monkeypatch, fam, lambda m: 0.0)
+    for m in (0, 257):
+        with pytest.raises(ValidationError, match=r"1\.\.256"):
+            build_gram(fam, m=m)
+    assert orders == []
+    M = build_gram(fam, m=256)
+    assert orders == [256, 512]
+    assert (M.order, M.doubling_residual) == (256, 0.0)
 
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-12])
@@ -318,9 +375,6 @@ def test_closed_form_guard_trips_on_corrupted_powers(bad):
 def test_tec_report_margins_at_n100():
     # r_i^3 and delta^3i underflow here; the window bound 4 eps_i^3 does not
     fam = disk_family(dyadic(100), DELTA, 100)
-    rep = tec_report(closed_form_gram(fam))
-    margins = (rep.diag_floor_margin, rep.diag_window_margin,
-               rep.offdiag_margin, rep.nu_margin,
-               rep.row_sum_margin, rep.col_sum_margin)
-    assert all(np.all(np.isfinite(m)) and np.all(m > 0.0) for m in margins)
-    assert rep.all_pass
+    lines = tec_report(closed_form_gram(fam))
+    assert tuple(c.name for c in lines) == TEC_LINES
+    assert all(math.isfinite(c.value) and c.margin > 0.0 for c in lines)

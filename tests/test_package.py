@@ -71,13 +71,13 @@ def _names(tree):
 
 
 def test_order_doubling_serves_only_the_two_witnesses():
-    # an exact rule runs once: doubling (quad) verifies only the Gram
-    # witness (gram) and the tests' rectangle rule, integrate_rect with a
-    # tolerance (tests/reference_routes.py), and no moment tolerance is
-    # left to verify an exact rule against
+    # an exact rule runs once: the Gram witness compares order m with 2m
+    # itself (gram.build_gram), the escalating doubling verifies only the
+    # tests' rectangle rule and cusp oracles (tests/reference_routes.py),
+    # and no moment tolerance is left to verify an exact rule against
     users = {name for name, tree in _module_trees()
              if "doubling" in set(_names(tree))}
-    assert users == {"quad.py", "gram.py"}
+    assert users == set()
     for name, tree in _module_trees():
         assert "MOMENT_RTOL" not in set(_names(tree)), name
 
@@ -106,7 +106,9 @@ def test_quadrature_witness_stays_off_the_product_path():
 
 # routes that only the tests use as oracles, by the module that held them
 REFERENCE_ROUTES = {
-    "quad": ("integrate_rect", "_rect_sides", "_rect_value"),
+    "quad": ("integrate_rect", "_rect_sides", "_rect_value", "doubling",
+             "Doubling"),
+    "errors": ("AccuracyWarning",),
     "geometry": ("PowerProfile", "cusp_contains", "cusp_area"),
     "spectra": ("singular_values",),
     "powers": ("norms", "power_coeffs", "power_norm_series", "DEGREE_CAP",
@@ -127,9 +129,11 @@ def test_reference_routes_live_in_the_tests():
 
 # general forms replaced by the one form their callers use, by the module
 # that held them: the Neumann floor is one number of the Gram certificate,
-# the Gauss rule one cached table on [0, 1] (quad._gl), and the row sweep
-# tests every candidate pair in one pass
+# the Gauss rule one cached table on [0, 1] (quad._gl), the row sweep
+# tests every candidate pair in one pass, and the entry inequalities come
+# back as check lines, as the certificate's do
 REPLACED_FORMS = {
+    "gram": ("TecReport",),
     "spectra": ("NeumannBounds", "neumann_lower"),
     "quad": ("QuadratureRule", "gauss_nodes", "_gauss_rule"),
     "geometry": ("_PAIR_BLOCK",),

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from dirichletlab import gram, powers, quad
-from dirichletlab.errors import AccuracyWarning, ValidationError
+from dirichletlab.errors import ValidationError
 from dirichletlab.geometry import profile_make
-from dirichletlab.quad import _gl, doubling
+from dirichletlab.quad import _gl
 from dirichletlab.seqs import dyadic
 
 from cusp_oracles import cusp_moment
-from reference_routes import cusp_area, integrate_rect
+from reference_routes import AccuracyWarning, cusp_area, doubling, integrate_rect
 
 DELTA = 1.0 / 200.0
 
