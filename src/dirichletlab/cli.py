@@ -43,12 +43,21 @@ def _number(kind, text: str, what: str):
             f"{what}: malformed {kind.__name__} {text!r}") from None
 
 
+def _read_text(path) -> str:
+    """A UTF-8 file's text; a decoding error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {str(path)!r}"
+        raise
+
+
 def _parse_eps(spec: str) -> seqs.DecaySequence:
     if spec.startswith("dyadic:"):
         return seqs.dyadic(_number(int, spec[len("dyadic:"):], "eps"))
     if spec.startswith("file:"):
-        raw = [_number(float, s, spec) for s in
-               Path(spec[len("file:"):]).read_text().split()]
+        raw = [_number(float, s, spec)
+               for s in _read_text(spec[len("file:"):]).split()]
         return seqs.slow_decay(seqs.clamp_monotone(raw))
     raise ValidationError(f"unknown eps spec {spec!r}; use dyadic:n or file:path")
 
@@ -63,7 +72,7 @@ def _parse_targets(spec: str):
         return lambda n: k
     if spec.startswith("file:"):
         return [_number(int, s, spec)
-                for s in Path(spec[len("file:"):]).read_text().split()]
+                for s in _read_text(spec[len("file:"):]).split()]
     raise ValidationError(
         f"unknown M spec {spec!r}; use log2, const:k or file:path")
 
@@ -113,9 +122,9 @@ class CertLog:
 
 
 def _cusp_gram(args, log):
-    # --order is validated but unused: the entries come from their closed form
-    if not (1 <= args.order <= ORDER_CAP):
-        raise ValidationError(f"order must lie in 1..{ORDER_CAP}")
+    # --order is validated, in gram.build_gram's range, but unused
+    if not (1 <= args.order <= ORDER_CAP // 2):
+        raise ValidationError(f"order must lie in 1..{ORDER_CAP // 2}")
     eps = _parse_eps(args.eps)
     n = args.n if args.n else len(eps)
     fam = disk_family(eps, args.delta, n)
@@ -318,8 +327,9 @@ EXPERIMENTS = {
     "cusp-gram": Experiment(_cusp_gram, "Gram matrix certificates", (
         *CUSP_FLAGS,
         ("--n", int, 0, "family size (default all)"),
-        ("--order", int, 32, f"accepted (1..{ORDER_CAP}) but has no effect:"
-                             " the entries come from their closed form"))),
+        ("--order", int, 32, f"accepted (1..{ORDER_CAP // 2}) but has no"
+                             " effect: the entries come from their closed"
+                             " form, and the witness takes that range"))),
     "cusp-rho": Experiment(_cusp_rho, "window measure decay", CUSP_FLAGS),
     "cusp-galerkin": Experiment(_cusp_galerkin, "moment-matrix compressions",
                                 (*CUSP_FLAGS, ("--Ks", str, "32,64,128"))),
@@ -367,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(config) -> int:
     """Dispatch a JSON config: {"experiment": name, other flag fields}."""
     if isinstance(config, (str, Path)):
-        config = json.loads(Path(config).read_text())
+        config = json.loads(_read_text(config))
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     config = dict(config)

@@ -45,23 +45,33 @@ class MomentMatrix:
 
 def _boundary_table(z, c, K: int, close=0.0):
     """mu_hat_jk for j, k < K, in both triangles, from a rule on the upper
-    half of a boundary that is symmetric about the real axis.
+    half of a boundary that is symmetric about the real axis; z and c hold
+    one row of nodes per piece of that half.
 
     Green's theorem gives int z^k conj(z)^j dA/pi = (1/(2 pi i (j+1)))
     times the contour integral of z^k conj(z)^(j+1) dz.  With nodes z_l
     on the upper half, run counterclockwise, and c_l = w_l (dz/ds)_l
     conj(z_l), the upper half gives T_jk = sum_l c_l conj(z_l)^j z_l^k
-    (exact when the rule is exact for the integrand), one complex product
-    of the power table z^k, built by the recurrence z^(k+1) = z^k z.  The
-    mirrored lower half, run the other way, adds -conj(T), so both halves
-    give 2i Im T.  ``close`` is pi (j + 1) times the moment of any part of
-    the boundary outside that pair (the cusp's closing edge).
+    (exact when the rule is exact for the integrand).  The mirrored lower
+    half, run the other way, adds -conj(T), so both halves give 2i Im T.
+    Only Im T is formed, piece by piece, in three K x m work arrays: the
+    power table P = z^k of the piece's m nodes (z^(k+1) = z^k z), A =
+    conj(P) c and W = Im P + i Re P, and Im(A P^T) is one real GEMM on the
+    interleaved float views, [Re A | Im A] [Im P | Re P]^T.  ``close`` is
+    pi (j + 1) times the moment of any part of the boundary outside that
+    pair (the cusp's closing edge).
     """
-    P = np.empty((K, z.size), dtype=complex)
+    m = z.shape[1]
+    P, A, W = (np.empty((K, m), dtype=complex) for _ in range(3))
+    T, piece = np.zeros((K, K)), np.empty((K, K))
     P[0] = 1.0
-    np.cumprod(np.broadcast_to(z, (K - 1, z.size)), axis=0, out=P[1:])
+    for zp, cp in zip(z, c):
+        np.cumprod(np.broadcast_to(zp, (K - 1, m)), axis=0, out=P[1:])
+        np.multiply(np.conjugate(P, out=A), cp, out=A)
+        W.real, W.imag = P.imag, P.real
+        T += np.matmul(A.view(float), W.view(float).T, out=piece)
     j = np.arange(K)[:, None]
-    return (((P.conj() * c) @ P.T).imag / (j + 1.0) + close) / math.pi
+    return (T / (j + 1.0) + close) / math.pi
 
 
 def _disk_table(K: int):
@@ -74,7 +84,7 @@ def _disk_table(K: int):
     z = np.exp(1j * math.pi * np.arange(K + 1) / K)
     w = np.full(K + 1, math.pi / K)
     w[[0, -1]] *= 0.5
-    return _boundary_table(z, w * (1j * z) * z.conj(), K)
+    return _boundary_table(z[None], (w * (1j * z) * z.conj())[None], K)
 
 
 def _edge_table(profile: CuspProfile, K: int):
@@ -89,55 +99,68 @@ def _edge_table(profile: CuspProfile, K: int):
     """
     t, th = profile.knots, profile.thetas
     x, y, ws = profile.edge_points(K)
-    z = (x + 1j * y).ravel()
+    z = x + 1j * y
     dz = (t[:-1] - t[1:]) + 1j * (th[1:] - th[:-1])
     j, k = np.arange(K)[:, None], np.arange(K)[None, :]
     sign = 1.0 - 2.0 * ((k - j - 1) // 2 % 2)
-    close = np.where((j + k) % 2 == 1, -sign * th[-1] ** (j + k + 2.0)
+    power = th[-1] ** np.arange(2.0, 2 * K + 1)     # eps_1^(j + k + 2)
+    close = np.where((j + k) % 2 == 1, -sign * power[j + k]
                      / ((j + 1.0) * (j + k + 2.0)), 0.0)
-    return _boundary_table(z, (dz[:, None] * ws).ravel() * z.conj(), K, close)
+    return _boundary_table(z, dz[:, None] * ws * z.conj(), K, close)
 
 
-def _ritz(entries) -> np.ndarray:
-    """Ritz values, non-increasing, of a moment matrix M or of a principal
-    submatrix of one, on its numerical range.
+def _ritz(entries, Ks) -> list:
+    """Ritz values, non-increasing, on their numerical ranges, of the
+    leading K x K truncations M of a moment matrix, one array per K in Ks.
 
-    A diagonal-pivoted Cholesky M = L L^T + S stops once no pivot left
-    exceeds 2^-53 times the trace, at the numerical rank r (23 at K = 128
-    on the default profile; Higham 1990).  Q spans L's columns (modified
-    Gram-Schmidt, twice); the eigenvalues of the r x r matrix Q^T M Q are
-    lower bounds for the top r of M by interlacing, off by second order in
-    ||S|| (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012); the
-    other K - r lie within +-||S||_F.  A boundary sum is not PSD by
-    construction, so the PSD guard is live: ||S||_F, and minus the smallest
-    Ritz value, must stay within PSD_RTOL times the trace."""
-    trace = math.fsum(np.diag(entries))
-    d = np.diag(entries).copy()
-    Q = np.zeros_like(entries)          # row i: column i of L, then of Q
-    r = 0
-    while r < d.size and d.max() > 2.0 ** -53 * trace:
-        p = int(np.argmax(d))
-        Q[r] = (entries[p] - Q[:r, p] @ Q[:r]) / math.sqrt(d[p])
-        d -= Q[r] ** 2
-        d[p] = 0.0                      # its residual, 0 in exact arithmetic
-        r += 1
-    Q = Q[:r]
-    residual = float(np.linalg.norm(entries - Q.T @ Q))
-    if not residual <= PSD_RTOL * trace:
-        raise NumericIntegrityError(
-            "moment matrix lost positive semidefiniteness:"
-            f" ||M - LL^T||_F = {residual:.3e}, trace {trace:.3e}")
-    for _ in range(2):
-        for i in range(r):
-            Q[i] /= np.linalg.norm(Q[i])
-            Q[i + 1:] -= np.outer(Q[i + 1:] @ Q[i], Q[i])
-    B = Q @ entries @ Q.T
-    ritz = spectra.eigh(0.5 * (B + B.T))
-    if ritz[-1] < -PSD_RTOL * trace:
-        raise NumericIntegrityError(
-            "moment matrix lost positive semidefiniteness:"
-            f" Ritz value {ritz[-1]:.3e}, trace {trace:.3e}")
-    return ritz
+    Per truncation, a diagonal-pivoted Cholesky M = L L^T + S stops once
+    no pivot left exceeds 2^-53 times the trace, at the numerical rank r
+    (17, 21 and 23 at K = 32, 64 and 128 on the default profile; Higham
+    1990).  Q spans L's columns (modified Gram-Schmidt, twice); the
+    eigenvalues of the r x r matrix Q^T M Q are lower bounds for the top
+    r of M by interlacing, off by second order in ||S|| (Harbrecht, Peters
+    & Schneider, Appl. Numer. Math. 62, 2012); the other K - r lie within
+    +-||S||_F.  One Jacobi run solves the Ritz matrices of all truncations,
+    zero-padded to the largest r; each row drops its padding zeros.  A
+    boundary sum is not PSD by construction, so the PSD guard is live:
+    ||S||_F, and minus the smallest Ritz value, must stay within PSD_RTOL
+    times the trace of their truncation."""
+    blocks = []
+    for K in Ks:
+        M = entries[:K, :K]
+        trace = math.fsum(np.diag(M))
+        d = np.diag(M).copy()
+        Q = np.zeros_like(M)            # row i: column i of L, then of Q
+        r = 0
+        while r < d.size and d.max() > 2.0 ** -53 * trace:
+            p = int(np.argmax(d))
+            Q[r] = (M[p] - Q[:r, p] @ Q[:r]) / math.sqrt(d[p])
+            d -= Q[r] ** 2
+            d[p] = 0.0                  # its residual, 0 in exact arithmetic
+            r += 1
+        Q = Q[:r]
+        residual = float(np.linalg.norm(M - Q.T @ Q))
+        if not residual <= PSD_RTOL * trace:
+            raise NumericIntegrityError(
+                "moment matrix lost positive semidefiniteness:"
+                f" ||M - LL^T||_F = {residual:.3e}, trace {trace:.3e}")
+        for _ in range(2):
+            for i in range(r):
+                Q[i] /= np.linalg.norm(Q[i])
+                Q[i + 1:] -= np.outer(Q[i + 1:] @ Q[i], Q[i])
+        B = Q @ M @ Q.T
+        blocks.append((0.5 * (B + B.T), trace))
+    n = max(len(B) for B, _ in blocks)
+    stack = np.stack([np.pad(B, (0, n - len(B))) for B, _ in blocks])
+    out = []
+    for row, (B, trace) in zip(spectra.eigh(stack), blocks):
+        ritz = np.delete(row, np.flatnonzero(row == 0.0)[:n - len(B)])
+        if ritz[-1] < -PSD_RTOL * trace:
+            raise NumericIntegrityError(
+                "moment matrix lost positive semidefiniteness:"
+                f" Ritz value {ritz[-1]:.3e}, trace {trace:.3e}")
+        out.append(ritz)
+    return out
 
 
 def moment_matrix(region, K: int) -> MomentMatrix:
@@ -154,25 +177,7 @@ def moment_matrix(region, K: int) -> MomentMatrix:
     disagreement, and so its effect on any eigenvalue, by TRIANGLE_RTOL
     times the trace.  This check, and the PSD guard of _ritz, which gives
     the spectrum's r Ritz values, raise NumericIntegrityError."""
-    if not (1 <= K <= K_CAP):
-        raise ValidationError(f"K must lie in 1..{K_CAP}")
-    if region is None:
-        table = _disk_table(K)
-    elif isinstance(region, CuspProfile):
-        table = _edge_table(region, K)
-    else:
-        raise ValidationError("region must be a cusp profile or None (unit disk)")
-    moments = np.tril(table) + np.tril(table, -1).T
-    d = np.sqrt(np.abs(np.diag(moments)))
-    residual = float(np.max(np.abs(table - table.T) / (d[:, None] * d[None, :])))
-    if not residual <= TRIANGLE_RTOL:
-        raise NumericIntegrityError(
-            f"moment table triangles disagree by {residual:.3e} of"
-            f" sqrt(mu_jj mu_kk), above {TRIANGLE_RTOL:.0e}")
-    root = np.sqrt(np.arange(1, K + 1, dtype=float))
-    entries = root[:, None] * moments * root[None, :]
-    return MomentMatrix(K=K, entries=entries, moments=moments,
-                        spectrum=_ritz(entries))
+    return compression_scan(region, [K]).matrix
 
 
 @dataclass(frozen=True)
@@ -201,13 +206,30 @@ class CompressionScan:
 
 
 def compression_scan(region, Ks) -> CompressionScan:
+    """The moment matrix of truncation max(Ks) (see moment_matrix) and
+    the Ritz values of every truncation in Ks, from one _ritz call."""
     Ks = sorted({int(K) for K in Ks})
-    if not Ks or Ks[0] < 1:
-        raise ValidationError("truncation sizes must be positive")
-    M = moment_matrix(region, Ks[-1])
-    by_K = {K: _ritz(M.entries[:K, :K]) for K in Ks[:-1]}
-    return CompressionScan(Ks=tuple(Ks), matrix=M,
-                           spectrum_by_K={**by_K, M.K: M.spectrum})
+    if not Ks or not 1 <= Ks[0] <= Ks[-1] <= K_CAP:
+        raise ValidationError(f"truncation sizes must lie in 1..{K_CAP}")
+    K = Ks[-1]
+    if region is None:
+        table = _disk_table(K)
+    elif isinstance(region, CuspProfile):
+        table = _edge_table(region, K)
+    else:
+        raise ValidationError("region must be a cusp profile or None (unit disk)")
+    moments = np.tril(table) + np.tril(table, -1).T
+    d = np.sqrt(np.abs(np.diag(moments)))
+    residual = float(np.max(np.abs(table - table.T) / (d[:, None] * d[None, :])))
+    if not residual <= TRIANGLE_RTOL:
+        raise NumericIntegrityError(
+            f"moment table triangles disagree by {residual:.3e} of"
+            f" sqrt(mu_jj mu_kk), above {TRIANGLE_RTOL:.0e}")
+    root = np.sqrt(np.arange(1, K + 1, dtype=float))
+    entries = root[:, None] * moments * root[None, :]
+    by_K = dict(zip(Ks, _ritz(entries, Ks)))
+    M = MomentMatrix(K=K, entries=entries, moments=moments, spectrum=by_K[K])
+    return CompressionScan(Ks=tuple(Ks), matrix=M, spectrum_by_K=by_K)
 
 
 def floor_crossings(scan: CompressionScan, floors) -> list:

@@ -14,11 +14,13 @@ well as the absolute one on the off-diagonal norm.
 A step rotates the disjoint pairs (o, o+1), (o+2, o+3), ... at once, o
 alternating between 1 and 0, and each rotated pair trades places, so a
 pair always sits on adjacent rows and one batched 2x2 product on a
-(k, 2, n) view rotates them all: rotate the rows, transpose, rotate the
-rows again.  In n steps, one sweep, every pair of indices meets once
+(b, k, 2, n) view rotates them all: rotate the rows, transpose, rotate
+the rows again.  In n steps, one sweep, every pair of indices meets once
 (odd-even transposition order); an index left without a partner at an
-end sits the step out.  Matrices are plain numpy arrays; validation
-happens at operation entry.
+end sits the step out.  The b matrices of a stack (b, n, n) run the same
+steps together, so independent solves share one run; a matrix is a
+stack of one.  Matrices are plain numpy arrays; validation happens at
+operation entry.
 """
 
 from __future__ import annotations
@@ -44,16 +46,20 @@ def _as_real(A) -> np.ndarray:
     return np.array(A, dtype=float)
 
 
-def _as_real_symmetric(A) -> np.ndarray:
+def _symmetric_stack(A):
+    """A as a C-ordered float stack (b, n, n) and the largest |a_ij| of
+    each matrix, checked square, finite and symmetric."""
     A = _as_real(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValidationError("matrix must be square")
-    if not np.all(np.isfinite(A)):
+    S = np.ascontiguousarray(A.reshape(-1, *A.shape[-2:]))
+    if not np.isfinite(S).all():
         raise ValidationError("matrix entries must be finite")
-    scale = np.max(np.abs(A)) if A.size else 0.0
-    if A.size and np.max(np.abs(A - A.T)) > 1e-12 * max(scale, 1e-300):
+    amax = np.abs(S).max(axis=(1, 2))
+    asym = np.abs(S - S.transpose(0, 2, 1)).max(axis=(1, 2))
+    if (asym > 1e-12 * np.maximum(amax, 1e-300)).any():
         raise ValidationError("matrix is not symmetric")
-    return A
+    return S, amax
 
 
 def _rotations(app, aqq, apq):
@@ -72,76 +78,83 @@ def _rotations(app, aqq, apq):
 
 
 def _step(S, R, o: int):
-    """Rotate the pairs (o, o+1), (o+2, o+3), ... of S in place, each
-    pair trading places; R is scratch space of S's shape."""
-    n = S.shape[0]
+    """Rotate the pairs (o, o+1), (o+2, o+3), ... of every matrix of the
+    stack S (b, n, n) in place, each pair trading places; R is scratch
+    space of S's shape."""
+    b, n = S.shape[:2]
     k = (n - o) // 2
     if k == 0:
         return
-    flat = S.reshape(-1)
-    diag, upper, lower = flat[::n + 1], flat[1::n + 1], flat[n::n + 1]
+    flat = S.reshape(b, -1)
+    diag, upper, lower = (flat[:, i::n + 1] for i in (0, 1, n))
     rows, p, q = (slice(o, o + 2 * k), slice(o, o + 2 * k, 2),
                   slice(o + 1, o + 2 * k, 2))
-    app, aqq, apq = diag[p].copy(), diag[q].copy(), upper[p].copy()
+    app, aqq, apq = diag[:, p].copy(), diag[:, q].copy(), upper[:, p].copy()
     t, c, s = _rotations(app, aqq, apq)
     # rows (p, q) become (s p + c q, c p - s q): rotated, then swapped
-    G = np.empty((k, 2, 2))
-    G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1] = s, c, c, -s
-    for src, dst in ((S, R), (R.T, S)):
-        np.matmul(G, src[rows].reshape(k, 2, n),
-                  out=dst[rows].reshape(k, 2, n))
-        dst[:o] = src[:o]
-        dst[o + 2 * k:] = src[o + 2 * k:]
-    diag[p] = aqq + t * apq
-    diag[q] = app - t * apq
-    upper[p] = 0.0
-    lower[p] = 0.0
+    G = np.empty((b, k, 2, 2))
+    G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1] = s, c, c, -s
+    for src, dst in ((S, R), (R.transpose(0, 2, 1), S)):
+        np.matmul(G, src[:, rows].reshape(b, k, 2, n),
+                  out=dst[:, rows].reshape(b, k, 2, n))
+        dst[:, :o] = src[:, :o]
+        dst[:, o + 2 * k:] = src[:, o + 2 * k:]
+    diag[:, p] = aqq + t * apq
+    diag[:, q] = app - t * apq
+    upper[:, p] = 0.0
+    lower[:, p] = 0.0
 
 
-def _frobenius(A, unit: float) -> float:
-    """||A||_F computed on A / unit, so that squaring the entries neither
-    underflows (entries below about 1e-154) nor overflows (above 1e154);
-    ``unit`` is a power of two near max |a_ij|, which keeps the scaling exact."""
-    return unit * float(np.linalg.norm(A / unit))
+def _frobenius(A, unit) -> np.ndarray:
+    """||A||_F of each matrix of the stack A, computed on A / unit, so that
+    squaring the entries neither underflows (entries below about 1e-154)
+    nor overflows (above 1e154); ``unit`` holds a power of two near max
+    |a_ij| per matrix, which keeps the scaling exact."""
+    X = (A / unit[:, None, None]).reshape(len(A), -1)
+    return unit * np.sqrt([x @ x for x in X])
 
 
 def eigh(A) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, sorted non-increasing.
+    """Eigenvalues of a real symmetric matrix, sorted non-increasing; of a
+    stack (b, n, n), one such row per matrix, all from one run.
 
-    Round-robin Jacobi sweeps until the off-diagonal Frobenius norm drops
-    below 1e-13 times the Frobenius norm of the input and every
-    off-diagonal entry below 1e-13 sqrt(|a_pp a_qq|).  Both norms are
-    taken on the matrix scaled by a power of two near its largest entry.
+    Round-robin Jacobi sweeps until, in every matrix, the off-diagonal
+    Frobenius norm is at most 1e-13 times the Frobenius norm of the input
+    and every off-diagonal entry at most 1e-13 sqrt(|a_pp a_qq|).  Both
+    norms are taken on each matrix scaled by a power of two near its
+    largest entry.  A rotation with a_pq = 0 is an exact swap, so zero
+    rows and columns that pad a smaller matrix into a stack stay exactly
+    zero, and come out as exact zero eigenvalues.
     """
-    S = _as_real_symmetric(A).copy()    # C order: views below write to it
-    n = S.shape[0]
-    if n == 1:
-        return S[0, :1].copy()
-    amax = float(np.max(np.abs(S)))
-    if amax == 0.0:
-        return np.zeros(n)
-    unit = math.ldexp(1.0, math.frexp(amax)[1] - 1)   # unit <= amax < 2 unit
+    S, amax = _symmetric_stack(A)
+    b, n = S.shape[:2]
+    unit = np.array([math.ldexp(1.0, math.frexp(a)[1] - 1)    # unit <= a
+                     for a in amax.tolist()])                  # < 2 unit
     frob = _frobenius(S, unit)
-    trace = float(np.trace(S))
+    diag = S.reshape(b, -1)[:, ::n + 1]
+    trace = diag.sum(axis=1)
     threshold = OFF_RTOL * frob
-    diag = S.reshape(-1)[::n + 1]
     R = np.empty_like(S)
     o = 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_SWEEPS):
-            off = S - np.diag(diag)
+            off = S.copy()
+            off.reshape(b, -1)[:, ::n + 1] = 0.0
             root = np.sqrt(np.abs(diag))
-            if (_frobenius(off, unit) <= threshold and np.all(
-                    np.abs(off) <= OFF_RTOL * (root[:, None] * root[None, :]))):
+            if (np.abs(off) <= OFF_RTOL * (root[:, :, None]
+                                           * root[:, None, :])).all() and (
+                    _frobenius(off, unit) <= threshold).all():
                 break
             for _ in range(n):
                 _step(S, R, o)
                 o ^= 1
         else:
             raise NumericIntegrityError("Jacobi iteration failed to converge")
-    if abs(diag.sum() - trace) > 1e-12 * max(abs(trace), frob):
+    if (np.abs(diag.sum(axis=1) - trace)
+            > 1e-12 * np.maximum(np.abs(trace), frob)).any():
         raise NumericIntegrityError("eigenvalue sum drifted from the trace")
-    return np.sort(diag)[::-1]
+    vals = np.sort(diag, axis=1)[:, ::-1]
+    return vals[0] if np.ndim(A) == 2 else vals
 
 
 def schur_bound(A) -> float:

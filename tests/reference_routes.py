@@ -6,10 +6,11 @@ its AccuracyWarning (the Gram witness in ``src/`` compares order m with
 rectangle rule with order doubling (the quadrature witness of criterion
 7), the lens profile (the non-compact contrast case of criterion 4), the
 cusp area and membership test, singular values through ``spectra.eigh``
-(criterion 2), the coefficient route to power norms (criterion 8) and
+(criterion 2), the moment table as one complex product over every
+boundary node, the coefficient route to power norms (criterion 8) and
 the level sum of the majorant (criterion 10).  The product path in
 ``src/`` computes each of these numbers, where it needs them, in closed
-form.
+form, or (the moment table) piece by piece.
 """
 
 from __future__ import annotations
@@ -157,6 +158,21 @@ def singular_values(A) -> np.ndarray:
     H = A.T @ A
     lam = eigh(H)
     return np.sqrt(np.clip(lam, 0.0, None))
+
+
+# ---------------------------------------------------------------------------
+# the moment table in one complex product (galerkin)
+
+
+def one_shot_table(z, c, K: int, close=0.0) -> np.ndarray:
+    """galerkin._boundary_table's sum as one complex product over every
+    node of every piece: (conj(P) c) P^T, P the K-row power table."""
+    z, c = np.ravel(z), np.ravel(c)
+    P = np.empty((K, z.size), dtype=complex)
+    P[0] = 1.0
+    np.cumprod(np.broadcast_to(z, (K - 1, z.size)), axis=0, out=P[1:])
+    j = np.arange(K)[:, None]
+    return (((P.conj() * c) @ P.T).imag / (j + 1.0) + close) / math.pi
 
 
 # ---------------------------------------------------------------------------

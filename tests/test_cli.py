@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dirichletlab import cli, geometry, gram, powers, seqs
+from dirichletlab import cli, galerkin, geometry, gram, powers, seqs
 from dirichletlab.errors import NumericIntegrityError
 
 from test_golden import RUNS as GOLDEN_RUNS
@@ -146,17 +146,27 @@ def test_cusp_galerkin_K_below_tracked_count(tmp_path):
     assert text.strip().endswith("RESULT PASS")
 
 
+def _dyadic20_ranks():
+    """The numerical rank r_K of each truncation that cusp-galerkin --eps
+    dyadic:20 scans: the number of Ritz values, a rounding outcome (r_K
+    stops where a pivot falls under 2^-53 times the trace)."""
+    scan = galerkin.compression_scan(
+        geometry.profile_make(seqs.dyadic(20), 0.005), (32, 64, 128))
+    return {K: scan.spectrum_by_K[K].size for K in scan.Ks}
+
+
 def test_cusp_galerkin_noise_floor_is_unresolved(tmp_path):
     # at dyadic:20, lambda_13 lies below TRIANGLE_RTOL * trace at K = 32,
     # lambda_14 and lambda_15 below it at K = 64, and lambda_16..20 at
     # every K: no crossing is named at a K where lambda_n is noise.  The
-    # CSV stops at the numerical rank, r = 18 at K = 32.
+    # CSV stops at the numerical rank r_K, and at n = 20.
     code = cli.main(["cusp-galerkin", "--eps", "dyadic:20",
                      "--out", str(tmp_path)])
     assert code == 0
     _, rows = _read_csv(tmp_path / "galerkin.csv")
-    assert [sum(r[1] == K for r in rows) for K in ("32", "64", "128")] == [
-        18, 20, 20]
+    ranks = _dyadic20_ranks()
+    assert [sum(r[1] == str(K) for r in rows) for K in (32, 64, 128)] == [
+        min(20, ranks[K]) for K in (32, 64, 128)]
     text = (tmp_path / "certificates.txt").read_text()
     verdicts = dict(re.findall(r"floor_crossing n=(\d+): (.*)", text))
     assert [verdicts[str(n)] for n in (12, 13, 14, 15)] == [
@@ -167,15 +177,16 @@ def test_cusp_galerkin_noise_floor_is_unresolved(tmp_path):
 
 
 def test_cusp_galerkin_interlacing_skips_the_noise(tmp_path):
-    # at dyadic:20, lambda_13..18 lie below the noise floor at K = 32, so
-    # the interlacing check covers n = 1..12; over all 18 it read 1.7e-17,
-    # a comparison of rounding noise
+    # at dyadic:20, lambda_13 .. lambda_r lie below the noise floor at
+    # K = 32, so the interlacing check covers n = 1..12; over all r it
+    # read 1.7e-17, a comparison of rounding noise
     code = cli.main(["cusp-galerkin", "--eps", "dyadic:20",
                      "--out", str(tmp_path)])
     assert code == 0
     text = (tmp_path / "certificates.txt").read_text()
-    assert ("INFO eigenvalues_nondecreasing_in_K skips n=13..18: below the"
-            " noise floor at K=32") in text
+    shown = min(20, _dyadic20_ranks()[32])
+    assert (f"INFO eigenvalues_nondecreasing_in_K skips n=13..{shown}: below"
+            " the noise floor at K=32") in text
     value = re.search(r"PASS eigenvalues_nondecreasing_in_K: (\S+)", text)
     assert math.isclose(float(value.group(1)), 2.624232e-11, rel_tol=1e-6)
 
@@ -324,7 +335,20 @@ def test_non_utf8_files_are_config_errors(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "utf-8" in err, argv
-        assert err.count("\n") == 1, argv
+        assert str(binary) in err and err.count("\n") == 1, argv
+
+
+def test_cusp_gram_order_takes_the_witness_range(tmp_path, capsys):
+    # gram.build_gram accepts orders 1..ORDER_CAP // 2 = 256, and so does
+    # the flag that names it, in its help text too
+    with pytest.raises(SystemExit):
+        cli.main(["cusp-gram", "--help"])
+    assert "(1..256)" in capsys.readouterr().out
+    out = ["--eps", "dyadic:3", "--out", str(tmp_path)]
+    assert cli.main(["cusp-gram", "--order", "256"] + out) == 0
+    capsys.readouterr()
+    assert cli.main(["cusp-gram", "--order", "257"] + out) == 2
+    assert capsys.readouterr().err == "error: order must lie in 1..256\n"
 
 
 @pytest.mark.parametrize("pmax", [2 ** 63, 10 ** 30])

@@ -15,6 +15,8 @@ from dirichletlab.geometry import profile_make
 from dirichletlab.seqs import dyadic
 
 from cusp_oracles import cusp_moment, cusp_nodes, fan_moment, tensor_table
+from reference_routes import one_shot_table
+from test_carleson import _seeded_profile
 
 DELTA = 1.0 / 200.0
 
@@ -157,6 +159,71 @@ def test_edge_table_matches_mpmath_at_K128():
     assert max(edge) <= 2e-13
 
 
+@pytest.mark.parametrize("seed", [None, 7, 29])
+def test_piecewise_table_matches_the_one_shot_product(monkeypatch, seed):
+    # the table summed edge piece by edge piece, each as a real GEMM, is
+    # the one complex product over all 9K nodes in another order: within
+    # 1e-14 of sqrt(mu_jj mu_kk) (3.0e-15 at K = 128 on the default
+    # profile); the closing edge's gathered powers of eps_1 are the K x K
+    # power eps_1 ** (j + k + 2) bit for bit
+    prof = (profile_make(dyadic(8), DELTA) if seed is None
+            else _seeded_profile(seed))
+    calls = []
+    table = galerkin._boundary_table
+
+    def recorded(*args):
+        calls.append(args)
+        return table(*args)
+    monkeypatch.setattr(galerkin, "_boundary_table", recorded)
+    for K in (16, 128, 400):
+        got = galerkin._edge_table(prof, K)
+        z, c, _, close = calls[-1]
+        assert z.shape == c.shape == (prof.knots.size - 1, K)
+        want = one_shot_table(z, c, K, close)
+        d = np.sqrt(np.abs(np.diag(want)))
+        assert np.max(np.abs(got - want) / (d[:, None] * d[None, :])) <= 1e-14
+        j, k = np.arange(K)[:, None], np.arange(K)[None, :]
+        sign = 1.0 - 2.0 * ((k - j - 1) // 2 % 2)
+        assert np.array_equal(close, np.where(
+            (j + k) % 2 == 1, -sign * prof.thetas[-1] ** (j + k + 2.0)
+            / ((j + 1.0) * (j + k + 2.0)), 0.0)), K
+
+
+def test_disk_calibration_at_K128():
+    # the unit disk's K + 1 trapezoid nodes are one piece; the largest
+    # error, 2.0e-15 at (0, 0), is that 129-term sum in one GEMM chain
+    M = moment_matrix(None, 128)
+    assert np.max(np.abs(M.entries - np.eye(128))) <= 2.0e-15
+
+
+def test_edge_table_peak_memory():
+    # three K x K work arrays reused for every piece, where one power
+    # table over all 9K nodes took 7.2 MB traced at K = 128
+    import tracemalloc
+    prof = profile_make(dyadic(8), DELTA)
+    galerkin._edge_table(prof, 128)     # the Gauss rule is cached
+    tracemalloc.start()
+    try:
+        galerkin._edge_table(prof, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
+
+
+def test_stacked_ritz_solve_matches_solo_solves():
+    # the Ritz matrices of K = 32, 64 and 128 (r = 17, 21 and 23) in one
+    # Jacobi run, padded to the largest r: each truncation keeps r values,
+    # its padding zeros dropped, within r 2^-53 lambda_1 of the solve of
+    # its own Ritz matrix alone
+    scan = compression_scan(profile_make(dyadic(8), DELTA), (32, 64, 128))
+    for K, stacked in scan.spectrum_by_K.items():
+        (alone,) = galerkin._ritz(scan.matrix.entries, [K])
+        assert stacked.shape == alone.shape, K
+        allow = alone.size * 2.0 ** -53 * alone[0]
+        assert np.all(np.abs(stacked - alone) <= allow), K
+
+
 def _mutated_table(monkeypatch, mutate):
     table = galerkin._edge_table
 
@@ -204,9 +271,9 @@ def test_psd_guard_refuses_a_slightly_indefinite_matrix():
     # the trace drives its smallest eigenvalue to about -1e-11 trace, ten
     # times past PSD_RTOL: the Ritz solve must refuse it
     M = moment_matrix(profile_make(dyadic(8), DELTA), 32)
-    galerkin._ritz(M.entries)           # the unperturbed matrix passes
+    galerkin._ritz(M.entries, [32])     # the unperturbed matrix passes
     A = M.entries.copy()
     A[15, 15] -= 1.25e-11 * M.trace
     assert -2e-11 < np.linalg.eigvalsh(A)[0] / M.trace < -0.5e-11
     with pytest.raises(NumericIntegrityError, match="semidefinite"):
-        galerkin._ritz(A)
+        galerkin._ritz(A, [32])

@@ -111,6 +111,7 @@ REFERENCE_ROUTES = {
     "errors": ("AccuracyWarning",),
     "geometry": ("PowerProfile", "cusp_contains", "cusp_area"),
     "spectra": ("singular_values",),
+    "galerkin": ("one_shot_table",),
     "powers": ("norms", "power_coeffs", "power_norm_series", "DEGREE_CAP",
                "growth_term_sum"),
 }

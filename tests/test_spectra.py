@@ -280,6 +280,72 @@ def test_eigh_graded_smallest_eigenvalue_against_mpmath():
         assert rel <= 1e-12, (d[0], float(rel))
 
 
+def _padded(blocks):
+    """The square matrices in blocks as one stack, zero-padded to the
+    largest."""
+    n = max(len(B) for B in blocks)
+    stack = np.zeros((len(blocks), n, n))
+    for S, B in zip(stack, blocks):
+        S[:len(B), :len(B)] = B
+    return stack
+
+
+def test_eigh_stack_of_mixed_sizes(monkeypatch):
+    # matrices of 1 to 9 rows zero-padded into one stack: a rotation with
+    # a_pq = 0 is an exact swap, so after the run every matrix still has
+    # n - r zero rows and columns, its row of eigenvalues holds n - r
+    # exact zeros, and the rest lie within n 2^-53 |lambda|_max of the
+    # eigenvalues of that matrix alone
+    from dirichletlab import spectra
+    rng = np.random.default_rng(11)
+    blocks = []
+    for r in (9, 1, 4, 7, 2, 9, 8):
+        B = rng.standard_normal((r, r)) * 10.0 ** rng.integers(-8, 8)
+        blocks.append(B + B.T)
+    alone = [eigh(B) for B in blocks]
+    stacks = []
+    step = spectra._step
+
+    def recorded(S, R, o):
+        stacks.append(S)
+        step(S, R, o)
+    monkeypatch.setattr(spectra, "_step", recorded)
+    vals = eigh(_padded(blocks))
+    assert vals.shape == (7, 9) and all(S is stacks[0] for S in stacks)
+    for row, M, B, ref in zip(vals, stacks[0], blocks, alone):
+        n, r = row.size, len(B)
+        assert np.count_nonzero(~M.any(axis=0)) == n - r
+        assert np.count_nonzero(~M.any(axis=1)) == n - r
+        assert np.count_nonzero(row == 0.0) == n - r
+        assert np.all(np.diff(row) <= 0.0)
+        got = row[row != 0.0]
+        allow = n * 2.0 ** -53 * np.max(np.abs(ref))
+        assert np.all(np.abs(got - ref) <= allow), r
+
+
+def test_eigh_graded_stack_against_mpmath():
+    # the two graded D B D matrices of the test above and an 8 x 8 matrix
+    # twenty orders of magnitude smaller, in one run: the stopping tests
+    # are per matrix, so every eigenvalue of each keeps its relative
+    # accuracy against 50-digit values
+    mpmath = pytest.importorskip("mpmath")
+    n = 12
+    rng = np.random.default_rng(12)
+    C = rng.standard_normal((n, n))
+    B = np.eye(n) + 0.1 * (C + C.T)
+    blocks = [d[:, None] * B * d[None, :]
+              for d in (10.0 ** -np.arange(n), 10.0 ** -np.arange(n)[::-1])]
+    E = rng.standard_normal((8, 8))
+    blocks.append(1e-20 * (E @ E.T + 8.0 * np.eye(8)))
+    for row, A in zip(eigh(_padded(blocks)), blocks):
+        with mpmath.workdps(50):
+            ref = sorted(mpmath.eigsy(mpmath.matrix(A.tolist()),
+                                      eigvals_only=True), reverse=True)
+            rel = max(abs((mpmath.mpf(float(x)) - y) / y)
+                      for x, y in zip(row[:len(A)], ref))
+        assert rel <= 1e-12, (len(A), float(rel))
+
+
 def _cusp_profile():
     from dirichletlab.geometry import profile_make
     from dirichletlab.seqs import dyadic
@@ -307,16 +373,17 @@ def test_galerkin_ritz_values_within_the_weyl_allowance():
 
 
 def test_galerkin_eigensolves_are_at_most_32_by_32(monkeypatch):
-    # the Ritz matrices at K = 32, 64 and 128 are r x r, r = 18, 20 and 23
-    # on the default profile: Jacobi never sees a full truncation
+    # the Ritz matrices at K = 32, 64 and 128 are r x r (r = 17, 21 and 23
+    # on the default profile), solved in one call on a stack of depth 3
+    # zero-padded to the largest r: Jacobi never sees a full truncation
     from dirichletlab import spectra
     from dirichletlab.galerkin import compression_scan
-    sizes = []
+    calls = []
     eigh_ = spectra.eigh
 
     def recorded(A):
-        sizes.append(len(A))
+        calls.append((A.shape[0] if np.ndim(A) == 3 else 1, A.shape[-1]))
         return eigh_(A)
     monkeypatch.setattr(spectra, "eigh", recorded)
     compression_scan(_cusp_profile(), (32, 64, 128))
-    assert len(sizes) == 3 and max(sizes) <= 32, sizes
+    assert len(calls) == 1 and calls[0][0] == 3 and calls[0][1] <= 32, calls
