@@ -2,9 +2,10 @@
 
 Builds instances, runs the certificate suites, and writes CSV tables,
 optional SVG line plots, and a certificates.txt summary with one
-PASS/FAIL line per verified inequality.  Exit codes: 0 all certificates
-pass, 1 a certificate failed, 2 usage or configuration error, 3 numeric
-integrity failure.
+PASS/FAIL line per verified inequality.  Each output replaces the file of
+its name in --out.  Exit codes: 0 all certificates pass, 1 a certificate
+failed, 2 usage or configuration error, 3 numeric integrity failure; a
+run that exits 2 or 3 leaves no certificates.txt.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import collections
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -81,13 +83,25 @@ def _parse_targets(spec: str):
 # output helpers
 
 
-def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([int(v) if isinstance(v, (int, np.integer)) else
-                        float(v) for v in row])
+def _write(path: Path, text: str):
+    """Replace the file at path by a new one holding text.
+
+    Unlinking first, rather than truncating in place, spares the flush
+    that ext4 (auto_da_alloc) starts when a truncated file is closed, and
+    replaces a hard link or symlink at path instead of writing through it.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8", newline="")
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([int(v) if isinstance(v, (int, np.integer)) else
+                    float(v) for v in row])
+    return buf.getvalue()
 
 
 class CertLog:
@@ -110,10 +124,9 @@ class CertLog:
     def check(self, name, value, bound, op, source):
         self.add(_check(name, value, bound, op, source))
 
-    def write(self, path: Path, title: str) -> int:
+    def text(self, title: str) -> str:
         result = "RESULT " + ("FAIL" if self.failed else "PASS")
-        path.write_text("\n".join([title, *self.lines, result]) + "\n")
-        return EXIT_CERT if self.failed else EXIT_OK
+        return "\n".join([title, *self.lines, result]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +357,27 @@ EXPERIMENTS = {
 
 
 def _run(args) -> int:
-    """Run one experiment and write its tables, plots and certificates."""
+    """Run one experiment and replace its tables, plots and certificates.
+
+    The old certificates.txt goes before the body runs, so a run that
+    stops with exit 2 or 3 leaves none; without --plot, the plot files the
+    experiment names are removed.
+    """
+    out = Path(args.out)
+    cert = out / "certificates.txt"
+    cert.unlink(missing_ok=True)
     log = CertLog()
     title, tables, plots = EXPERIMENTS[args.experiment].body(args, log)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:
-        _write_csv(out / name, header, rows)
-    if args.plot:
-        for name, series, options in plots:
-            (out / name).write_text(polyline_chart(series, **options))
-    return log.write(out / "certificates.txt", title)
+        _write(out / name, _csv_text(header, rows))
+    for name, series, options in plots:
+        if args.plot:
+            _write(out / name, polyline_chart(series, **options))
+        else:
+            (out / name).unlink(missing_ok=True)
+    _write(cert, log.text(title))
+    return EXIT_CERT if log.failed else EXIT_OK
 
 
 @functools.cache

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import time
 
@@ -283,6 +284,50 @@ def test_plot_writes_one_svg_and_leaves_other_files_alone(tmp_path, name):
         assert runs[True].pop(f).startswith(b"<svg")
     assert runs[True] == runs[False]
     assert "certificates.txt" in runs[False]
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_rerun_replaces_every_output(tmp_path, name):
+    # a run into an --out used by another run with --plot leaves the bytes
+    # of a run into a fresh --out: no 8-disk gram.svg next to the 2-disk
+    # gram.csv, and no stale line in any table
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert cli.main([name, "--plot", "--out", str(used)]) == 0
+    for out in (used, fresh):
+        assert cli.main([name, *GOLDEN_RUNS[name], "--out", str(out)]) == 0
+    assert _files(used) == _files(fresh)
+
+
+def test_outputs_replace_links_instead_of_writing_through(tmp_path):
+    out, side, target = tmp_path / "out", tmp_path / "side.csv", tmp_path / "t"
+    assert cli.main(["cusp-gram", "--out", str(out)]) == 0
+    os.link(out / "gram.csv", side)
+    old = side.read_bytes()
+    target.write_text("kept\n")
+    (out / "certificates.txt").unlink()
+    (out / "certificates.txt").symlink_to(target)
+    assert cli.main(["cusp-gram", "--eps", "dyadic:3", "--out", str(out)]) == 0
+    assert side.read_bytes() == old
+    assert (out / "gram.csv").stat().st_nlink == 1
+    assert (out / "gram.csv").read_bytes() != old
+    assert target.read_text() == "kept\n"
+    assert not (out / "certificates.txt").is_symlink()
+    assert (out / "certificates.txt").read_text().endswith("RESULT PASS\n")
+
+
+@pytest.mark.parametrize("eps,code", [("dyadic:63", 3), ("nonsense:3", 2)])
+def test_failed_run_leaves_no_certificates(tmp_path, capsys, eps, code):
+    # a certificates.txt of an earlier run must not stand for one that
+    # stopped with a numeric integrity error or a usage error in its body
+    assert cli.main(["cusp-rho", "--out", str(tmp_path)]) == 0
+    assert cli.main(["cusp-rho", "--eps", eps, "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith(
+        "numeric integrity: " if code == 3 else "error: ")
+    assert not (tmp_path / "certificates.txt").exists()
 
 
 def test_threshold_failure_flips_exit_code(tmp_path):
