@@ -13,8 +13,7 @@ from .gram import (CertificateReport, CheckResult, GramMatrix,
                    bernstein_certificate, closed_form_gram, nu_bound,
                    tec_report)
 from .carleson import (WindowMeasureReport, cusp_window_report,
-                       eksy_window_measure, eksy_window_table,
-                       half_window_area, window_area_cusp)
+                       eksy_window_table, half_window_area, window_area_cusp)
 from .powers import (GrowthReport, eksy_growth_report, growth_grid,
                      growth_majorant, growth_term, jensen_lower, log2_targets,
                      power_norm_region, region_moment)
@@ -31,8 +30,8 @@ __all__ = [
     "eigh", "schur_bound",
     "CertificateReport", "CheckResult", "GramMatrix",
     "bernstein_certificate", "closed_form_gram", "nu_bound", "tec_report",
-    "WindowMeasureReport", "cusp_window_report", "eksy_window_measure",
-    "eksy_window_table", "half_window_area", "window_area_cusp",
+    "WindowMeasureReport", "cusp_window_report", "eksy_window_table",
+    "half_window_area", "window_area_cusp",
     "GrowthReport", "eksy_growth_report", "growth_grid", "growth_majorant",
     "growth_term", "jensen_lower", "log2_targets", "power_norm_region",
     "region_moment",

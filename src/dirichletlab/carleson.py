@@ -6,9 +6,10 @@ arc-annulus window W(1, h) = {1 - h <= |z| < 1, |arg z| < pi h} with its
 half-depth variant W'_n, used for the exponential image of the
 rectilinear domain.  All measures are w.r.t. dA = dx dy / pi.  Both are
 closed forms: the cusp window at xi = 1 over the profile's breakpoint
-table, the staircase windows over the count-weighted band spans of its
-level rows.  The supremum of the cusp window over the unit circle is
-enclosed between the window at xi = 1 and the one of radius C h there
+table, the staircase windows as masses that the domain's level rows
+integrate themselves (``RectilinearDomain.pullback_mass``).  The
+supremum of the cusp window over the unit circle is enclosed between
+the window at xi = 1 and the one of radius C h there
 (``cone_constant``).
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericIntegrityError, ValidationError
-from .geometry import CuspProfile, RectilinearDomain, exp_drop
+from .geometry import CuspProfile, RectilinearDomain
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +124,6 @@ def cusp_window_report(profile: CuspProfile) -> WindowMeasureReport:
 # rectilinear windows W(1, h) and W'_n
 
 
-def _band_measure(F: RectilinearDomain, xlo: float, xhi: float,
-                  h: float) -> float:
-    """mu of {xlo < x < xhi, |y - 2k pi| < pi h for some k} under the
-    pullback of n_phi dA.
-
-    The y-overlap with the bands comes from the rows' band spans (lo, hi),
-    exact at every depth: each of a row's count copies meets its band along
-    2 pi reach, reach = max(0, min(h, hi) - lo), and its x-clipped part
-    [a, b] carries (e^{-2a} - e^{-2b}) / 2 per unit of y / pi.
-    """
-    if not (0.0 < h <= 0.25):
-        raise ValidationError(f"band half-height {h} outside (0, 1/4]")
-    a, b = np.maximum(F.x1, xlo), np.minimum(F.x2, xhi)
-    keep = a < b
-    reach = np.maximum(0.0, np.minimum(h, F.hi[keep]) - F.lo[keep])
-    return float((F.count[keep] * reach) @ exp_drop(2.0, a[keep], b[keep]))
-
-
 def half_window_area(n: int) -> float:
     """A(W'_n) = 2^-n ((1 - 2^-(n+1))^2 - (1 - 2^-n)^2) = 2^-n (a - 3a^2/4)
     with a = 2^-n, written in the cancellation-free polynomial form."""
@@ -148,30 +131,22 @@ def half_window_area(n: int) -> float:
     return a * (a - 0.75 * a * a)
 
 
-def eksy_window_measure(F: RectilinearDomain, N: int) -> tuple[float, float]:
-    """Exact mu(W'_{2N}) and mu(W(1, h_N)), h_N = 2^-2N.
+def eksy_window_table(F: RectilinearDomain):
+    """Rows (N, mu_half, mu_window, index): the exact mu(W'_{2N}) and
+    mu(W(1, h_N)), h_N = 2^-2N, and index = h_N^-2 mu(W(1, h_N)).
 
     The exponential preimage of W(1, h) is {0 < x <= -log(1-h)} times the
-    union of bands |y - 2k pi| < pi h, so both measures reduce to closed
-    forms over the level rows of F.  Pipes at depth N touch the half
-    window only along its boundary and contribute zero to mu(W'_{2N}).
-    """
-    if not (1 <= N <= F.n_max):
-        raise ValidationError(f"N {N} outside 1..{F.n_max}")
-    h = 2.0 ** (-2 * N)
-    mu_half = _band_measure(F, float(F.eps4[2 * N + 1]), float(F.eps4[2 * N]), h)
-    mu_window = _band_measure(F, 0.0, float(F.eps4[2 * N]), h)
-    return mu_half, mu_window
-
-
-def eksy_window_table(F: RectilinearDomain):
-    """Rows (N, mu_half, mu_window, index) with index = h_N^-2 mu(W(1,h_N)),
-    scaled by the exact power of two 2^{4N}, where 4.0 ** (2 N) would
-    overflow past N = 255.  A measure that is not a finite normal float
-    (subnormal from N = 258 on) raises ``NumericIntegrityError``."""
+    bands |y - 2k pi| < pi h, and that of W'_{2N} its part x > eps_{2N+1}
+    (which pipes at depth N touch only along its boundary), so both are
+    ``F.pullback_mass`` at s = 2, in one call per N.  The index is scaled
+    by the exact power of two 2^{4N}, where 4.0 ** (2 N) would overflow
+    past N = 255.  A measure that is not a finite normal float (subnormal
+    from N = 258 on) raises ``NumericIntegrityError``."""
     rows = []
     for N in range(1, F.n_max + 1):
-        mu_half, mu_window = eksy_window_measure(F, N)
+        xlo = np.array([[F.eps4[2 * N + 1]], [0.0]])    # W'_{2N}, W(1, h_N)
+        mu_half, mu_window = map(float, F.pullback_mass(
+            2.0, xlo, float(F.eps4[2 * N]), 2.0 ** (-2 * N)))
         if not (math.isfinite(mu_half) and math.isfinite(mu_window)
                 and min(mu_half, mu_window) >= sys.float_info.min):
             raise NumericIntegrityError(

@@ -4,7 +4,7 @@ Cusp side: the profile theta with anchors theta(delta^j) = eps_j delta^j,
 the cusp domain Omega = {0 < x < 1, |y| < theta(1-x)}, and the family of
 disks D(c_j, r_j) sitting inside it.  Rectilinear side: the truncated
 union F of boxes, towers and pipes in the right half-plane, one row per
-level with a copy count, whose exponential image drives the power norms.
+level with a copy count, which integrates its exponential image's measure.
 The lens contrast profile, the area of Omega and its membership test are
 the tests' oracles (``tests/reference_routes.py``).
 """
@@ -243,6 +243,26 @@ class RectilinearDomain:
         return float(2.0 * math.pi * ((self.x2 - self.x1) * self.count)
                      @ (self.hi - self.lo))
 
+    def pullback_mass(self, s, xlo: float = 0.0, xhi: float = math.inf,
+                      h: float = 1.0):
+        """int |w|^{s-2} dmu over the window {xlo < x < xhi, |y - 2k pi| <
+        pi h for some k} of F, mu the pullback of dA = dx dy / pi by
+        w = e^{-u}: the integrand is e^{-s x}, so a row contributes
+        (2/s) count reach (e^{-s a} - e^{-s b}), where a copy meets its
+        band along 2 pi reach, reach = max(0, min(h, hi) - lo), exact at
+        every depth, and [a, b] = [max(x1, xlo), min(x2, xhi)] is its
+        x-clip, empty where a >= b.  s = 2 gives the mass mu, s = 2(q + 1)
+        the moment of |w|^{2q}.  An array s gives one value per entry, and
+        so, with a scalar s, does a column xlo of shape (k, 1)."""
+        if not (0.0 < h <= 1.0):
+            raise ValidationError(f"band half-height {h} outside (0, 1]")
+        a = np.maximum(self.x1, xlo)
+        b = np.maximum(a, np.minimum(self.x2, xhi))
+        reach = np.maximum(0.0, np.minimum(h, self.hi) - self.lo)
+        s = np.asarray(s, dtype=float)
+        m = exp_drop(s[..., None], a, b) @ (reach * self.count) * 2.0 / s
+        return m if m.ndim else float(m)
+
     def tail_bound(self) -> float:
         """sum_{n > n_max} l_n 16^-n, bounded via l_n <= n in closed form."""
         x = 1.0 / 16.0
@@ -250,20 +270,22 @@ class RectilinearDomain:
         return x ** (N + 1) * ((N + 1) - N * x) / (1.0 - x) ** 2
 
 
-def _as_l_values(M, n_max: int) -> list[int]:
-    if not callable(M) and len(M) < n_max:
+def target_values(M, ns) -> list[int]:
+    """M_n at the ascending indices ns, for targets M given as a callable
+    on n or as a sequence from n = 1: each value read must be a positive
+    integer, and the values must not decrease."""
+    if not callable(M) and len(M) < ns[-1]:
         raise ValidationError(
-            f"target sequence has {len(M)} terms; levels 1..{n_max} need"
-            f" {n_max}")
+            f"target sequence has {len(M)} terms; M_{ns[-1]} is needed")
     vals = []
-    for n in range(1, n_max + 1):
+    for n in ns:
         v = M(n) if callable(M) else M[n - 1]
         if int(v) != v or v < 1:
             raise ValidationError(f"M_{n} = {v} is not a positive integer")
         vals.append(int(v))
     if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
         raise ValidationError("M must be non-decreasing")
-    return [min(n, vals[n - 1] ** 2) for n in range(1, n_max + 1)]
+    return vals
 
 
 def _first_overlap(x1, x2, *spans):
@@ -307,7 +329,8 @@ def eksy_build(M, n_max: int) -> RectilinearDomain:
     if wide.size:
         raise ConstructionError(
             f"pipe at depth {wide[0] + 1} wider than its box")
-    l = _as_l_values(M, n_max)
+    l = [min(n, v * v) for n, v in
+         enumerate(target_values(M, range(1, n_max + 1)), start=1)]
     m = np.arange(2, 2 * n_max + 2)             # base boxes
     mid = 0.5 * (eps4[2 * n + 1] + eps4[2 * n])
     copies = np.array(l) - 1

@@ -2,11 +2,12 @@
 report.
 
 Change variables through the symbol, giving p^2 int |w|^{2p-2} dmu with
-mu the counting measure of the image; on the rectilinear domain the
-integral collapses to a closed form, on the cusp to a one-dimensional
-Gauss rule on the profile edges that is exact for its polynomial
-integrand.  The coefficient (series) route that criterion 8 holds this
-against is a test oracle, in ``tests/reference_routes.py``.
+mu the counting measure of the image; the rectilinear domain evaluates
+the integral itself, in closed form (``RectilinearDomain.pullback_mass``),
+and on the cusp a one-dimensional Gauss rule on the profile edges is
+exact for its polynomial integrand.  The coefficient (series) route that
+criterion 8 holds this against is a test oracle, in
+``tests/reference_routes.py``.
 """
 
 from __future__ import annotations
@@ -16,29 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .geometry import CuspProfile, Rect, RectilinearDomain, exp_drop
+from .errors import NumericIntegrityError, ValidationError
+from .geometry import CuspProfile, RectilinearDomain, target_values
 from .quad import ORDER_CAP
 
 
 # ---------------------------------------------------------------------------
 # region route
-
-
-def _rect_arrays(region):
-    """(x1, x2, dy/pi) arrays: per row of the built domain, 2 (hi - lo)
-    times its copy count, exact at every depth; plain differences for
-    ad-hoc rectangle lists."""
-    if isinstance(region, RectilinearDomain):
-        dy_pi = 2.0 * (region.hi - region.lo) * region.count
-        return region.x1, region.x2, dy_pi
-    rects = tuple(region) if isinstance(region, (list, tuple)) else ()
-    if not rects or not all(isinstance(r, Rect) for r in rects):
-        raise ValidationError("region must be a cusp profile, a staircase "
-                              "domain or a non-empty list of Rect")
-    return (np.array([r.x1 for r in rects]),
-            np.array([r.x2 for r in rects]),
-            np.array([(r.y2 - r.y1) / math.pi for r in rects]))
 
 
 def _boundary_moment(profile: CuspProfile, q: int, m: int) -> float:
@@ -72,13 +57,13 @@ def _is_exponent(q, least: int) -> bool:
 def region_moment(region, q):
     """int |w|^{2q} dmu for the region's counting measure mu.
 
-    Rectilinear route: w = e^{-u} turns the integrand into e^{-2(q+1)x},
-    so each rectangle contributes (dy/pi)(e^{-2(q+1)x1} - e^{-2(q+1)x2})
-    / (2(q+1)) exactly (a staircase row count times that), and an integer
-    array q gives the moments in one broadcast.  Cusp route (mu = 1_Omega
-    dA), scalar q only: a flux through the profile edges, exact at order
-    q + 1 <= ORDER_CAP and evaluated once (``_boundary_moment``).  Any
-    other region raises ValidationError.
+    Staircase route: w = e^{-u} turns the integrand into e^{-2(q+1)x}, a
+    closed form over the level rows (``RectilinearDomain.pullback_mass``
+    at s = 2(q + 1)), and an integer array q gives the moments in one
+    broadcast.  Cusp route (mu = 1_Omega dA), scalar q only: a flux
+    through the profile edges, exact at order q + 1 <= ORDER_CAP and
+    evaluated once (``_boundary_moment``).  Any other region raises
+    ValidationError.
     """
     if not _is_exponent(q, 0):
         raise ValidationError("q must be an integer >= 0")
@@ -86,10 +71,10 @@ def region_moment(region, q):
         if isinstance(q, np.ndarray) or q >= ORDER_CAP:
             raise ValidationError(f"q {q} outside 0..{ORDER_CAP - 1} on a cusp")
         return _boundary_moment(region, int(q), int(q) + 1)
-    x1, x2, dy_pi = _rect_arrays(region)
-    s = 2.0 * (np.asarray(q) + 1.0)
-    m = exp_drop(s[..., None], x1, x2) @ dy_pi / s
-    return m if m.ndim else float(m)
+    if not isinstance(region, RectilinearDomain):
+        raise ValidationError("region must be a cusp profile or a staircase "
+                              "domain")
+    return region.pullback_mass(2.0 * (np.asarray(q) + 1.0))
 
 
 def power_norm_region(region, p):
@@ -181,31 +166,27 @@ class GrowthReport:
     tail: float
 
     def __post_init__(self):
-        for a in (self.norm, self.majorant, self.mp, self.ratio):
-            if not (np.all(np.isfinite(a)) and np.all(a > 0.0)):
-                raise ValidationError("growth report entries must be finite"
-                                      " and positive")
-
-
-def _target_at(M, p: int) -> float:
-    v = M(p) if callable(M) else M[p - 1]
-    if v < 1:
-        raise ValidationError(f"M_{p} = {v} must be >= 1")
-    return float(v)
+        # the norm, about e^{-p x_min}, underflows at large p on a shallow F
+        entries = (self.norm, self.majorant, self.mp, self.ratio)
+        good = np.all([np.isfinite(a) & (a > 0.0) for a in entries], axis=0)
+        if not good.all():
+            i = int(np.argmin(good))
+            raise NumericIntegrityError(
+                f"growth report at p={int(self.ps[i])} (norm"
+                f" {float(self.norm[i])!r}) not finite and positive")
 
 
 def eksy_growth_report(F: RectilinearDomain, M, p_max: int) -> GrowthReport:
     """Exact squared norms, majorants and targets over the p grid.
 
     ``M`` is the target sequence (callable on p, or indexable covering
-    1..p_max) that F was built from.
+    1..p_max) that F was built from, read under the build's rule
+    (``geometry.target_values``) at every p of the grid.
     """
     ps = growth_grid(p_max)
-    if not callable(M) and len(M) < int(ps[-1]):
-        raise ValidationError("target sequence too short for the p grid")
+    mp = np.array(target_values(M, ps.tolist()), dtype=float)
     sq = power_norm_region(F, ps)
     maj = growth_majorant(F, ps)
-    mp = np.array([_target_at(M, int(p)) for p in ps])
     norm = np.sqrt(sq)
     ratio = norm / mp
     return GrowthReport(

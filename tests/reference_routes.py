@@ -10,7 +10,9 @@ cusp area and membership test, singular values through ``spectra.eigh``
 boundary node, the coefficient route to power norms (criterion 8) and
 the level sum of the majorant (criterion 10).  The product path in
 ``src/`` computes each of these numbers, where it needs them, in closed
-form, or (the moment table) piece by piece.
+form, or (the moment table) piece by piece.  ``one_row_domain`` builds
+the hand-made staircase rows (a strip, a thin box, one pipe) on which
+the tests run that product path.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dirichletlab.errors import ValidationError
-from dirichletlab.geometry import CuspProfile
+from dirichletlab.geometry import CuspProfile, RectilinearDomain
 from dirichletlab.powers import growth_term
 from dirichletlab.quad import ORDER_CAP, _gl
 from dirichletlab.spectra import _as_real, eigh
@@ -144,6 +146,17 @@ def cusp_area(profile: CuspProfile) -> float:
     """
     t, th = profile.knots, profile.thetas
     return float((2.0 / math.pi) * np.sum((th[1:] + th[:-1]) * np.diff(t) / 2.0))
+
+
+def one_row_domain(x1, x2, lo=0.0, hi=1.0, count=1, first=0, pipe=False):
+    """A staircase of one level row: count copies k = first, first + 1, ...
+    of x-range [x1, x2] with band span (lo, hi), as in ``eksy_build``; the
+    strip 0 < x < 400, |y| < pi is one_row_domain(0.0, 400.0)."""
+    return RectilinearDomain(
+        n_max=0, l=(), eps4=np.array([np.inf]),
+        x1=np.array([x1]), x2=np.array([x2]), lo=np.array([lo]),
+        hi=np.array([hi]), first=np.array([first]), count=np.array([count]),
+        pipe=np.array([pipe]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import warnings
 import numpy as np
 
 from dirichletlab import carleson, galerkin, gram, powers, quad, spectra
-from dirichletlab.geometry import Rect, eksy_build
+from dirichletlab.geometry import eksy_build
 
 from reference_routes import (PowerProfile, growth_term_sum, integrate_rect,
-                              power_norm_series, singular_values)
+                              one_row_domain, power_norm_series,
+                              singular_values)
 
 DELTA = 1.0 / 200.0
 
@@ -111,14 +112,13 @@ def _band_measure_by_quadrature(F, xlo, xhi, h):
 def test_criterion_05_half_window_closed_forms(domain24):
     F6 = eksy_build(powers.log2_targets, 6)
     # l_1 = 1: mu(W'_2) = 13/256, and the independent quadrature agrees
-    mu_half, _ = carleson.eksy_window_measure(F6, 1)
+    _, mu_half, _, _ = carleson.eksy_window_table(F6)[0]
     assert math.isclose(mu_half, 13.0 / 256.0, rel_tol=1e-13)
     brute = _band_measure_by_quadrature(
         F6, float(F6.eps4[3]), float(F6.eps4[2]), 0.25)
     assert math.isclose(mu_half, brute, rel_tol=1e-10)
     # general closed form and the tower-count lower bound at every depth
-    for N in range(1, domain24.n_max + 1):
-        mu_half, _ = carleson.eksy_window_measure(domain24, N)
+    for N, mu_half, _, _ in carleson.eksy_window_table(domain24):
         l_N = domain24.l[N - 1]
         closed = l_N * 4.0 ** (-2 * N) * (1.0 - 0.75 * 2.0 ** (-2 * N))
         assert math.isclose(mu_half, closed, rel_tol=1e-12)
@@ -172,7 +172,7 @@ def test_criterion_07_power_norms_grow_like_targets(domain24):
 def test_criterion_08_calibrations(profile8, domain24):
     # ||z^p||_D = sqrt(p): series route is bit-exact, the strip image
     # route agrees to rounding
-    strip = [Rect(0.0, 400.0, -math.pi, math.pi, "base", 0, 0)]
+    strip = one_row_domain(0.0, 400.0)     # x in (0, 400), |y| < pi
     for p in (1, 2, 3, 10, 64, 333):
         assert power_norm_series([0.0, 1.0], p) == math.sqrt(p)
         assert math.isclose(powers.power_norm_region(strip, p), float(p),

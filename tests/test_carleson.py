@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from dirichletlab.carleson import (
     cone_constant,
     cusp_window_report,
-    eksy_window_measure,
     eksy_window_table,
     half_window_area,
     window_area_cusp,
@@ -228,16 +227,15 @@ def test_half_window_area_closed_form():
 
 def test_eksy_half_window_oracle_13_over_256():
     F = eksy_build(lambda n: n.bit_length(), 6)
-    mu_half, mu_window = eksy_window_measure(F, 1)
+    _, mu_half, mu_window, _ = eksy_window_table(F)[0]
     assert math.isclose(mu_half, 13.0 / 256.0, rel_tol=1e-14)
     assert mu_window > mu_half
 
 
 def test_eksy_measures_match_independent_quadrature():
     F = eksy_build(lambda n: n.bit_length(), 6)
-    for N in range(1, F.n_max + 1):
+    for N, mu_half, mu_window, _ in eksy_window_table(F):
         h = 4.0 ** -N
-        mu_half, mu_window = eksy_window_measure(F, N)
         brute_half = _band_measure_by_quadrature(
             F, float(F.eps4[2 * N + 1]), float(F.eps4[2 * N]), h)
         brute_window = _band_measure_by_quadrature(
@@ -248,8 +246,7 @@ def test_eksy_measures_match_independent_quadrature():
 
 def test_eksy_half_window_equals_tower_count_times_area():
     F = eksy_build(lambda n: n.bit_length(), 10)
-    for N in range(1, 11):
-        mu_half, _ = eksy_window_measure(F, N)
+    for N, mu_half, _, _ in eksy_window_table(F):
         assert math.isclose(mu_half, F.l[N - 1] * half_window_area(2 * N),
                             rel_tol=1e-13)
 
@@ -265,10 +262,3 @@ def test_eksy_window_table_shape_and_floor():
         a = 4.0 ** -N
         assert index >= F.l[N - 1] * (1.0 - 0.75 * a) * (1.0 - 1e-12)
 
-
-def test_eksy_window_measure_validates_N():
-    F = eksy_build(lambda n: 1, 3)
-    with pytest.raises(ValidationError):
-        eksy_window_measure(F, 0)
-    with pytest.raises(ValidationError):
-        eksy_window_measure(F, 4)

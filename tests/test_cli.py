@@ -240,13 +240,36 @@ def test_eksy_growth_fails_when_the_top_octave_grows(tmp_path, monkeypatch):
     assert text.strip().endswith("RESULT FAIL")
 
 
-@pytest.mark.xfail(strict=True, reason="the region-route norm, about "
-                   "e^{-p x_min}, underflows to 0 at pmax 2^20 (ROADMAP item 3)")
+@pytest.mark.xfail(strict=True, reason="exit 3: the region-route norm, "
+                   "about e^{-p x_min}, underflows to 0 at pmax 2^20 "
+                   "(ROADMAP item 14)")
 @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
 def test_eksy_growth_shallow_depths(tmp_path, nmax):
     code = cli.main(["eksy-growth", "--nmax", str(nmax),
                      "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_eksy_growth_underflow_is_numeric_integrity(tmp_path, capsys):
+    # a valid input whose norm underflows is exit 3, not a usage error
+    code = cli.main(["eksy-growth", "--nmax", "2", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric integrity: growth report at p=")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "certificates.txt").exists()
+
+
+@pytest.mark.parametrize("nmax", ["2", "3"])
+def test_decreasing_file_targets_exit_two(tmp_path, capsys, nmax):
+    # the build and the growth report read M under one rule: M_3 < M_2 is
+    # refused whether the build reads it (nmax 3) or only the p grid does
+    m_file = tmp_path / "m.txt"
+    m_file.write_text("2 2 1 1 1 1 1 1\n")
+    code = cli.main(["eksy-growth", "--M", f"file:{m_file}", "--nmax", nmax,
+                     "--pmax", "8", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: M must be non-decreasing\n"
 
 
 def test_eksy_windows_artifacts_and_roundtrip(tmp_path):

@@ -13,7 +13,8 @@ from dirichletlab.errors import ConstructionError, ValidationError
 from dirichletlab.geometry import disk_family, eksy_build, eps_exp, profile_make
 from dirichletlab.seqs import dyadic
 
-from reference_routes import PowerProfile, cusp_area, cusp_contains
+from reference_routes import (PowerProfile, cusp_area, cusp_contains,
+                              one_row_domain)
 
 DELTA = 1.0 / 200.0
 
@@ -197,6 +198,63 @@ def test_eksy_area_oracle():
         exp_area += (em - em1) * 2.0 * math.pi * 2.0**-m
     assert math.isclose(F.area(), exp_area, rel_tol=1e-13)
     assert len(F.rectangles) == 6
+
+
+def _drop(s, a, b):
+    # e^{-s a} - e^{-s b}, by hand
+    return math.exp(-s * a) - math.exp(-s * b)
+
+
+def test_pullback_mass_clips_the_x_range():
+    # the row [1, 2] x |y| < pi carries (2/s)(e^{-s a} - e^{-s b}) on its
+    # x-clip [a, b], and nothing outside (xlo, xhi)
+    F = one_row_domain(1.0, 2.0)
+    assert math.isclose(F.pullback_mass(2), _drop(2, 1.0, 2.0), rel_tol=1e-14)
+    assert math.isclose(F.pullback_mass(2, 1.5, 1.75), _drop(2, 1.5, 1.75),
+                        rel_tol=1e-14)
+    for xlo, xhi in ((3.0, math.inf), (2.0, 5.0), (0.0, 0.5), (0.0, 1.0)):
+        assert F.pullback_mass(2, xlo, xhi) == 0.0, (xlo, xhi)
+
+
+def test_pullback_mass_of_a_pipe_reaches_from_lo():
+    # a pipe covers the band span (1/4, 1): a band of half-height h <= 1/4
+    # misses it, and one of 1/4 < h < 1 meets each copy along 2 pi (h - 1/4)
+    F = one_row_domain(1.0, 2.0, lo=0.25, hi=1.0, first=1, pipe=True)
+    assert F.pullback_mass(2, h=0.25) == 0.0
+    assert F.pullback_mass(2, h=0.1) == 0.0
+    assert math.isclose(F.pullback_mass(2, h=0.5), 0.25 * _drop(2, 1.0, 2.0),
+                        rel_tol=1e-14)
+    assert math.isclose(F.pullback_mass(6, h=0.5),
+                        2.0 / 6.0 * 0.25 * _drop(6, 1.0, 2.0), rel_tol=1e-14)
+    assert math.isclose(F.pullback_mass(2), 0.75 * _drop(2, 1.0, 2.0),
+                        rel_tol=1e-14)
+
+
+def test_pullback_mass_counts_copies():
+    # five copies of a box with band span (0, 1/4): five times one copy
+    F = one_row_domain(0.5, 0.75, hi=0.25, count=5)
+    for s in (2, 4, 10):
+        assert math.isclose(F.pullback_mass(s),
+                            2.0 / s * 5 * 0.25 * _drop(s, 0.5, 0.75),
+                            rel_tol=1e-14)
+    assert math.isclose(F.pullback_mass(2, h=0.125),
+                        5 * 0.125 * _drop(2, 0.5, 0.75), rel_tol=1e-14)
+
+
+def test_pullback_mass_takes_an_array_of_s():
+    s = np.array([2, 4, 6, 100])
+    F = one_row_domain(1.0, 2.0, lo=0.25, hi=1.0, count=3, first=1, pipe=True)
+    masses = F.pullback_mass(s, 1.25, 1.5, 0.5)
+    assert list(masses) == [F.pullback_mass(int(v), 1.25, 1.5, 0.5) for v in s]
+    for v, m in zip(s, masses):
+        assert math.isclose(m, 2.0 / v * 3 * 0.25 * _drop(v, 1.25, 1.5),
+                            rel_tol=1e-13)
+    F = eksy_build(lambda n: n.bit_length(), 12)
+    for v, m in zip(s, F.pullback_mass(s)):
+        assert math.isclose(m, F.pullback_mass(int(v)), rel_tol=1e-14)
+    for h in (0.0, -1.0, 1.5):
+        with pytest.raises(ValidationError):
+            F.pullback_mass(2, h=h)
 
 
 def test_eksy_validates_targets():

@@ -82,13 +82,20 @@ def test_order_doubling_serves_only_the_two_witnesses():
         assert "MOMENT_RTOL" not in set(_names(tree)), name
 
 
+ROW_FIELDS = {"x1", "x2", "lo", "hi", "count", "first", "pipe"}
+
+
 def test_staircase_copies_stay_in_geometry():
     # the product path reads one row per level: only geometry expands the
-    # rows into per-copy rectangles, and the window measures and moments
-    # read the public row arrays, no private field of the domain
+    # rows into per-copy rectangles or reads the row fields (the window
+    # masses and moments ask the domain, RectilinearDomain.pullback_mass),
+    # and no other module reads a private field of the domain
     for name, tree in _module_trees():
         if name != "geometry.py":
             assert "rectangles" not in set(_names(tree)), name
+            read = {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)} & ROW_FIELDS
+            assert not read, (name, read)
         if name in ("carleson.py", "powers.py"):
             private = {node.attr for node in ast.walk(tree)
                        if isinstance(node, ast.Attribute)

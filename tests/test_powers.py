@@ -9,7 +9,7 @@ import pytest
 
 from dirichletlab.errors import ValidationError
 from dirichletlab.galerkin import moment_matrix
-from dirichletlab.geometry import Rect, eksy_build, profile_make
+from dirichletlab.geometry import eksy_build, profile_make
 from dirichletlab.powers import (
     eksy_growth_report,
     growth_grid,
@@ -24,11 +24,11 @@ from dirichletlab.seqs import clamp_monotone, dyadic, slow_decay
 
 from cusp_oracles import cusp_moment, fan_moment
 from reference_routes import (PowerProfile, cusp_area, growth_term_sum, norms,
-                              power_coeffs, power_norm_series)
+                              one_row_domain, power_coeffs, power_norm_series)
 
 DELTA = 1.0 / 200.0
 
-STRIP = [Rect(0.0, 400.0, -math.pi, math.pi, "base", 0, 0)]
+STRIP = one_row_domain(0.0, 400.0)      # x in (0, 400), |y| < pi
 
 
 def _frac_norm_sq(coeffs):
@@ -100,7 +100,7 @@ def test_region_moment_narrow_rectangle_stability():
     # exponentials keeps two digits at best, expm1 keeps them all
     x2 = np.nextafter(50.0, 51.0)
     w = x2 - 50.0
-    narrow = [Rect(50.0, x2, 0.0, math.pi, "base", 0, 0)]
+    narrow = one_row_domain(50.0, x2, hi=0.5)      # |y| < pi/2
     val = region_moment(narrow, 0)
     assert val > 0.0
     assert math.isclose(val, w * math.exp(-100.0), rel_tol=1e-10)
@@ -119,7 +119,7 @@ def test_region_moment_validations():
     with pytest.raises(ValidationError):
         region_moment([1, 2], 0)
     with pytest.raises(ValidationError):
-        jensen_lower([STRIP[0], "box"], 2)
+        jensen_lower([STRIP, "box"], 2)
     # arrays of exponents: integers in range, and on a cusp not at all
     with pytest.raises(ValidationError):
         region_moment(STRIP, np.array([0, -1]))
