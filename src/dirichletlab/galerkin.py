@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,45 +117,52 @@ def _ritz(entries, Ks) -> list:
     Per truncation, a diagonal-pivoted Cholesky M = L L^T + S stops once
     no pivot left exceeds 2^-53 times the trace, at the numerical rank r
     (17, 21 and 23 at K = 32, 64 and 128 on the default profile; Higham
-    1990).  Q spans L's columns (modified Gram-Schmidt, twice); the
-    eigenvalues of the r x r matrix Q^T M Q are lower bounds for the top
-    r of M by interlacing, off by second order in ||S|| (Harbrecht, Peters
-    & Schneider, Appl. Numer. Math. 62, 2012); the other K - r lie within
-    +-||S||_F.  One Jacobi run solves the Ritz matrices of all truncations,
-    zero-padded to the largest r; each row drops its padding zeros.  A
-    boundary sum is not PSD by construction, so the PSD guard is live:
-    ||S||_F, and minus the smallest Ritz value, must stay within PSD_RTOL
-    times the trace of their truncation."""
+    1990).  Q spans L's columns: each column, as soon as it is made, is
+    orthogonalized against the rows of Q so far by classical Gram-Schmidt
+    run twice, which leaves it as orthogonal as modified Gram-Schmidt run
+    twice (Giraud, Langou, Rozloznik & van den Eshof, Numer. Math. 101,
+    2005), and normalized.  The eigenvalues of the r x r matrix Q^T M Q
+    are lower bounds for the top r of M by interlacing, off by second
+    order in ||S|| (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
+    2012); the other K - r lie within +-||S||_F.  One Jacobi run solves
+    the Ritz matrices of all truncations, zero-padded to the largest r;
+    each row drops its padding zeros.  A boundary sum is not PSD by
+    construction, so the PSD guard is live: ||S||_F, and minus the
+    smallest Ritz value, must stay within PSD_RTOL times the trace of
+    their truncation."""
     blocks = []
     for K in Ks:
         M = entries[:K, :K]
         trace = math.fsum(np.diag(M))
         d = np.diag(M).copy()
-        Q = np.zeros_like(M)            # row i: column i of L, then of Q
-        r = 0
-        while r < d.size and d.max() > 2.0 ** -53 * trace:
-            p = int(np.argmax(d))
-            Q[r] = (M[p] - Q[:r, p] @ Q[:r]) / math.sqrt(d[p])
-            d -= Q[r] ** 2
+        L, Q = np.zeros_like(M), np.zeros_like(M)   # row i: column i of each
+        r, tol = 0, 2.0 ** -53 * trace
+        while r < d.size:
+            p = int(d.argmax())
+            if not d[p] > tol:
+                break
+            l = L[r]
+            l[:] = (M[p] - L[:r, p] @ L[:r]) / math.sqrt(d[p])
+            d -= l ** 2
             d[p] = 0.0                  # its residual, 0 in exact arithmetic
+            Qr = Q[:r]
+            v = l - (Qr @ l) @ Qr
+            v -= (Qr @ v) @ Qr
+            Q[r] = v / math.sqrt(v @ v)
             r += 1
-        Q = Q[:r]
-        residual = float(np.linalg.norm(M - Q.T @ Q))
+        residual = float(np.linalg.norm(M - L[:r].T @ L[:r]))
         if not residual <= PSD_RTOL * trace:
             raise NumericIntegrityError(
                 "moment matrix lost positive semidefiniteness:"
                 f" ||M - LL^T||_F = {residual:.3e}, trace {trace:.3e}")
-        for _ in range(2):
-            for i in range(r):
-                Q[i] /= np.linalg.norm(Q[i])
-                Q[i + 1:] -= np.outer(Q[i + 1:] @ Q[i], Q[i])
-        B = Q @ M @ Q.T
+        B = Q[:r] @ M @ Q[:r].T
         blocks.append((0.5 * (B + B.T), trace))
-    n = max(len(B) for B, _ in blocks)
-    stack = np.stack([np.pad(B, (0, n - len(B))) for B, _ in blocks])
+    stack = np.zeros((len(blocks),) + (max(len(B) for B, _ in blocks),) * 2)
+    for S, (B, _) in zip(stack, blocks):
+        S[:len(B), :len(B)] = B
     out = []
     for row, (B, trace) in zip(spectra.eigh(stack), blocks):
-        ritz = np.delete(row, np.flatnonzero(row == 0.0)[:n - len(B)])
+        ritz = np.delete(row, np.flatnonzero(row == 0.0)[:row.size - len(B)])
         if ritz[-1] < -PSD_RTOL * trace:
             raise NumericIntegrityError(
                 "moment matrix lost positive semidefiniteness:"
@@ -200,9 +208,15 @@ class CompressionScan:
         return float(spectrum[n - 1]) if n <= spectrum.size else 0.0
 
     def noise_floor(self, K: int) -> float:
-        """TRIANGLE_RTOL times the fsum trace of truncation K: the accuracy
-        that moment_matrix's triangle check proves for its eigenvalues."""
-        return TRIANGLE_RTOL * math.fsum(np.diag(self.matrix.entries)[:K])
+        """TRIANGLE_RTOL times the fsum trace of truncation K in Ks: the
+        accuracy that moment_matrix's triangle check proves for its
+        eigenvalues."""
+        return self._noise_floors[K]
+
+    @cached_property
+    def _noise_floors(self) -> dict:
+        diag = np.diag(self.matrix.entries)
+        return {K: TRIANGLE_RTOL * math.fsum(diag[:K]) for K in self.Ks}
 
 
 def compression_scan(region, Ks) -> CompressionScan:

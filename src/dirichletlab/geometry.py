@@ -130,6 +130,11 @@ def disk_family(eps: DecaySequence, delta: float, n: int) -> DiskFamily:
     pows = delta ** np.arange(1, n + 1)
     ev = np.array(eps.values[:n])
     radii = ev * pows
+    gone = np.flatnonzero(~(radii > 0.0))
+    if gone.size:
+        j = int(gone[0]) + 1
+        raise ValidationError(
+            f"disk {j} has radius 0: r_{j} = eps_{j} delta^{j} underflows")
     centers = 1.0 - 2.0 * pows
     for j in range(n - 1):
         gap = 2.0 * (1.0 - delta) * pows[j]      # c_{j+1} - c_j, exact form
@@ -273,19 +278,30 @@ class RectilinearDomain:
 def target_values(M, ns) -> list[int]:
     """M_n at the ascending indices ns, for targets M given as a callable
     on n or as a sequence from n = 1: each value read must be a positive
-    integer, and the values must not decrease."""
+    integer and a finite float (the growth report divides by it as one),
+    and the values must not decrease."""
     if not callable(M) and len(M) < ns[-1]:
         raise ValidationError(
             f"target sequence has {len(M)} terms; M_{ns[-1]} is needed")
     vals = []
     for n in ns:
         v = M(n) if callable(M) else M[n - 1]
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:           # an integer past the float range
+            finite = False
+        if not finite:
+            raise ValidationError(f"M_{n} is not a finite float")
         if int(v) != v or v < 1:
             raise ValidationError(f"M_{n} = {v} is not a positive integer")
         vals.append(int(v))
     if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
         raise ValidationError("M must be non-decreasing")
     return vals
+
+
+# candidate pairs tested at once by _first_overlap, about 65 B each
+_PAIR_BLOCK = 2 ** 16
 
 
 def _first_overlap(x1, x2, *spans):
@@ -296,23 +312,28 @@ def _first_overlap(x1, x2, *spans):
     Sweep: with the boxes ranked by x1, the one of rank a can only
     overlap the later ranks a + 1 .. stop[a] - 1, whose x1 lies below its
     own x2 (Six & Wood, BIT 20, 1980).  Only those candidate pairs are
-    tested, all in one pass: the deepest staircase ``eksy_build`` accepts
-    (n_max 537, 2,148 rows) has 1,612 of them, but a hand-built domain of
-    R rows can hold up to R^2/2 pair indices.
+    tested, _PAIR_BLOCK of them at a time in rank order: the deepest
+    staircase ``eksy_build`` accepts (n_max 537, 2,148 rows) has 1,612 of
+    them, one block, but a hand-built domain of R rows can hold up to
+    R^2/2.
     """
     n = len(x1)
     order = np.argsort(x1, kind="stable")
     start = np.arange(1, n + 1)
     stop = np.maximum(np.searchsorted(x1[order], x2[order]), start)
     ends = np.cumsum(stop - start)          # candidate pairs up to rank a
-    k = np.arange(int(ends[-1]))
-    a = np.searchsorted(ends, k, side="right")     # pair k: ranks a and
-    i, j = order[a], order[k - ends[a] + stop[a]]  # stop[a] - (ends[a] - k)
-    bad = np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]) > 0.0
-    for lo, hi in zip(spans[::2], spans[1::2]):
-        bad &= np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 0.0
-    key = (np.minimum(i, j) * n + np.maximum(i, j))[bad]  # pair as i n + j
-    return divmod(int(key.min()), n) if key.size else None
+    found = []
+    for first in range(0, int(ends[-1]), _PAIR_BLOCK):
+        k = np.arange(first, min(first + _PAIR_BLOCK, int(ends[-1])))
+        a = np.searchsorted(ends, k, side="right")     # pair k: ranks a and
+        i, j = order[a], order[k - ends[a] + stop[a]]  # stop[a] - (ends[a] - k)
+        bad = np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j]) > 0.0
+        for lo, hi in zip(spans[::2], spans[1::2]):
+            bad &= np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 0.0
+        key = (np.minimum(i, j) * n + np.maximum(i, j))[bad]  # pair as i n + j
+        if key.size:
+            found.append(int(key.min()))
+    return divmod(min(found), n) if found else None
 
 
 def eksy_build(M, n_max: int) -> RectilinearDomain:

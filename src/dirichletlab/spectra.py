@@ -19,13 +19,17 @@ the rows again.  In n steps, one sweep, every pair of indices meets once
 (odd-even transposition order); an index left without a partner at an
 end sits the step out.  The b matrices of a stack (b, n, n) run the same
 steps together, so independent solves share one run; a matrix is a
-stack of one.  Matrices are plain numpy arrays; validation happens at
-operation entry.
+stack of one.  A solve builds the views and buffers of the step of each
+parity once (_plan), so that a step (_step) is arithmetic only: one
+gather of the pairs' entries, the rotations, two batched products and
+the diagonal update.  Matrices are plain numpy arrays; validation
+happens at operation entry.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,47 +66,96 @@ def _symmetric_stack(A):
     return S, amax
 
 
+# 0.5, 1 and 0 as 0-d arrays: numpy converts a Python float operand on
+# every call, which costs more than the arithmetic on a step's (b, k) pairs
+_HALF, _ONE, _ZERO = np.array(0.5), np.array(1.0), np.array(0.0)
+
+
 def _rotations(app, aqq, apq):
     """Per pair, the Jacobi rotation (t = tan, c = cos, s = sin) that
     annihilates apq; t = 0 (no rotation) where apq == 0.  The divisions
     by apq == 0 and the overflows of theta are masked here, so ``eigh``
-    runs its sweeps with those floating-point warnings off."""
-    theta = 0.5 * (aqq - app) / apq
-    at = np.abs(theta)
-    t = np.where(at > 1e150, 0.5 / theta,
-                 np.sign(theta) / (at + np.hypot(1.0, theta)))
-    t[theta == 0.0] = 1.0
-    t[apq == 0.0] = 0.0
-    c = 1.0 / np.hypot(1.0, t)
+    runs its sweeps with those floating-point warnings off.
+
+    t = sign(theta) / (|theta| + hypot(1, theta)) is evaluated with both
+    terms of the denominator halved, which is exact and keeps it finite
+    up to |theta| = max float; from |theta| = 2^53 on the denominator is
+    2 |theta|, so t equals 0.5 / theta there."""
+    theta = (aqq - app) * _HALF / apq
+    at = abs(theta)
+    t = np.copysign(_HALF / (np.hypot(_ONE, at) * _HALF + at * _HALF), theta)
+    t[theta == _ZERO] = _ONE
+    t[apq == _ZERO] = _ZERO
+    c = _ONE / np.hypot(_ONE, t)
     return t, c, t * c
 
 
-def _step(S, R, o: int):
-    """Rotate the pairs (o, o+1), (o+2, o+3), ... of every matrix of the
-    stack S (b, n, n) in place, each pair trading places; R is scratch
-    space of S's shape."""
+class _Plan(NamedTuple):
+    """The views and buffers of the step of one parity, built once per
+    solve: every array shares memory with the stack S, its scratch R, or
+    the buffers this step reuses."""
+    flat: np.ndarray        # S as one flat array
+    index: np.ndarray       # (3, b, k) flat positions of a_pp, a_qq, a_pq
+    gathered: np.ndarray    # (3, b, k) buffer they are gathered into
+    pair: tuple             # its three (b, k) rows: a_pp, a_qq, a_pq
+    G: np.ndarray           # (b, k, 2, 2) rotations
+    entries: tuple          # G's four (b, k) entries, row by row
+    passes: tuple           # (src, dst, idle rows) per half step
+    diag: tuple             # (b, k) views of the p and q diagonal entries
+    off: tuple              # (b, k) views of the pairs' a_pq and a_qp
+
+
+def _plan(S, R, o: int):
+    """The plan of the step that rotates the pairs (o, o+1), (o+2, o+3),
+    ... of the stack S (b, n, n) with scratch R, or None where there is no
+    pair.  A half step multiplies the (b, k, 2, n) rows of src by G into
+    dst and copies the idle head or tail row of src there unchanged; the
+    first runs S into R^T, so that the second reads contiguous rows when
+    it runs R back into S."""
     b, n = S.shape[:2]
     k = (n - o) // 2
     if k == 0:
-        return
-    flat = S.reshape(b, -1)
-    diag, upper, lower = (flat[:, i::n + 1] for i in (0, 1, n))
+        return None
+    diag, upper, lower = (S.reshape(b, -1)[:, i::n + 1] for i in (0, 1, n))
     rows, p, q = (slice(o, o + 2 * k), slice(o, o + 2 * k, 2),
                   slice(o + 1, o + 2 * k, 2))
-    app, aqq, apq = diag[:, p].copy(), diag[:, q].copy(), upper[:, p].copy()
+    # the flat position of a_pp per matrix and pair; a_qq and a_pq lie
+    # n + 1 and 1 places further on
+    pos = (np.arange(0, b * n * n, n * n)[:, None]
+           + np.arange(o * (n + 1), (o + 2 * k) * (n + 1), 2 * (n + 1)))
+    gathered, G = np.empty((3, b, k)), np.empty((b, k, 2, 2))
+    passes = tuple(
+        (src[:, rows].reshape(b, k, 2, n), dst[:, rows].reshape(b, k, 2, n),
+         tuple((src[:, idle], dst[:, idle])
+               for idle in (slice(0, o), slice(o + 2 * k, n))
+               if idle.start < idle.stop))
+        for src, dst in ((S, R.transpose(0, 2, 1)), (R, S)))
+    return _Plan(flat=S.reshape(-1),
+                 index=pos + np.array([0, n + 1, 1])[:, None, None],
+                 gathered=gathered, pair=tuple(gathered), G=G,
+                 entries=tuple(G.reshape(b, k, 4).transpose(2, 0, 1)),
+                 passes=passes, diag=(diag[:, p], diag[:, q]),
+                 off=(upper[:, p], lower[:, p]))
+
+
+def _step(plan: _Plan):
+    """Rotate the pairs of the plan's step in place, each pair trading
+    places."""
+    plan.flat.take(plan.index, out=plan.gathered)
+    app, aqq, apq = plan.pair
     t, c, s = _rotations(app, aqq, apq)
     # rows (p, q) become (s p + c q, c p - s q): rotated, then swapped
-    G = np.empty((b, k, 2, 2))
-    G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1] = s, c, c, -s
-    for src, dst in ((S, R), (R.transpose(0, 2, 1), S)):
-        np.matmul(G, src[:, rows].reshape(b, k, 2, n),
-                  out=dst[:, rows].reshape(b, k, 2, n))
-        dst[:, :o] = src[:, :o]
-        dst[:, o + 2 * k:] = src[:, o + 2 * k:]
-    diag[:, p] = aqq + t * apq
-    diag[:, q] = app - t * apq
-    upper[:, p] = 0.0
-    lower[:, p] = 0.0
+    g00, g01, g10, g11 = plan.entries
+    g00[...], g01[...], g10[...], g11[...] = s, c, c, -s
+    for src, dst, idle in plan.passes:
+        np.matmul(plan.G, src, out=dst)
+        for row, to in idle:
+            to[...] = row
+    tapq = t * apq
+    np.add(aqq, tapq, out=plan.diag[0])
+    np.subtract(app, tapq, out=plan.diag[1])
+    for entry in plan.off:
+        entry[...] = 0.0
 
 
 def _frobenius(A, unit) -> np.ndarray:
@@ -135,6 +188,7 @@ def eigh(A) -> np.ndarray:
     trace = diag.sum(axis=1)
     threshold = OFF_RTOL * frob
     R = np.empty_like(S)
+    plans = [_plan(S, R, o) for o in (0, 1)]
     o = 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_SWEEPS):
@@ -146,7 +200,8 @@ def eigh(A) -> np.ndarray:
                     _frobenius(off, unit) <= threshold).all():
                 break
             for _ in range(n):
-                _step(S, R, o)
+                if plans[o] is not None:
+                    _step(plans[o])
                 o ^= 1
         else:
             raise NumericIntegrityError("Jacobi iteration failed to converge")

@@ -272,6 +272,18 @@ def test_decreasing_file_targets_exit_two(tmp_path, capsys, nmax):
     assert capsys.readouterr().err == "error: M must be non-decreasing\n"
 
 
+@pytest.mark.parametrize("experiment", ["eksy-growth", "eksy-windows"])
+def test_targets_past_the_float_range_exit_two(tmp_path, capsys, experiment):
+    # a constant target of 10^400 is a positive integer, but no float: the
+    # growth report divided by it raised OverflowError (exit 1), and
+    # eksy-windows, which never converts it, passed
+    pmax = ["--pmax", "64"] if experiment == "eksy-growth" else []
+    code = cli.main([experiment, "--M", "const:1" + "0" * 400, "--nmax", "6",
+                     *pmax, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: M_1 is not a finite float\n"
+
+
 def test_eksy_windows_artifacts_and_roundtrip(tmp_path):
     # the divergence threshold of 10 needs ~20 built levels; at nmax = 6
     # the indices only reach l_6, so the test asks for a small threshold
@@ -553,7 +565,7 @@ def test_cusp_gram_family_shorter_than_eps(tmp_path, n):
 
 
 @pytest.mark.parametrize("experiment,flag,spec", [
-    ("cusp-gram", "--eps", "dyadic:130"),        # disk 124 leaves the cusp
+    ("cusp-gram", "--eps", "dyadic:130"),        # disk 124 has radius 0
     ("eksy-growth", "--M", "file:{empty}"),      # no targets for the levels
     ("eksy-growth", "--nmax", "100000"),         # pipes past depth 537
     ("eksy-windows", "--nmax", "100000"),
@@ -567,6 +579,21 @@ def test_construction_and_short_targets_exit_two(tmp_path, capsys,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [123, 124])
+def test_cusp_gram_names_a_radius_that_underflows(tmp_path, capsys, n):
+    # r_124 = eps_124 delta^124 rounds to 0.0 at delta = 1/200, and the
+    # run names that radius rather than the inclusion test it then fails
+    code = cli.main(["cusp-gram", "--eps", f"dyadic:{n}", "--out",
+                     str(tmp_path)])
+    err = capsys.readouterr().err
+    if n == 123:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2
+        assert err == ("error: disk 124 has radius 0: r_124 = eps_124"
+                       " delta^124 underflows\n")
 
 
 def test_cusp_gram_at_n100(tmp_path):

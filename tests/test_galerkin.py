@@ -277,3 +277,36 @@ def test_psd_guard_refuses_a_slightly_indefinite_matrix():
     assert -2e-11 < np.linalg.eigvalsh(A)[0] / M.trace < -0.5e-11
     with pytest.raises(NumericIntegrityError, match="semidefinite"):
         galerkin._ritz(A, [32])
+
+
+def _pivoted_cholesky(M):
+    """The rows of L^T from the diagonal-pivoted Cholesky M = L L^T + S
+    that stops once no pivot left exceeds 2^-53 times the trace."""
+    d, tol = np.diag(M).copy(), 2.0 ** -53 * math.fsum(np.diag(M))
+    rows = []
+    while len(rows) < len(d) and d.max() > tol:
+        p = int(np.argmax(d))
+        L = np.array(rows).reshape(-1, len(d))
+        rows.append((M[p] - L[:, p] @ L) / math.sqrt(d[p]))
+        d -= rows[-1] ** 2
+        d[p] = 0.0
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [8, 20])
+def test_ritz_values_match_a_householder_basis(m):
+    # the span of L's columns orthonormalized by LAPACK's Householder QR
+    # instead of by Gram-Schmidt: the Ritz values of Q^T M Q agree within
+    # r 2^-53 lambda_1, and the ranks are those of the default profile
+    entries = moment_matrix(profile_make(dyadic(m), DELTA), 128).entries
+    Ks = (32, 64, 128)
+    ranks = []
+    for K, ritz in zip(Ks, galerkin._ritz(entries, Ks)):
+        M = entries[:K, :K]
+        Q = np.linalg.qr(_pivoted_cholesky(M).T)[0]
+        ref = np.linalg.eigvalsh(Q.T @ M @ Q)[::-1]
+        ranks.append(ritz.size)
+        assert ritz.shape == ref.shape, K
+        allow = ref.size * 2.0 ** -53 * ref[0]
+        assert np.all(np.abs(ritz - ref) <= allow), (K, np.abs(ritz - ref).max() / ref[0])
+    assert ranks == [17, 21, 23]

@@ -476,3 +476,37 @@ def test_count_preimages_validates_modulus():
         count_preimages(F, 0.0 + 0.0j)
     with pytest.raises(ValidationError):
         count_preimages(F, 2.0 + 0.0j)
+
+
+def _rows_on_one_x_range(R):
+    """(x1, x2, lo, hi, band start, band stop) of R rows over one x-range
+    with span (0, 1/2), row i on the half-bands [2i, 2i + 2): every pair
+    of rows is a candidate of the sweep, and none overlaps."""
+    band = 2 * np.arange(R)
+    return (np.full(R, 0.1), np.full(R, 0.2), np.zeros(R), np.full(R, 0.5),
+            band, band + 2)
+
+
+def test_overlap_check_of_rows_on_one_x_range_stays_small():
+    # 2,000 rows, 1,999,000 candidate pairs: all at once they took 130 MB
+    # traced; tested in blocks of _PAIR_BLOCK pairs they stay below 16 MB
+    rows = _rows_on_one_x_range(2000)
+    tracemalloc.start()
+    try:
+        pair = geometry._first_overlap(*rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair is None
+    assert peak <= 16e6, peak
+
+
+def test_overlap_in_the_last_block_is_still_the_first_pair():
+    # x1 falling with the row index ranks the rows backwards: the pair
+    # (0, 1) is the sweep's last candidate, in its last block, and the
+    # larger pair (1998, 1999) is met first, in the first block
+    x1, x2, lo, hi, start, stop = _rows_on_one_x_range(2000)
+    x1 = x1 - 1e-9 * np.arange(2000)
+    for i in (1, 1999):
+        start[i], stop[i] = start[i - 1], stop[i - 1]
+    assert geometry._first_overlap(x1, x2, lo, hi, start, stop) == (0, 1)

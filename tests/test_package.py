@@ -137,14 +137,12 @@ def test_reference_routes_live_in_the_tests():
 
 # general forms replaced by the one form their callers use, by the module
 # that held them: the Neumann floor is one number of the Gram certificate,
-# the Gauss rule one cached table on [0, 1] (quad._gl), the row sweep
-# tests every candidate pair in one pass, and the entry inequalities come
-# back as check lines, as the certificate's do
+# the Gauss rule one cached table on [0, 1] (quad._gl), and the entry
+# inequalities come back as check lines, as the certificate's do
 REPLACED_FORMS = {
     "gram": ("TecReport",),
     "spectra": ("NeumannBounds", "neumann_lower"),
     "quad": ("QuadratureRule", "gauss_nodes", "_gauss_rule"),
-    "geometry": ("_PAIR_BLOCK",),
 }
 
 

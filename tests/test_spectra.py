@@ -304,12 +304,12 @@ def test_eigh_stack_of_mixed_sizes(monkeypatch):
         blocks.append(B + B.T)
     alone = [eigh(B) for B in blocks]
     stacks = []
-    step = spectra._step
+    plan = spectra._plan
 
     def recorded(S, R, o):
         stacks.append(S)
-        step(S, R, o)
-    monkeypatch.setattr(spectra, "_step", recorded)
+        return plan(S, R, o)
+    monkeypatch.setattr(spectra, "_plan", recorded)
     vals = eigh(_padded(blocks))
     assert vals.shape == (7, 9) and all(S is stacks[0] for S in stacks)
     for row, M, B, ref in zip(vals, stacks[0], blocks, alone):
