@@ -109,11 +109,10 @@ class WindowMeasureReport:
 
 def cusp_window_report(profile: CuspProfile) -> WindowMeasureReport:
     """Both ends of the rho(h) enclosure at every anchor of the profile."""
-    scales = [profile.delta ** j for j in range(1, profile.n + 1)]
+    hs, _ = profile.anchors
     C = cone_constant(profile)
-    lower = np.array([window_area_cusp(profile, h) for h in scales])
-    upper = np.array([window_area_cusp(profile, C * h) for h in scales])
-    hs = np.array(scales)
+    lower = np.array([window_area_cusp(profile, h) for h in hs.tolist()])
+    upper = np.array([window_area_cusp(profile, C * h) for h in hs.tolist()])
     return WindowMeasureReport(
         hs=hs, lower=lower, upper=upper, cone_constant=C,
         bound=np.array(profile.eps.values) / profile.delta,

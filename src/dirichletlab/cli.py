@@ -148,7 +148,7 @@ def _cusp_gram(args, log):
          [(i, j, M.entries[i - 1, j - 1])
           for i in range(1, n + 1) for j in range(1, n + 1)]),
         ("nu.csv", ("i", "j", "nu_ij", "bound"),
-         [(i, j, nu[i - 1, j - 1], gram.nu_bound(i, j, fam.delta))
+         [(i, j, nu[i - 1, j - 1], M.nu_bound[i - 1, j - 1])
           for i in range(1, n + 1) for j in range(1, n + 1) if i != j])]
 
     log.info("entries from the closed form r_i r_j / s_ij^2 "
@@ -185,9 +185,9 @@ def _cusp_rho(args, log):
     else:
         log.info("one anchor: no consecutive windows, "
                  "index_strictly_decreasing skipped")
-    for h, r in zip(report.hs, report.upper):
-        log.check(f"rho_le_h_theta_h_at_{h:.3e}", float(r),
-                  float(h * profile.eval(h)), "<=", source)
+    for h, theta, r in zip(*profile.anchors, report.upper):
+        log.check(f"rho_le_h_theta_h_at_{h:.3e}", float(r), float(h * theta),
+                  "<=", source)
     log.info(f"cone_constant C={report.cone_constant:.9e}: on the cusp, "
              "S(xi, h) lies in S(1, C h) for every |xi| = 1")
     log.info(f"max_index={float(np.max(report.index)):.6e}")
@@ -211,6 +211,7 @@ def _cusp_galerkin(args, log):
     rows = [(i + 1, K, scan.spectrum_by_K[K][i], floors[i])
             for K in scan.Ks for i in range(shown[K])]
 
+    trace = scan.matrix.trace
     if len(scan.Ks) > 1:
         K0 = scan.Ks[0]
         resolved = sum(scan.eigenvalue(n, K0) >= scan.noise_floor(K0)
@@ -222,12 +223,11 @@ def _cusp_galerkin(args, log):
                for n in range(1, resolved + 1)]
         log.check("eigenvalues_nondecreasing_in_K",
                   float(np.min(np.diff(lam, axis=1))),
-                  -1e-12 * scan.matrix.trace, ">=", "nested compressions")
+                  -1e-12 * trace, ">=", "nested compressions")
     else:
         log.info(f"K={scan.Ks[0]} only: no nested truncation, "
                  "eigenvalues_nondecreasing_in_K skipped")
     lam_full = scan.spectrum_by_K[scan.Ks[-1]]
-    trace = scan.matrix.trace
     log.check("trace_identity_rel_error",
               abs(math.fsum(lam_full) - trace) / abs(trace), 1e-10, "<=",
               "eigensolver")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +36,7 @@ class MomentMatrix:
     entries: np.ndarray             # sqrt((j+1)(k+1)) mu_hat_jk, symmetric
     moments: np.ndarray             # mu_hat_jk itself
     spectrum: np.ndarray            # the r Ritz values, non-increasing
-
-    @property
-    def trace(self) -> float:
-        """The correctly rounded sum of the diagonal."""
-        return math.fsum(np.diag(self.entries))
+    trace: float                    # the correctly rounded diagonal sum
 
 
 def _boundary_table(z, c, K: int, close=0.0):
@@ -110,9 +105,10 @@ def _edge_table(profile: CuspProfile, K: int):
     return _boundary_table(z, dz[:, None] * ws * z.conj(), K, close)
 
 
-def _ritz(entries, Ks) -> list:
+def _ritz(entries, traces: dict) -> list:
     """Ritz values, non-increasing, on their numerical ranges, of the
-    leading K x K truncations M of a moment matrix, one array per K in Ks.
+    leading K x K truncations M of a moment matrix, one array per K in
+    ``traces``, which maps K to the fsum trace of truncation K.
 
     Per truncation, a diagonal-pivoted Cholesky M = L L^T + S stops once
     no pivot left exceeds 2^-53 times the trace, at the numerical rank r
@@ -131,9 +127,8 @@ def _ritz(entries, Ks) -> list:
     smallest Ritz value, must stay within PSD_RTOL times the trace of
     their truncation."""
     blocks = []
-    for K in Ks:
+    for K, trace in traces.items():
         M = entries[:K, :K]
-        trace = math.fsum(np.diag(M))
         d = np.diag(M).copy()
         L, Q = np.zeros_like(M), np.zeros_like(M)   # row i: column i of each
         r, tol = 0, 2.0 ** -53 * trace
@@ -200,6 +195,7 @@ class CompressionScan:
     Ks: tuple[int, ...]
     matrix: MomentMatrix
     spectrum_by_K: dict
+    trace_by_K: dict                # fsum trace of each truncation
 
     def eigenvalue(self, n: int, K: int) -> float:
         """lambda_n of truncation K; 0.0 past its numerical rank, where
@@ -211,12 +207,7 @@ class CompressionScan:
         """TRIANGLE_RTOL times the fsum trace of truncation K in Ks: the
         accuracy that moment_matrix's triangle check proves for its
         eigenvalues."""
-        return self._noise_floors[K]
-
-    @cached_property
-    def _noise_floors(self) -> dict:
-        diag = np.diag(self.matrix.entries)
-        return {K: TRIANGLE_RTOL * math.fsum(diag[:K]) for K in self.Ks}
+        return TRIANGLE_RTOL * self.trace_by_K[K]
 
 
 def compression_scan(region, Ks) -> CompressionScan:
@@ -241,9 +232,12 @@ def compression_scan(region, Ks) -> CompressionScan:
             f" sqrt(mu_jj mu_kk), above {TRIANGLE_RTOL:.0e}")
     root = np.sqrt(np.arange(1, K + 1, dtype=float))
     entries = root[:, None] * moments * root[None, :]
-    by_K = dict(zip(Ks, _ritz(entries, Ks)))
-    M = MomentMatrix(K=K, entries=entries, moments=moments, spectrum=by_K[K])
-    return CompressionScan(Ks=tuple(Ks), matrix=M, spectrum_by_K=by_K)
+    traces = {K: math.fsum(np.diag(entries)[:K]) for K in Ks}
+    by_K = dict(zip(Ks, _ritz(entries, traces)))
+    M = MomentMatrix(K=K, entries=entries, moments=moments, spectrum=by_K[K],
+                     trace=traces[K])
+    return CompressionScan(Ks=tuple(Ks), matrix=M, spectrum_by_K=by_K,
+                           trace_by_K=traces)
 
 
 def floor_crossings(scan: CompressionScan, floors) -> list:

@@ -46,10 +46,9 @@ class CuspProfile:
         return len(self.eps)
 
     @property
-    def anchors(self) -> list[tuple[float, float]]:
-        # (delta^j, eps_j delta^j) for j = 1..n
-        pts = list(zip(self.knots[1:-1], self.thetas[1:-1]))
-        return pts[::-1]
+    def anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(delta^j, eps_j delta^j), j = 1..n, as views of the breakpoints."""
+        return self.knots[-2:0:-1], self.thetas[-2:0:-1]
 
     def eval(self, h):
         return np.interp(h, self.knots, self.thetas)
@@ -68,18 +67,24 @@ class CuspProfile:
 
 
 def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
-    """Build the cusp profile for the given targets and aperture delta."""
+    """Build the cusp profile for the given targets and aperture delta: the
+    one place where delta^j and eps_j delta^j are formed.  A height that
+    rounds to 0 is refused, so the profile stays strictly increasing."""
     if not isinstance(eps, DecaySequence):
         eps = DecaySequence(tuple(eps))
     if not (0.0 < delta <= 1.0 / 200.0):
         raise ValidationError(f"delta {delta} outside (0, 1/200]")
-    n = len(eps)
-    pows = delta ** np.arange(1, n + 1)          # delta^1 .. delta^n
-    ev = np.array(eps.values)
+    pows = delta ** np.arange(1, len(eps) + 1)   # delta^1 .. delta^n
+    heights = np.array(eps.values) * pows
     knots = np.concatenate(([0.0], pows[::-1], [1.0]))
-    thetas = np.concatenate(([0.0], (ev * pows)[::-1], [ev[0]]))
+    thetas = np.concatenate(([0.0], heights[::-1], [eps.values[0]]))
     if not np.all(np.diff(knots) > 0.0):
         raise ValidationError("anchor abscissae collapsed; delta too small for n")
+    gone = np.flatnonzero(~(heights > 0.0))
+    if gone.size:
+        j = int(gone[0]) + 1
+        raise ValidationError(f"anchor {j} has height 0: theta(delta^{j}) ="
+                              f" eps_{j} delta^{j} underflows")
     return CuspProfile(delta=delta, eps=eps, knots=knots, thetas=thetas)
 
 
@@ -91,8 +96,9 @@ def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
 class DiskFamily:
     """Disks D(c_j, r_j), c_j = 1 - 2 delta^j, r_j = eps_j delta^j, j = 1..n.
 
-    ``delta_pows[j-1]`` stores delta^j; distances to 1 are always derived
-    from the stored powers, never from 1 - c_j.
+    ``delta_pows[j-1]`` stores delta^j and ``radii`` eps_j delta^j, both
+    read from the profile; distances to 1 are always derived from the
+    stored powers, never from 1 - c_j.
     """
 
     delta: float
@@ -127,14 +133,8 @@ def disk_family(eps: DecaySequence, delta: float, n: int) -> DiskFamily:
     eps = profile.eps
     if not (1 <= n <= len(eps)):
         raise ValidationError(f"n {n} outside 1..{len(eps)}")
-    pows = delta ** np.arange(1, n + 1)
-    ev = np.array(eps.values[:n])
-    radii = ev * pows
-    gone = np.flatnonzero(~(radii > 0.0))
-    if gone.size:
-        j = int(gone[0]) + 1
-        raise ValidationError(
-            f"disk {j} has radius 0: r_{j} = eps_{j} delta^{j} underflows")
+    hs, heights = profile.anchors
+    pows, radii = hs[:n], heights[:n]
     centers = 1.0 - 2.0 * pows
     for j in range(n - 1):
         gap = 2.0 * (1.0 - delta) * pows[j]      # c_{j+1} - c_j, exact form

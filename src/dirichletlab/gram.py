@@ -22,7 +22,7 @@ floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,11 @@ class GramMatrix:
     family: DiskFamily
     order: int | None               # None for the closed form
     doubling_residual: float | None
+    nu_bound: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the decay bounds of nu(), formed once with the matrix
+        object.__setattr__(self, "nu_bound", nu_bound(self.family))
 
     @property
     def diag(self) -> np.ndarray:
@@ -222,20 +227,20 @@ def _check(name, value, bound, op, source) -> CheckResult:
                        source=source)
 
 
-def nu_bound(i: int, j: int, delta: float) -> float:
-    """Decay bound for nu_ij: 32 delta^(j-i) above, 32 (2 delta)^(i-j) below."""
-    if i == j:
-        return 0.0
-    if i < j:
-        return 32.0 * delta ** (j - i)
-    return 32.0 * (2.0 * delta) ** (i - j)
+def nu_bound(family: DiskFamily) -> np.ndarray:
+    """Decay bounds for nu, n x n from the family's stored powers: 32
+    delta^(j-i) above the diagonal, 32 (2 delta)^(i-j) = 32 delta^(i-j)
+    2^(i-j) below it, and 0 on it."""
+    k = np.subtract.outer(np.arange(family.n), np.arange(family.n))  # i - j
+    by_gap = np.concatenate(([0.0], 32.0 * family.delta_pows))   # |i - j|
+    return np.ldexp(by_gap[np.abs(k)], np.maximum(k, 0))
 
 
 def tec_report(M: GramMatrix) -> tuple[CheckResult, ...]:
     """The Gram entry inequalities as check lines, each its smallest margin
     against 0.  diag_floor: m_ii >= eps_i^2/32; diag_window: |m_ii - eps'_i^2|
     <= 32 r_i^3/(1-c_i)^3; for n > 1 offdiag_decay: |m_ij| <= eps_i eps_j
-    delta^(j-i), i < j; nu_decay: |nu_ij| <= nu_bound, i != j; nu_row_sums
+    delta^(j-i), i < j; nu_decay: |nu_ij| <= M.nu_bound, i != j; nu_row_sums
     and nu_col_sums: the row and column sums of |nu| <= 1/2."""
     fam = M.family
     n = M.n
@@ -248,12 +253,10 @@ def tec_report(M: GramMatrix) -> tuple[CheckResult, ...]:
     if n > 1:
         abs_nu = np.abs(M.nu())
         iu, ju = np.triu_indices(n, k=1)
-        off_bound = eps[iu] * eps[ju] * fam.delta ** (ju - iu)
-        nub = np.array([[nu_bound(i, j, fam.delta) for j in range(1, n + 1)]
-                        for i in range(1, n + 1)])
+        off_bound = eps[iu] * eps[ju] * fam.delta_pows[ju - iu - 1]
         margins += [
             ("offdiag_decay", off_bound - np.abs(M.entries[iu, ju])),
-            ("nu_decay", (nub - abs_nu)[~np.eye(n, dtype=bool)]),
+            ("nu_decay", (M.nu_bound - abs_nu)[~np.eye(n, dtype=bool)]),
             ("nu_row_sums", 0.5 - abs_nu.sum(axis=1)),
             ("nu_col_sums", 0.5 - abs_nu.sum(axis=0))]
     return tuple(_check(f"gram_{name}_min_margin", float(np.min(margin)), 0.0,

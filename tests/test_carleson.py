@@ -214,6 +214,16 @@ def test_cusp_window_report_decays_under_envelope():
     assert np.all(np.diff(rep.index) < 0.0)
 
 
+def test_window_report_scales_are_the_profile_knots():
+    # h_j = delta^j bit for bit as the profile's knots, so every window
+    # sits on a breakpoint; at delta = 1/200 the Python float power
+    # delta ** j differs from the knot in the last bit at j = 3, 5 and 8
+    prof = profile_make(dyadic(8), DELTA)
+    rep = cusp_window_report(prof)
+    assert np.array_equal(rep.hs, prof.knots[-2:0:-1])
+    assert np.array_equal(prof.eval(rep.hs), prof.anchors[1])
+
+
 def test_half_window_area_closed_form():
     for n in (1, 2, 5, 40, 90):
         a = 2.0 ** -n

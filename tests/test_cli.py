@@ -64,9 +64,10 @@ def test_cusp_rho_artifacts(tmp_path):
     assert len(rows) == 3
     # rho(h) lies between the xi = 1 windows of radius h and C h
     assert all(0.0 < float(r[1]) < float(r[2]) for r in rows)
-    # grid h values are the anchor scales delta^j
+    # grid h values are the anchor scales delta^j, the profile's knots
     hs = [float(r[0]) for r in rows]
-    assert hs == [0.005, 0.005**2, 0.005**3]
+    profile = geometry.profile_make(seqs.dyadic(3), 0.005)
+    assert hs == profile.anchors[0].tolist()
 
 
 def test_cusp_rho_source_names_the_window_route(tmp_path):
@@ -565,7 +566,7 @@ def test_cusp_gram_family_shorter_than_eps(tmp_path, n):
 
 
 @pytest.mark.parametrize("experiment,flag,spec", [
-    ("cusp-gram", "--eps", "dyadic:130"),        # disk 124 has radius 0
+    ("cusp-gram", "--eps", "dyadic:130"),        # anchor 124 has height 0
     ("eksy-growth", "--M", "file:{empty}"),      # no targets for the levels
     ("eksy-growth", "--nmax", "100000"),         # pipes past depth 537
     ("eksy-windows", "--nmax", "100000"),
@@ -584,7 +585,7 @@ def test_construction_and_short_targets_exit_two(tmp_path, capsys,
 @pytest.mark.parametrize("n", [123, 124])
 def test_cusp_gram_names_a_radius_that_underflows(tmp_path, capsys, n):
     # r_124 = eps_124 delta^124 rounds to 0.0 at delta = 1/200, and the
-    # run names that radius rather than the inclusion test it then fails
+    # profile refuses that height rather than the inclusion test failing
     code = cli.main(["cusp-gram", "--eps", f"dyadic:{n}", "--out",
                      str(tmp_path)])
     err = capsys.readouterr().err
@@ -592,8 +593,38 @@ def test_cusp_gram_names_a_radius_that_underflows(tmp_path, capsys, n):
         assert code == 0 and err == ""
     else:
         assert code == 2
-        assert err == ("error: disk 124 has radius 0: r_124 = eps_124"
-                       " delta^124 underflows\n")
+        assert err == ("error: anchor 124 has height 0: theta(delta^124) ="
+                       " eps_124 delta^124 underflows\n")
+
+
+@pytest.mark.parametrize("argv,j", [
+    (["cusp-rho", "--eps", "dyadic:124"], 124),
+    (["cusp-galerkin", "--eps", "dyadic:124"], 124),
+    (["cusp-galerkin", "--delta", "5e-324", "--eps", "dyadic:1",
+      "--Ks", "4"], 1),
+], ids=["cusp-rho", "cusp-galerkin", "cusp-galerkin-subnormal-delta"])
+def test_cusp_runs_refuse_a_profile_height_that_underflows(tmp_path, capsys,
+                                                           argv, j):
+    # a profile flat at 0 from anchor j on is no cusp: every cusp
+    # experiment refuses it where the profile is built, before any work
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: anchor {j} has height 0: theta(delta^{j}) ="
+        f" eps_{j} delta^{j} underflows\n")
+    assert not (tmp_path / "certificates.txt").exists()
+
+
+def test_cusp_gram_nu_bounds_read_the_stored_powers(tmp_path):
+    # nu.csv's bound is 32 delta^|i-j| 2^max(i-j, 0) from the same powers
+    # delta^k that the Gram entries it bounds are built from
+    assert cli.main(["cusp-gram", "--out", str(tmp_path)]) == 0
+    pows = geometry.disk_family(seqs.dyadic(8), 0.005, 8).delta_pows
+    _, rows = _read_csv(tmp_path / "nu.csv")
+    assert len(rows) == 56
+    for i, j, _, bound in rows:
+        i, j = int(i), int(j)
+        want = 32.0 * pows[abs(i - j) - 1] * 2.0 ** max(i - j, 0)
+        assert float(bound) == want, (i, j)
 
 
 def test_cusp_gram_at_n100(tmp_path):

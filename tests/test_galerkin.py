@@ -218,7 +218,8 @@ def test_stacked_ritz_solve_matches_solo_solves():
     # its own Ritz matrix alone
     scan = compression_scan(profile_make(dyadic(8), DELTA), (32, 64, 128))
     for K, stacked in scan.spectrum_by_K.items():
-        (alone,) = galerkin._ritz(scan.matrix.entries, [K])
+        (alone,) = galerkin._ritz(scan.matrix.entries,
+                                  {K: scan.trace_by_K[K]})
         assert stacked.shape == alone.shape, K
         allow = alone.size * 2.0 ** -53 * alone[0]
         assert np.all(np.abs(stacked - alone) <= allow), K
@@ -271,12 +272,12 @@ def test_psd_guard_refuses_a_slightly_indefinite_matrix():
     # the trace drives its smallest eigenvalue to about -1e-11 trace, ten
     # times past PSD_RTOL: the Ritz solve must refuse it
     M = moment_matrix(profile_make(dyadic(8), DELTA), 32)
-    galerkin._ritz(M.entries, [32])     # the unperturbed matrix passes
+    galerkin._ritz(M.entries, {32: M.trace})    # the unperturbed matrix passes
     A = M.entries.copy()
     A[15, 15] -= 1.25e-11 * M.trace
     assert -2e-11 < np.linalg.eigvalsh(A)[0] / M.trace < -0.5e-11
     with pytest.raises(NumericIntegrityError, match="semidefinite"):
-        galerkin._ritz(A, [32])
+        galerkin._ritz(A, {32: math.fsum(np.diag(A))})
 
 
 def _pivoted_cholesky(M):
@@ -301,7 +302,8 @@ def test_ritz_values_match_a_householder_basis(m):
     entries = moment_matrix(profile_make(dyadic(m), DELTA), 128).entries
     Ks = (32, 64, 128)
     ranks = []
-    for K, ritz in zip(Ks, galerkin._ritz(entries, Ks)):
+    traces = {K: math.fsum(np.diag(entries)[:K]) for K in Ks}
+    for K, ritz in zip(Ks, galerkin._ritz(entries, traces)):
         M = entries[:K, :K]
         Q = np.linalg.qr(_pivoted_cholesky(M).T)[0]
         ref = np.linalg.eigvalsh(Q.T @ M @ Q)[::-1]

@@ -21,14 +21,28 @@ DELTA = 1.0 / 200.0
 
 def test_profile_anchors():
     prof = profile_make(dyadic(3), DELTA)
-    anchors = prof.anchors
-    assert len(anchors) == 3
-    for j, (h, th) in enumerate(anchors, start=1):
+    hs, thetas = prof.anchors
+    assert len(hs) == len(thetas) == 3
+    # views of the breakpoint table, j = 1..n, not copies
+    assert np.shares_memory(hs, prof.knots)
+    assert np.shares_memory(thetas, prof.thetas)
+    assert np.array_equal(hs, prof.knots[-2:0:-1])
+    for j, (h, th) in enumerate(zip(hs, thetas), start=1):
         assert math.isclose(h, DELTA**j, rel_tol=1e-15)
-        assert math.isclose(th, 2.0 ** (-7 - j) * DELTA**j, rel_tol=1e-15)
+        assert th == 2.0 ** (-7 - j) * h
     # interpolation hits the anchors exactly
-    for h, th in anchors:
-        assert prof.eval(h) == th
+    assert np.array_equal(prof.eval(hs), thetas)
+
+
+def test_disk_family_reads_the_profile_scales():
+    # the chain's powers and radii are the profile's knots and heights,
+    # bit for bit, at every n
+    prof = profile_make(dyadic(8), DELTA)
+    hs, thetas = prof.anchors
+    for n in range(1, 9):
+        fam = disk_family(dyadic(8), DELTA, n)
+        assert np.array_equal(fam.delta_pows, hs[:n])
+        assert np.array_equal(fam.radii, thetas[:n])
 
 
 def test_profile_is_sublinear():

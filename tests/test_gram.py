@@ -70,10 +70,17 @@ def test_nu_is_row_scaled_offdiagonal(small_gram):
 
 
 def test_nu_bound_values():
-    assert nu_bound(1, 1, DELTA) == 0.0
-    assert nu_bound(1, 3, DELTA) == 32.0 * DELTA**2
-    assert nu_bound(3, 1, DELTA) == 32.0 * (2.0 * DELTA) ** 2
-    assert nu_bound(2, 3, DELTA) == 32.0 * DELTA
+    fam = disk_family(dyadic(4), DELTA, 4)
+    pows = fam.delta_pows
+    bound = nu_bound(fam)
+    assert bound.shape == (4, 4)
+    assert np.all(np.diag(bound) == 0.0)
+    assert bound[0, 2] == 32.0 * pows[1]            # 32 delta^2 above
+    assert bound[2, 0] == 32.0 * 4.0 * pows[1]      # 32 (2 delta)^2 below
+    assert bound[1, 2] == 32.0 * pows[0]
+    assert math.isclose(bound[3, 0], 32.0 * (2.0 * DELTA) ** 3, rel_tol=1e-15)
+    # formed once with the Gram matrix, which reads the same array
+    assert np.array_equal(closed_form_gram(fam).nu_bound, bound)
 
 
 TEC_LINES = tuple(f"gram_{name}_min_margin" for name in (

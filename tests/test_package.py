@@ -103,6 +103,41 @@ def test_staircase_copies_stay_in_geometry():
             assert not private, (name, private)
 
 
+def _delta_powers(tree):
+    """Line numbers where delta (a name or an attribute) is raised to a
+    power, by ** or by a pow/power call, outside geometry.profile_make."""
+    skip = {id(sub) for node in ast.walk(tree)
+            if getattr(node, "name", None) == "profile_make"
+            for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base = node.left
+        elif (isinstance(node, ast.Call) and node.args and getattr(
+                node.func, "attr", getattr(node.func, "id", None))
+                in ("pow", "power", "float_power")):
+            base = node.args[0]
+        else:
+            continue
+        if "delta" in set(_names(base)):
+            yield node.lineno
+
+
+def test_cusp_scales_are_formed_in_the_profile_only():
+    # delta^j and eps_j delta^j are formed once, by profile_make; the disk
+    # family, the nu bounds and the window anchors read its breakpoint
+    # table, so no second route can round them differently
+    for name, tree in _module_trees():
+        assert not list(_delta_powers(tree)), name
+    geometry = dict(_module_trees())["geometry.py"]
+    make = next(node for node in ast.walk(geometry)
+                if getattr(node, "name", None) == "profile_make")
+    assert any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+               and "delta" in set(_names(node.left))
+               for node in ast.walk(make))
+
+
 def test_quadrature_witness_stays_off_the_product_path():
     # the Gram witness backs acceptance criterion 1 from the tests only
     witness = {"build_gram", "kernel_centered", "_disk_rule", "_assemble"}
