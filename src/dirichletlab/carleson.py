@@ -137,19 +137,26 @@ def eksy_window_table(F: RectilinearDomain):
     The exponential preimage of W(1, h) is {0 < x <= -log(1-h)} times the
     bands |y - 2k pi| < pi h, and that of W'_{2N} its part x > eps_{2N+1}
     (which pipes at depth N touch only along its boundary), so both are
-    ``F.pullback_mass`` at s = 2, in one call per N.  The index is scaled
+    ``F.pullback_mass`` at s = 2, one call per block of depths, whose work
+    arrays span the 4 n_max rows and hold at most 2^13 elements (64 KB; from
+    2^14 on, every call page-faulted them back in).  The index is scaled
     by the exact power of two 2^{4N}, where 4.0 ** (2 N) would overflow
     past N = 255.  A measure that is not a finite normal float (subnormal
-    from N = 258 on) raises ``NumericIntegrityError``."""
-    rows = []
-    for N in range(1, F.n_max + 1):
-        xlo = np.array([[F.eps4[2 * N + 1]], [0.0]])    # W'_{2N}, W(1, h_N)
-        mu_half, mu_window = map(float, F.pullback_mass(
-            2.0, xlo, float(F.eps4[2 * N]), 2.0 ** (-2 * N)))
-        if not (math.isfinite(mu_half) and math.isfinite(mu_window)
-                and min(mu_half, mu_window) >= sys.float_info.min):
+    from N = 258 on) raises ``NumericIntegrityError`` at the first such N."""
+    def normal(v):
+        return v.min() >= sys.float_info.min and v.max() < math.inf
+    n = np.arange(1, F.n_max + 1)
+    xlo = np.stack((F.eps4[2 * n + 1], np.zeros(n.size)), axis=1)[..., None]
+    xhi, h = F.eps4[2 * n, None, None], np.ldexp(1.0, -2 * n)[:, None]
+    m = np.empty((n.size, 2))                       # W'_{2N}, W(1, h_N)
+    step = max(1, 2 ** 13 // (8 * F.n_max))      # 3 depths at n_max 257
+    for i in range(0, n.size, step):
+        b = slice(i, i + step)
+        m[b] = F.pullback_mass(2.0, xlo[b], xhi[b], h[b])
+        if not normal(m[b]):
+            k = next(k for k in range(i, n.size) if not normal(m[k]))
             raise NumericIntegrityError(
-                f"window measures at N={N} are {mu_half!r} and {mu_window!r},"
-                " not normal floats")
-        rows.append((N, mu_half, mu_window, math.ldexp(mu_window, 4 * N)))
-    return rows
+                f"window measures at N={k + 1} are {float(m[k, 0])!r} and"
+                f" {float(m[k, 1])!r}, not normal floats")
+    return list(zip(n.tolist(), *m.T.tolist(),
+                    np.ldexp(m[:, 1], 4 * n).tolist()))

@@ -95,12 +95,13 @@ def _write(path: Path, text: str):
 
 
 def _csv_text(header, rows) -> str:
+    """CSV, one column at a time: integer dtypes as ints, others as floats."""
+    cols = [np.asarray(col) for col in zip(*rows)]
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
     w.writerow(header)
-    for row in rows:
-        w.writerow([int(v) if isinstance(v, (int, np.integer)) else
-                    float(v) for v in row])
+    w.writerows(zip(*(c.tolist() if c.dtype.kind in "iu" else
+                      c.astype(float).tolist() for c in cols)))
     return buf.getvalue()
 
 
@@ -142,13 +143,12 @@ def _cusp_gram(args, log):
     n = args.n if args.n else len(eps)
     fam = disk_family(eps, args.delta, n)
     M = gram.closed_form_gram(fam)
-    nu = M.nu()
     tables = [
         ("gram.csv", ("i", "j", "m_ij"),
          [(i, j, M.entries[i - 1, j - 1])
           for i in range(1, n + 1) for j in range(1, n + 1)]),
         ("nu.csv", ("i", "j", "nu_ij", "bound"),
-         [(i, j, nu[i - 1, j - 1], M.nu_bound[i - 1, j - 1])
+         [(i, j, M.nu[i - 1, j - 1], M.nu_bound[i - 1, j - 1])
           for i in range(1, n + 1) for j in range(1, n + 1) if i != j])]
 
     log.info("entries from the closed form r_i r_j / s_ij^2 "

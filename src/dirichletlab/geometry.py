@@ -258,14 +258,18 @@ class RectilinearDomain:
         every depth, and [a, b] = [max(x1, xlo), min(x2, xhi)] is its
         x-clip, empty where a >= b.  s = 2 gives the mass mu, s = 2(q + 1)
         the moment of |w|^{2q}.  An array s gives one value per entry, and
-        so, with a scalar s, does a column xlo of shape (k, 1)."""
-        if not (0.0 < h <= 1.0):
+        so, with a scalar s, do arrays xlo, xhi and h, broadcast against
+        the rows on the last axis: xlo (k, 2, 1), xhi (k, 1, 1) and h (k, 1)
+        give k pairs of windows, a column xlo of shape (k, 1) k windows."""
+        h = np.asarray(h, dtype=float)
+        if not (h.min() > 0.0 and h.max() <= 1.0):     # NaN fails too
             raise ValidationError(f"band half-height {h} outside (0, 1]")
         a = np.maximum(self.x1, xlo)
         b = np.maximum(a, np.minimum(self.x2, xhi))
-        reach = np.maximum(0.0, np.minimum(h, self.hi) - self.lo)
+        w = np.maximum(0.0, np.minimum(h, self.hi) - self.lo) * self.count
         s = np.asarray(s, dtype=float)
-        m = exp_drop(s[..., None], a, b) @ (reach * self.count) * 2.0 / s
+        E = exp_drop(s[..., None], a, b)
+        m = np.matmul(E, w[..., None])[..., 0] * 2.0 / s
         return m if m.ndim else float(m)
 
     def tail_bound(self) -> float:

@@ -49,20 +49,20 @@ class GramMatrix:
     order: int | None               # None for the closed form
     doubling_residual: float | None
     nu_bound: np.ndarray = field(init=False, repr=False)
+    nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the decay bounds of nu(), formed once with the matrix
+        # formed once with the matrix: the row-scaled off-diagonal part
+        # nu_ij = m_ij / m_ii with a zero diagonal, and its decay bounds
         object.__setattr__(self, "nu_bound", nu_bound(self.family))
+        with np.errstate(all="ignore"):     # m_ii = 0 is refused later
+            nu = self.entries / self.diag[:, None]
+        np.fill_diagonal(nu, 0.0)
+        object.__setattr__(self, "nu", nu)
 
     @property
     def diag(self) -> np.ndarray:
         return np.diag(self.entries).copy()
-
-    def nu(self) -> np.ndarray:
-        """Row-scaled off-diagonal part: nu_ij = m_ij / m_ii, zero diagonal."""
-        out = self.entries / self.diag[:, None]
-        np.fill_diagonal(out, 0.0)
-        return out
 
 
 def closed_form_gram(family: DiskFamily) -> GramMatrix:
@@ -251,7 +251,7 @@ def tec_report(M: GramMatrix) -> tuple[CheckResult, ...]:
     margins = [("diag_floor", d - eps ** 2 / 32.0),
                ("diag_window", 4.0 * eps ** 3 - np.abs(d - fam.eps_prime ** 2))]
     if n > 1:
-        abs_nu = np.abs(M.nu())
+        abs_nu = np.abs(M.nu)
         iu, ju = np.triu_indices(n, k=1)
         off_bound = eps[iu] * eps[ju] * fam.delta_pows[ju - iu - 1]
         margins += [
@@ -293,8 +293,7 @@ def bernstein_certificate(M: GramMatrix) -> CertificateReport:
     eps_n = M.family.eps.values[n - 1]
     target_sq = eps_n ** 2 / 64.0
     target = eps_n / 8.0
-    nu = M.nu()
-    beta = spectra.schur_bound(nu) if n > 1 else 0.0
+    beta = spectra.schur_bound(M.nu) if n > 1 else 0.0
     lam = spectra.eigh(M.entries)
     lam_min = float(lam[-1])
     if beta >= 1.0:                 # no floor holds: the one line fails

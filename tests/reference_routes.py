@@ -7,24 +7,26 @@ rectangle rule with order doubling (the quadrature witness of criterion
 7), the lens profile (the non-compact contrast case of criterion 4), the
 cusp area and membership test, singular values through ``spectra.eigh``
 (criterion 2), the moment table as one complex product over every
-boundary node, the coefficient route to power norms (criterion 8) and
-the level sum of the majorant (criterion 10).  The product path in
-``src/`` computes each of these numbers, where it needs them, in closed
-form, or (the moment table) piece by piece.  ``one_row_domain`` builds
-the hand-made staircase rows (a strip, a thin box, one pipe) on which
-the tests run that product path.
+boundary node, the coefficient route to power norms (criterion 8), the
+level sum of the majorant (criterion 10) and the staircase window table
+one depth at a time.  The product path in ``src/`` computes each of
+these numbers, where it needs them, in closed form, or piece by piece
+(the moment table), or in blocks of depths (the window table).
+``one_row_domain`` builds the hand-made staircase rows (a strip, a thin
+box, one pipe) on which the tests run that product path.
 """
 
 from __future__ import annotations
 
 import collections
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from dirichletlab.errors import ValidationError
+from dirichletlab.errors import NumericIntegrityError, ValidationError
 from dirichletlab.geometry import CuspProfile, RectilinearDomain
 from dirichletlab.powers import growth_term
 from dirichletlab.quad import ORDER_CAP, _gl
@@ -157,6 +159,30 @@ def one_row_domain(x1, x2, lo=0.0, hi=1.0, count=1, first=0, pipe=False):
         x1=np.array([x1]), x2=np.array([x2]), lo=np.array([lo]),
         hi=np.array([hi]), first=np.array([first]), count=np.array([count]),
         pipe=np.array([pipe]))
+
+
+# ---------------------------------------------------------------------------
+# staircase window table (carleson), one pullback_mass call per depth
+
+
+def window_table_per_depth(F: RectilinearDomain):
+    """The rows (N, mu_half, mu_window, index) of
+    ``carleson.eksy_window_table``, one N at a time: both windows of one N
+    are one ``pullback_mass`` call on a (2, 1) column xlo, and the first N
+    whose measures are not finite normal floats raises
+    ``NumericIntegrityError`` with the same message."""
+    rows = []
+    for N in range(1, F.n_max + 1):
+        xlo = np.array([[F.eps4[2 * N + 1]], [0.0]])    # W'_{2N}, W(1, h_N)
+        mu_half, mu_window = map(float, F.pullback_mass(
+            2.0, xlo, float(F.eps4[2 * N]), 2.0 ** (-2 * N)))
+        if not (math.isfinite(mu_half) and math.isfinite(mu_window)
+                and min(mu_half, mu_window) >= sys.float_info.min):
+            raise NumericIntegrityError(
+                f"window measures at N={N} are {mu_half!r} and {mu_window!r},"
+                " not normal floats")
+        rows.append((N, mu_half, mu_window, math.ldexp(mu_window, 4 * N)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

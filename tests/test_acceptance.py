@@ -43,7 +43,7 @@ def test_criterion_01_gram_inequalities_with_positive_margin(gram8):
 # -- criterion 2 -------------------------------------------------------------
 
 def test_criterion_02_schur_bound_below_half_and_sound(gram8):
-    nu = gram8.nu()
+    nu = gram8.nu
     beta = spectra.schur_bound(nu)
     assert beta <= 0.5
     top = float(singular_values(nu)[0])

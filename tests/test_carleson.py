@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,12 +15,13 @@ from dirichletlab.carleson import (
     half_window_area,
     window_area_cusp,
 )
-from dirichletlab.errors import ValidationError
+from dirichletlab.errors import NumericIntegrityError, ValidationError
 from dirichletlab.geometry import eksy_build, profile_make
+from dirichletlab.powers import log2_targets
 from dirichletlab.seqs import (DecaySequence, clamp_monotone, dyadic,
                               slow_decay)
 
-from reference_routes import PowerProfile, cusp_area
+from reference_routes import PowerProfile, cusp_area, window_table_per_depth
 from test_acceptance import _band_measure_by_quadrature
 
 DELTA = 1.0 / 200.0
@@ -272,3 +274,51 @@ def test_eksy_window_table_shape_and_floor():
         a = 4.0 ** -N
         assert index >= F.l[N - 1] * (1.0 - 0.75 * a) * (1.0 - 1e-12)
 
+
+
+@pytest.mark.parametrize("nmax", [6, 24, 64, 257])
+@pytest.mark.parametrize("targets", ["log2", "const1"])
+def test_eksy_window_table_matches_the_per_depth_oracle(nmax, targets):
+    # the blocked broadcast gives every row of the one-N-at-a-time loop
+    # bit for bit (the shortest repr of a float fixes its bits), or the
+    # same error: at const:1 the measures turn subnormal at N = 256
+    F = eksy_build(log2_targets if targets == "log2" else lambda n: 1, nmax)
+    outcomes = []
+    for table in (eksy_window_table, window_table_per_depth):
+        try:
+            outcomes.append(repr(table(F)))
+        except NumericIntegrityError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    rows = outcomes[0].startswith("[(1, ")
+    assert rows != (nmax == 257 and targets == "const1"), outcomes[0]
+
+
+def test_eksy_window_table_names_the_first_subnormal_depth():
+    # at n_max 300 the measures turn subnormal at N = 258, inside a block:
+    # the error names that N with the oracle's two values
+    F = eksy_build(log2_targets, 300)
+    with pytest.raises(NumericIntegrityError) as oracle:
+        window_table_per_depth(F)
+    with pytest.raises(NumericIntegrityError) as blocked:
+        eksy_window_table(F)
+    assert "N=258 " in str(blocked.value)
+    assert str(blocked.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("nmax", [257, 537])
+def test_eksy_window_table_memory_stays_blocked(nmax):
+    # the depths go in blocks whose work arrays hold at most 2^13 elements;
+    # one broadcast over every depth at once traced about 106 MB at 537
+    F = eksy_build(log2_targets, nmax)
+    tracemalloc.start()
+    try:
+        if nmax < 258:
+            eksy_window_table(F)
+        else:
+            with pytest.raises(NumericIntegrityError):
+                eksy_window_table(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6

@@ -305,6 +305,27 @@ def test_eksy_windows_artifacts_and_roundtrip(tmp_path):
     assert math.isclose(float(rows[0][1]), 13.0 / 256.0, rel_tol=1e-14)
 
 
+def test_csv_columns_render_by_dtype():
+    # integer columns (Python int or np.int64) print as ints, every other
+    # column as float reprs, integral floats included (growth.csv's Mp);
+    # the bytes are those of the former per-cell rule
+    listed = cli._csv_text(("i", "j", "m_ij"), [
+        (i, j, np.float64(1.0 / (i + j)) ** 9) for i in (1, 2) for j in (1, 2)])
+    assert listed == ("i,j,m_ij\r\n1,1,0.001953125\r\n"
+                      "1,2,5.0805263425290837e-05\r\n"
+                      "2,1,5.0805263425290837e-05\r\n"
+                      "2,2,3.814697265625e-06\r\n")
+    zipped = cli._csv_text(("p", "norm", "Mp"), zip(
+        np.array([1, 2, 3]), np.array([0.1, 1e-300, 1.5]),
+        np.array([1.0, 2.0, 2.0])))
+    assert zipped == "p,norm,Mp\r\n1,0.1,1.0\r\n2,1e-300,2.0\r\n3,1.5,2.0\r\n"
+    scalars = cli._csv_text(("N", "x"), [(np.int64(1), 2.0), (np.int64(2), 0.5)])
+    assert scalars == "N,x\r\n1,2.0\r\n2,0.5\r\n"
+    assert cli._csv_text(("a", "b"), []) == "a,b\r\n"
+    for text in (listed, zipped, scalars):
+        assert "np." not in text and "float64" not in text
+
+
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
 def test_plot_writes_one_svg_and_leaves_other_files_alone(tmp_path, name):
     # the golden sizes; seq-demo has nothing to plot

@@ -60,7 +60,7 @@ def test_gram_doubling_residual_recorded(small_gram):
 
 
 def test_nu_is_row_scaled_offdiagonal(small_gram):
-    nu = small_gram.nu()
+    nu = small_gram.nu
     d = small_gram.diag
     assert np.all(np.diag(nu) == 0.0)
     for i in range(4):
@@ -96,7 +96,7 @@ def test_tec_report_all_margins_positive(small_gram):
     # each line is the smallest margin of its inequality
     eps = np.array(small_gram.family.eps.values[:4])
     assert lines[0].value == float(np.min(small_gram.diag - eps ** 2 / 32.0))
-    row_sums = np.abs(small_gram.nu()).sum(axis=1)
+    row_sums = np.abs(small_gram.nu).sum(axis=1)
     assert lines[4].value == float(0.5 - row_sums.max())
 
 
@@ -106,7 +106,7 @@ def test_nu_row_sums_below_hand_bound(small_gram):
     # = 96/198 < 1/2 at delta = 1/200
     hand = 96.0 / 198.0
     assert hand < 0.5
-    sums = np.abs(small_gram.nu()).sum(axis=1)
+    sums = np.abs(small_gram.nu).sum(axis=1)
     assert np.all(sums <= hand)
 
 
