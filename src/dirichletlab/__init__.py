@@ -17,8 +17,7 @@ from .carleson import (WindowMeasureReport, cusp_window_report,
 from .powers import (GrowthReport, eksy_growth_report, growth_grid,
                      growth_majorant, growth_term, jensen_lower, log2_targets,
                      power_norm_region, region_moment)
-from .galerkin import (CompressionScan, MomentMatrix, compression_scan,
-                       floor_crossings, moment_matrix)
+from .galerkin import MomentMatrix, floor_crossings, moment_matrix
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "GrowthReport", "eksy_growth_report", "growth_grid", "growth_majorant",
     "growth_term", "jensen_lower", "log2_targets", "power_norm_region",
     "region_moment",
-    "CompressionScan", "MomentMatrix", "compression_scan", "floor_crossings",
-    "moment_matrix",
+    "MomentMatrix", "floor_crossings", "moment_matrix",
     "__version__",
 ]

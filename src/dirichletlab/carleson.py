@@ -147,7 +147,7 @@ def eksy_window_table(F: RectilinearDomain):
         return v.min() >= sys.float_info.min and v.max() < math.inf
     n = np.arange(1, F.n_max + 1)
     xlo = np.stack((F.eps4[2 * n + 1], np.zeros(n.size)), axis=1)[..., None]
-    xhi, h = F.eps4[2 * n, None, None], np.ldexp(1.0, -2 * n)[:, None]
+    xhi, h = F.eps4[2 * n, None, None], np.ldexp(1.0, -2 * n)[:, None, None]
     m = np.empty((n.size, 2))                       # W'_{2N}, W(1, h_N)
     step = max(1, 2 ** 13 // (8 * F.n_max))      # 3 depths at n_max 257
     for i in range(0, n.size, step):

@@ -204,42 +204,40 @@ def _cusp_galerkin(args, log):
     eps = _parse_eps(args.eps)
     profile = profile_make(eps, args.delta)
     Ks = sorted({_number(int, s, "Ks") for s in args.Ks.split(",")})
-    scan = galerkin.compression_scan(profile, Ks)
+    M = galerkin.moment_matrix(profile, Ks)
     floors = [e / 8.0 for e in eps]
     # indices past the numerical rank r_K of a truncation have no Ritz value
-    shown = {K: min(len(eps), scan.spectrum_by_K[K].size) for K in scan.Ks}
-    rows = [(i + 1, K, scan.spectrum_by_K[K][i], floors[i])
-            for K in scan.Ks for i in range(shown[K])]
+    shown = {K: min(len(eps), M.spectrum_by_K[K].size) for K in M.Ks}
+    rows = [(i + 1, K, M.spectrum_by_K[K][i], floors[i])
+            for K in M.Ks for i in range(shown[K])]
 
-    trace = scan.matrix.trace
-    if len(scan.Ks) > 1:
-        K0 = scan.Ks[0]
-        resolved = sum(scan.eigenvalue(n, K0) >= scan.noise_floor(K0)
-                       for n in range(1, shown[K0] + 1))
+    top = M.Ks[-1]
+    trace = M.trace_by_K[top]
+    if len(M.Ks) > 1:
+        K0 = M.Ks[0]
+        resolved = min(shown[K0], M.resolved(K0))
         if resolved < shown[K0]:
             log.info(f"eigenvalues_nondecreasing_in_K skips n={resolved + 1}"
                      f"..{shown[K0]}: below the noise floor at K={K0}")
-        lam = [[scan.eigenvalue(n, K) for K in scan.Ks]
+        lam = [[M.eigenvalue(n, K) for K in M.Ks]
                for n in range(1, resolved + 1)]
         log.check("eigenvalues_nondecreasing_in_K",
                   float(np.min(np.diff(lam, axis=1))),
                   -1e-12 * trace, ">=", "nested compressions")
     else:
-        log.info(f"K={scan.Ks[0]} only: no nested truncation, "
+        log.info(f"K={top} only: no nested truncation, "
                  "eigenvalues_nondecreasing_in_K skipped")
-    lam_full = scan.spectrum_by_K[scan.Ks[-1]]
     log.check("trace_identity_rel_error",
-              abs(math.fsum(lam_full) - trace) / abs(trace), 1e-10, "<=",
-              "eigensolver")
-    top = scan.Ks[-1]
-    for n, K in galerkin.floor_crossings(scan, floors):
+              abs(math.fsum(M.spectrum_by_K[top]) - trace) / abs(trace),
+              1e-10, "<=", "eigensolver")
+    for n, K in galerkin.floor_crossings(M, floors):
         missed = (f"beyond the largest truncation (K={top})" if n > top
                   else "unresolved (below the noise floor)"
-                  if scan.eigenvalue(n, top) < scan.noise_floor(top)
+                  if n > M.resolved(top)
                   else "not reached (converges from below)")
         log.info(f"floor_crossing n={n}: " + (f"K={K}" if K else missed))
     series = [(f"K={K}", range(1, shown[K] + 1),
-               scan.spectrum_by_K[K][:shown[K]]) for K in scan.Ks]
+               M.spectrum_by_K[K][:shown[K]]) for K in M.Ks]
     return (f"cusp-galerkin delta={args.delta} eps={args.eps} Ks={Ks}",
             [("galerkin.csv", ("n", "K", "lambda", "floor"), rows)],
             [("galerkin.svg", series,

@@ -32,11 +32,36 @@ TRIANGLE_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    K: int
+    """The moment matrix of truncation max(Ks) and the Ritz values of
+    every truncation K in Ks.  All truncations are principal submatrices
+    of the one assembled matrix, so lambda_n is non-decreasing in K
+    exactly, not merely up to re-quadrature noise."""
+
+    Ks: tuple[int, ...]
     entries: np.ndarray             # sqrt((j+1)(k+1)) mu_hat_jk, symmetric
     moments: np.ndarray             # mu_hat_jk itself
-    spectrum: np.ndarray            # the r Ritz values, non-increasing
-    trace: float                    # the correctly rounded diagonal sum
+    spectrum_by_K: dict             # the r_K Ritz values, non-increasing
+    trace_by_K: dict                # fsum trace of each truncation
+
+    def eigenvalue(self, n: int, K: int) -> float:
+        """lambda_n of truncation K; 0.0 past its numerical rank, where
+        every eigenvalue lies within +-||S||_F, under the noise floor."""
+        spectrum = self.spectrum_by_K[K]
+        return float(spectrum[n - 1]) if n <= spectrum.size else 0.0
+
+    def noise_floor(self, K: int) -> float:
+        """TRIANGLE_RTOL times the fsum trace of truncation K in Ks: the
+        accuracy that moment_matrix's triangle check proves for its
+        eigenvalues."""
+        return TRIANGLE_RTOL * self.trace_by_K[K]
+
+    def resolved(self, K: int) -> int:
+        """The number of Ritz values of truncation K at or above its noise
+        floor, which are the leading ones, as the spectrum is
+        non-increasing: lambda_n is resolved exactly when n <= resolved(K).
+        This is the one place where an eigenvalue meets the floor."""
+        return int(np.count_nonzero(
+            self.spectrum_by_K[K] >= self.noise_floor(K)))
 
 
 def _boundary_table(z, c, K: int, close=0.0):
@@ -166,8 +191,10 @@ def _ritz(entries, traces: dict) -> list:
     return out
 
 
-def moment_matrix(region, K: int) -> MomentMatrix:
-    """Moment matrix of the region's counting measure, truncation K.
+def moment_matrix(region, Ks) -> MomentMatrix:
+    """Moment matrix of the region's counting measure, truncation max(Ks),
+    and the Ritz values of every truncation in Ks (one K, or several, in
+    1..K_CAP), from one _ritz call.
 
     ``region`` is a cusp profile, or None for the unit disk itself, where
     monomial orthogonality makes the matrix the identity (calibration).
@@ -179,41 +206,8 @@ def moment_matrix(region, K: int) -> MomentMatrix:
     mu_kk) entry by entry, which bounds the Frobenius norm of the
     disagreement, and so its effect on any eigenvalue, by TRIANGLE_RTOL
     times the trace.  This check, and the PSD guard of _ritz, which gives
-    the spectrum's r Ritz values, raise NumericIntegrityError."""
-    return compression_scan(region, [K]).matrix
-
-
-@dataclass(frozen=True)
-class CompressionScan:
-    """Eigenvalues of nested truncations of one moment matrix.
-
-    All truncations are principal submatrices of the same assembled
-    matrix, so lambda_n is non-decreasing in K exactly, not merely up to
-    re-quadrature noise.
-    """
-
-    Ks: tuple[int, ...]
-    matrix: MomentMatrix
-    spectrum_by_K: dict
-    trace_by_K: dict                # fsum trace of each truncation
-
-    def eigenvalue(self, n: int, K: int) -> float:
-        """lambda_n of truncation K; 0.0 past its numerical rank, where
-        every eigenvalue lies within +-||S||_F, under the noise floor."""
-        spectrum = self.spectrum_by_K[K]
-        return float(spectrum[n - 1]) if n <= spectrum.size else 0.0
-
-    def noise_floor(self, K: int) -> float:
-        """TRIANGLE_RTOL times the fsum trace of truncation K in Ks: the
-        accuracy that moment_matrix's triangle check proves for its
-        eigenvalues."""
-        return TRIANGLE_RTOL * self.trace_by_K[K]
-
-
-def compression_scan(region, Ks) -> CompressionScan:
-    """The moment matrix of truncation max(Ks) (see moment_matrix) and
-    the Ritz values of every truncation in Ks, from one _ritz call."""
-    Ks = sorted({int(K) for K in Ks})
+    each truncation's r Ritz values, raise NumericIntegrityError."""
+    Ks = sorted({int(K) for K in np.ravel(Ks)})
     if not Ks or not 1 <= Ks[0] <= Ks[-1] <= K_CAP:
         raise ValidationError(f"truncation sizes must lie in 1..{K_CAP}")
     K = Ks[-1]
@@ -233,22 +227,19 @@ def compression_scan(region, Ks) -> CompressionScan:
     root = np.sqrt(np.arange(1, K + 1, dtype=float))
     entries = root[:, None] * moments * root[None, :]
     traces = {K: math.fsum(np.diag(entries)[:K]) for K in Ks}
-    by_K = dict(zip(Ks, _ritz(entries, traces)))
-    M = MomentMatrix(K=K, entries=entries, moments=moments, spectrum=by_K[K],
-                     trace=traces[K])
-    return CompressionScan(Ks=tuple(Ks), matrix=M, spectrum_by_K=by_K,
-                           trace_by_K=traces)
+    return MomentMatrix(Ks=tuple(Ks), entries=entries, moments=moments,
+                        spectrum_by_K=dict(zip(Ks, _ritz(entries, traces))),
+                        trace_by_K=traces)
 
 
-def floor_crossings(scan: CompressionScan, floors) -> list:
-    """Per index n: smallest K in the scan with sqrt(lambda_n^(K)) at or
-    above floors[n-1] and lambda_n^(K) at or above the noise floor, or
-    None.  Convergence is from below, so a missing crossing is a report,
-    not a failure."""
+def floor_crossings(M: MomentMatrix, floors) -> list:
+    """Per index n: smallest K in M.Ks with lambda_n^(K) resolved and
+    sqrt(lambda_n^(K)) at or above floors[n-1], or None.  Convergence is
+    from below, so a missing crossing is a report, not a failure."""
     floors = np.asarray(floors, dtype=float)
 
     def crossed(n, K):
-        lam = scan.eigenvalue(n, K)
-        return lam >= scan.noise_floor(K) and math.sqrt(lam) >= floors[n - 1]
-    return [(n, next((K for K in scan.Ks if crossed(n, K)), None))
+        return (n <= M.resolved(K)
+                and math.sqrt(M.eigenvalue(n, K)) >= floors[n - 1])
+    return [(n, next((K for K in M.Ks if crossed(n, K)), None))
             for n in range(1, len(floors) + 1)]

@@ -259,8 +259,10 @@ class RectilinearDomain:
         x-clip, empty where a >= b.  s = 2 gives the mass mu, s = 2(q + 1)
         the moment of |w|^{2q}.  An array s gives one value per entry, and
         so, with a scalar s, do arrays xlo, xhi and h, broadcast against
-        the rows on the last axis: xlo (k, 2, 1), xhi (k, 1, 1) and h (k, 1)
-        give k pairs of windows, a column xlo of shape (k, 1) k windows."""
+        the rows on the last axis: xlo (k, 2, 1), xhi (k, 1, 1) and h
+        (k, 1, 1) give k pairs of windows, a column xlo of shape (k, 1) k
+        windows.  Each mass is one dot product over the rows (np.vecdot),
+        so a window rounds the same alone and inside a broadcast."""
         h = np.asarray(h, dtype=float)
         if not (h.min() > 0.0 and h.max() <= 1.0):     # NaN fails too
             raise ValidationError(f"band half-height {h} outside (0, 1]")
@@ -269,7 +271,7 @@ class RectilinearDomain:
         w = np.maximum(0.0, np.minimum(h, self.hi) - self.lo) * self.count
         s = np.asarray(s, dtype=float)
         E = exp_drop(s[..., None], a, b)
-        m = np.matmul(E, w[..., None])[..., 0] * 2.0 / s
+        m = np.vecdot(E, w) * 2.0 / s
         return m if m.ndim else float(m)
 
     def tail_bound(self) -> float:

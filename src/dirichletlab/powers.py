@@ -127,8 +127,8 @@ def growth_majorant(F: RectilinearDomain, p):
     p^2-weighted truncation tail of F; elementwise for an array p."""
     p = np.asarray(p, dtype=float)
     n = np.arange(1, F.n_max + 1)
-    maj = (growth_term(p[..., None] * 4.0 ** -n) @ np.asarray(F.l, dtype=float)
-           + p * p * F.tail_bound())
+    maj = (np.vecdot(growth_term(p[..., None] * 4.0 ** -n),
+                     np.asarray(F.l, dtype=float)) + p * p * F.tail_bound())
     return maj if maj.ndim else float(maj)
 
 

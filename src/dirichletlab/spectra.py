@@ -19,17 +19,16 @@ the rows again.  In n steps, one sweep, every pair of indices meets once
 (odd-even transposition order); an index left without a partner at an
 end sits the step out.  The b matrices of a stack (b, n, n) run the same
 steps together, so independent solves share one run; a matrix is a
-stack of one.  A solve builds the views and buffers of the step of each
-parity once (_plan), so that a step (_step) is arithmetic only: one
-gather of the pairs' entries, the rotations, two batched products and
-the diagonal update.  Matrices are plain numpy arrays; validation
-happens at operation entry.
+stack of one.  A solve plans the step of each parity once (_plan): a
+closure over the views and buffers it needs, so that a step is
+arithmetic only: one gather of the pairs' entries, the rotations, two
+batched products and the diagonal update.  Matrices are plain numpy
+arrays; validation happens at operation entry.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,28 +89,15 @@ def _rotations(app, aqq, apq):
     return t, c, t * c
 
 
-class _Plan(NamedTuple):
-    """The views and buffers of the step of one parity, built once per
-    solve: every array shares memory with the stack S, its scratch R, or
-    the buffers this step reuses."""
-    flat: np.ndarray        # S as one flat array
-    index: np.ndarray       # (3, b, k) flat positions of a_pp, a_qq, a_pq
-    gathered: np.ndarray    # (3, b, k) buffer they are gathered into
-    pair: tuple             # its three (b, k) rows: a_pp, a_qq, a_pq
-    G: np.ndarray           # (b, k, 2, 2) rotations
-    entries: tuple          # G's four (b, k) entries, row by row
-    passes: tuple           # (src, dst, idle rows) per half step
-    diag: tuple             # (b, k) views of the p and q diagonal entries
-    off: tuple              # (b, k) views of the pairs' a_pq and a_qp
-
-
 def _plan(S, R, o: int):
-    """The plan of the step that rotates the pairs (o, o+1), (o+2, o+3),
-    ... of the stack S (b, n, n) with scratch R, or None where there is no
-    pair.  A half step multiplies the (b, k, 2, n) rows of src by G into
-    dst and copies the idle head or tail row of src there unchanged; the
-    first runs S into R^T, so that the second reads contiguous rows when
-    it runs R back into S."""
+    """The step that rotates the pairs (o, o+1), (o+2, o+3), ... of the
+    stack S (b, n, n) in place, each pair trading places, as a closure
+    over views and buffers built once per solve (every array shares
+    memory with S, its scratch R, or the buffers the step reuses); None
+    where there is no pair.  A half step multiplies the (b, k, 2, n) rows
+    of src by G into dst and copies the idle head or tail row of src there
+    unchanged; the first runs S into R^T, so that the second reads
+    contiguous rows when it runs R back into S."""
     b, n = S.shape[:2]
     k = (n - o) // 2
     if k == 0:
@@ -123,39 +109,33 @@ def _plan(S, R, o: int):
     # n + 1 and 1 places further on
     pos = (np.arange(0, b * n * n, n * n)[:, None]
            + np.arange(o * (n + 1), (o + 2 * k) * (n + 1), 2 * (n + 1)))
+    flat, index = S.reshape(-1), pos + np.array([0, n + 1, 1])[:, None, None]
     gathered, G = np.empty((3, b, k)), np.empty((b, k, 2, 2))
+    app, aqq, apq = gathered
+    g00, g01, g10, g11 = G.reshape(b, k, 4).transpose(2, 0, 1)
     passes = tuple(
         (src[:, rows].reshape(b, k, 2, n), dst[:, rows].reshape(b, k, 2, n),
          tuple((src[:, idle], dst[:, idle])
                for idle in (slice(0, o), slice(o + 2 * k, n))
                if idle.start < idle.stop))
         for src, dst in ((S, R.transpose(0, 2, 1)), (R, S)))
-    return _Plan(flat=S.reshape(-1),
-                 index=pos + np.array([0, n + 1, 1])[:, None, None],
-                 gathered=gathered, pair=tuple(gathered), G=G,
-                 entries=tuple(G.reshape(b, k, 4).transpose(2, 0, 1)),
-                 passes=passes, diag=(diag[:, p], diag[:, q]),
-                 off=(upper[:, p], lower[:, p]))
+    dp, dq, off = diag[:, p], diag[:, q], (upper[:, p], lower[:, p])
 
-
-def _step(plan: _Plan):
-    """Rotate the pairs of the plan's step in place, each pair trading
-    places."""
-    plan.flat.take(plan.index, out=plan.gathered)
-    app, aqq, apq = plan.pair
-    t, c, s = _rotations(app, aqq, apq)
-    # rows (p, q) become (s p + c q, c p - s q): rotated, then swapped
-    g00, g01, g10, g11 = plan.entries
-    g00[...], g01[...], g10[...], g11[...] = s, c, c, -s
-    for src, dst, idle in plan.passes:
-        np.matmul(plan.G, src, out=dst)
-        for row, to in idle:
-            to[...] = row
-    tapq = t * apq
-    np.add(aqq, tapq, out=plan.diag[0])
-    np.subtract(app, tapq, out=plan.diag[1])
-    for entry in plan.off:
-        entry[...] = 0.0
+    def step():
+        flat.take(index, out=gathered)
+        t, c, s = _rotations(app, aqq, apq)
+        # rows (p, q) become (s p + c q, c p - s q): rotated, then swapped
+        g00[...], g01[...], g10[...], g11[...] = s, c, c, -s
+        for src, dst, idle in passes:
+            np.matmul(G, src, out=dst)
+            for row, to in idle:
+                to[...] = row
+        tapq = t * apq
+        np.add(aqq, tapq, out=dp)
+        np.subtract(app, tapq, out=dq)
+        for entry in off:
+            entry[...] = 0.0
+    return step
 
 
 def _frobenius(A, unit) -> np.ndarray:
@@ -188,7 +168,7 @@ def eigh(A) -> np.ndarray:
     trace = diag.sum(axis=1)
     threshold = OFF_RTOL * frob
     R = np.empty_like(S)
-    plans = [_plan(S, R, o) for o in (0, 1)]
+    steps = [_plan(S, R, o) for o in (0, 1)]
     o = 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_SWEEPS):
@@ -200,8 +180,8 @@ def eigh(A) -> np.ndarray:
                     _frobenius(off, unit) <= threshold).all():
                 break
             for _ in range(n):
-                if plans[o] is not None:
-                    _step(plans[o])
+                if steps[o] is not None:
+                    steps[o]()
                 o ^= 1
         else:
             raise NumericIntegrityError("Jacobi iteration failed to converge")

@@ -197,18 +197,18 @@ def test_criterion_08_calibrations(profile8, domain24):
 # -- criterion 9 -------------------------------------------------------------
 
 def test_criterion_09_compressions_increase_toward_floors(profile8, eps8):
-    scan = galerkin.compression_scan(profile8, [32, 64, 128])
-    slack = 1e-12 * scan.matrix.trace
+    M = galerkin.moment_matrix(profile8, [32, 64, 128])
+    trace = M.trace_by_K[128]
+    slack = 1e-12 * trace
     for n in range(1, 9):
-        vals = [scan.eigenvalue(n, K) for K in (32, 64, 128)]
+        vals = [M.eigenvalue(n, K) for K in (32, 64, 128)]
         assert vals[1] >= vals[0] - slack
         assert vals[2] >= vals[1] - slack
-    lam = scan.spectrum_by_K[128]
-    trace = scan.matrix.trace
+    lam = M.spectrum_by_K[128]
     assert abs(float(lam.sum()) - trace) <= 1e-10 * abs(trace)
     # crossings of the eps_n/8 floors are reported; convergence is from
     # below, so a None entry would be a report, not a failure
-    crossings = galerkin.floor_crossings(scan, [e / 8.0 for e in eps8])
+    crossings = galerkin.floor_crossings(M, [e / 8.0 for e in eps8])
     assert [n for n, _ in crossings] == list(range(1, 9))
 
 

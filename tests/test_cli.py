@@ -148,13 +148,18 @@ def test_cusp_galerkin_K_below_tracked_count(tmp_path):
     assert text.strip().endswith("RESULT PASS")
 
 
+def _dyadic20_matrix():
+    """The moment matrix that cusp-galerkin --eps dyadic:20 scans."""
+    return galerkin.moment_matrix(
+        geometry.profile_make(seqs.dyadic(20), 0.005), (32, 64, 128))
+
+
 def _dyadic20_ranks():
     """The numerical rank r_K of each truncation that cusp-galerkin --eps
     dyadic:20 scans: the number of Ritz values, a rounding outcome (r_K
     stops where a pivot falls under 2^-53 times the trace)."""
-    scan = galerkin.compression_scan(
-        geometry.profile_make(seqs.dyadic(20), 0.005), (32, 64, 128))
-    return {K: scan.spectrum_by_K[K].size for K in scan.Ks}
+    M = _dyadic20_matrix()
+    return {K: M.spectrum_by_K[K].size for K in M.Ks}
 
 
 def test_cusp_galerkin_noise_floor_is_unresolved(tmp_path):
@@ -191,6 +196,44 @@ def test_cusp_galerkin_interlacing_skips_the_noise(tmp_path):
             " the noise floor at K=32") in text
     value = re.search(r"PASS eigenvalues_nondecreasing_in_K: (\S+)", text)
     assert math.isclose(float(value.group(1)), 2.624232e-11, rel_tol=1e-6)
+
+
+def _noise_verdicts(out):
+    """The first n that the interlacing check skips, the n reported
+    unresolved and the crossings (n, K) of cusp-galerkin --eps dyadic:20
+    --Ks 32,64,128, run into ``out``."""
+    assert cli.main(["cusp-galerkin", "--eps", "dyadic:20", "--Ks",
+                     "32,64,128", "--out", str(out)]) == 0
+    text = (out / "certificates.txt").read_text()
+    skip = re.search(r"eigenvalues_nondecreasing_in_K skips n=(\d+)\.\.", text)
+    verdicts = re.findall(r"floor_crossing n=(\d+): (.*)", text)
+    return (int(skip.group(1)),
+            {int(n) for n, v in verdicts if v.startswith("unresolved")},
+            {(int(n), int(v[2:])) for n, v in verdicts if v.startswith("K=")})
+
+
+def test_cusp_galerkin_noise_verdicts_follow_resolved(tmp_path, monkeypatch):
+    # MomentMatrix.resolved is the one noise-floor rule: the interlacing
+    # check skips from resolved(32) + 1 on, "unresolved" names exactly the
+    # tracked n with resolved(128) < n <= 128, and every crossing (n, K)
+    # has n <= resolved(K).  A floor of 1e-6 times the trace moves all
+    # three together.
+    runs = []
+    for name, rtol in (("triangle", None), ("raised", 1e-6)):
+        if rtol is not None:
+            monkeypatch.setattr(galerkin.MomentMatrix, "noise_floor",
+                                lambda self, K: rtol * self.trace_by_K[K])
+        M = _dyadic20_matrix()
+        skip, unresolved, crossings = _noise_verdicts(tmp_path / name)
+        assert skip == M.resolved(32) + 1
+        assert unresolved == {n for n in range(1, 21)
+                              if M.resolved(128) < n <= 128}
+        assert crossings and all(n <= M.resolved(K) for n, K in crossings)
+        runs.append((skip, unresolved, crossings))
+    (skip, unresolved, crossings), (skip2, unresolved2, crossings2) = runs
+    assert (skip, skip2) == (13, 9)
+    assert unresolved < unresolved2
+    assert {n for n, _ in crossings2} < {n for n, _ in crossings}
 
 
 def test_eksy_growth_artifacts(tmp_path):

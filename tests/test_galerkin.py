@@ -7,7 +7,6 @@ from dirichletlab import cli, galerkin
 from dirichletlab.errors import NumericIntegrityError, ValidationError
 from dirichletlab.galerkin import (
     TRIANGLE_RTOL,
-    compression_scan,
     floor_crossings,
     moment_matrix,
 )
@@ -27,9 +26,9 @@ def test_disk_calibration_is_identity():
     # the cusp's boundary route, on the exact trapezoid rule of the circle
     for K in (1, 2, 7, 16, 128):
         M = moment_matrix(None, K)
-        assert M.K == K
+        assert M.Ks == (K,)
         assert np.max(np.abs(M.entries - np.eye(K))) < 1e-14
-        assert np.all(np.abs(M.spectrum - 1.0) < 1e-14)
+        assert np.all(np.abs(M.spectrum_by_K[K] - 1.0) < 1e-14)
 
 
 def test_moment_matrix_matches_direct_moments():
@@ -49,8 +48,9 @@ def test_moment_matrix_trace_identity():
     prof = profile_make(dyadic(3), DELTA)
     M = moment_matrix(prof, 8)
     direct = sum((k + 1.0) * cusp_moment(prof, k, k).real for k in range(8))
-    assert math.isclose(M.trace, direct, rel_tol=1e-10)
-    assert math.isclose(float(M.spectrum.sum()), M.trace, rel_tol=1e-10)
+    trace = M.trace_by_K[8]
+    assert math.isclose(trace, direct, rel_tol=1e-10)
+    assert math.isclose(float(M.spectrum_by_K[8].sum()), trace, rel_tol=1e-10)
 
 
 def test_moment_matrix_psd_and_symmetric():
@@ -60,7 +60,7 @@ def test_moment_matrix_psd_and_symmetric():
     asym = np.max(np.abs(M.entries - M.entries.T))
     assert asym <= 1e-15 * np.max(np.abs(M.entries))
     assert np.array_equal(M.moments, M.moments.T)
-    assert M.spectrum[-1] >= -1e-12 * M.trace
+    assert M.spectrum_by_K[12][-1] >= -1e-12 * M.trace_by_K[12]
 
 
 def test_moment_matrix_validates_K():
@@ -74,34 +74,34 @@ def test_moment_matrix_validates_K():
 
 def test_compression_scan_interlaces_exactly():
     prof = profile_make(dyadic(4), DELTA)
-    scan = compression_scan(prof, [4, 8, 16, 32])
-    assert scan.Ks == (4, 8, 16, 32)
+    M = moment_matrix(prof, [4, 8, 16, 32])
+    assert M.Ks == (4, 8, 16, 32)
     # nested principal submatrices: lambda_n non-decreasing in K, up to
     # eigensolver noise scaled by the trace
-    slack = 1e-12 * scan.matrix.trace
+    slack = 1e-12 * M.trace_by_K[32]
     for n in range(1, 5):
-        vals = [scan.eigenvalue(n, K) for K in scan.Ks if K >= n]
+        vals = [M.eigenvalue(n, K) for K in M.Ks if K >= n]
         assert all(b >= a - slack for a, b in zip(vals, vals[1:]))
 
 
 def test_compression_scan_single_assembly():
     prof = profile_make(dyadic(3), DELTA)
-    scan = compression_scan(prof, [3, 6])
-    sub = scan.matrix.entries[:3, :3]
+    M = moment_matrix(prof, [3, 6])
+    sub = M.entries[:3, :3]
     from dirichletlab.spectra import eigh
-    assert np.allclose(sorted(scan.spectrum_by_K[3]), sorted(eigh(sub)),
+    assert np.allclose(sorted(M.spectrum_by_K[3]), sorted(eigh(sub)),
                        rtol=0.0, atol=1e-15)
     with pytest.raises(ValidationError):
-        compression_scan(prof, [])
+        moment_matrix(prof, [])
     with pytest.raises(ValidationError):
-        compression_scan(prof, [0, 4])
+        moment_matrix(prof, [0, 4])
 
 
 def test_floor_crossings_structure():
     prof = profile_make(dyadic(4), DELTA)
-    scan = compression_scan(prof, [4, 16, 32])
+    M = moment_matrix(prof, [4, 16, 32])
     floors = [1e-12, 1e-12, 1e-12, 1.0]
-    out = floor_crossings(scan, floors)
+    out = floor_crossings(M, floors)
     assert [n for n, _ in out] == [1, 2, 3, 4]
     # tiny floors are crossed at the smallest truncation already
     assert out[0][1] == 4
@@ -113,14 +113,14 @@ def test_floor_crossings_skip_eigenvalues_below_the_noise_floor():
     # with zero floors every resolved eigenvalue crosses, so a crossing is
     # the first K where lambda_n clears TRIANGLE_RTOL * trace of that
     # truncation; lambda_32 at K = 32 is noise and never crosses
-    scan = compression_scan(profile_make(dyadic(20), DELTA), [16, 32])
-    for K in scan.Ks:
-        diag = np.diag(scan.matrix.entries)[:K]
-        assert scan.noise_floor(K) == TRIANGLE_RTOL * math.fsum(diag)
-    out = floor_crossings(scan, [0.0] * 32)
+    M = moment_matrix(profile_make(dyadic(20), DELTA), [16, 32])
+    for K in M.Ks:
+        diag = np.diag(M.entries)[:K]
+        assert M.noise_floor(K) == TRIANGLE_RTOL * math.fsum(diag)
+    out = floor_crossings(M, [0.0] * 32)
     for n, hit in out:
-        clear = [K for K in scan.Ks
-                 if K >= n and scan.eigenvalue(n, K) >= scan.noise_floor(K)]
+        clear = [K for K in M.Ks
+                 if K >= n and M.eigenvalue(n, K) >= M.noise_floor(K)]
         assert hit == (clear[0] if clear else None), n
     assert out[-1] == (32, None)
     assert out[0] == (1, 16)
@@ -216,10 +216,9 @@ def test_stacked_ritz_solve_matches_solo_solves():
     # Jacobi run, padded to the largest r: each truncation keeps r values,
     # its padding zeros dropped, within r 2^-53 lambda_1 of the solve of
     # its own Ritz matrix alone
-    scan = compression_scan(profile_make(dyadic(8), DELTA), (32, 64, 128))
-    for K, stacked in scan.spectrum_by_K.items():
-        (alone,) = galerkin._ritz(scan.matrix.entries,
-                                  {K: scan.trace_by_K[K]})
+    M = moment_matrix(profile_make(dyadic(8), DELTA), (32, 64, 128))
+    for K, stacked in M.spectrum_by_K.items():
+        (alone,) = galerkin._ritz(M.entries, {K: M.trace_by_K[K]})
         assert stacked.shape == alone.shape, K
         allow = alone.size * 2.0 ** -53 * alone[0]
         assert np.all(np.abs(stacked - alone) <= allow), K
@@ -272,10 +271,11 @@ def test_psd_guard_refuses_a_slightly_indefinite_matrix():
     # the trace drives its smallest eigenvalue to about -1e-11 trace, ten
     # times past PSD_RTOL: the Ritz solve must refuse it
     M = moment_matrix(profile_make(dyadic(8), DELTA), 32)
-    galerkin._ritz(M.entries, {32: M.trace})    # the unperturbed matrix passes
+    trace = M.trace_by_K[32]
+    galerkin._ritz(M.entries, {32: trace})      # the unperturbed matrix passes
     A = M.entries.copy()
-    A[15, 15] -= 1.25e-11 * M.trace
-    assert -2e-11 < np.linalg.eigvalsh(A)[0] / M.trace < -0.5e-11
+    A[15, 15] -= 1.25e-11 * trace
+    assert -2e-11 < np.linalg.eigvalsh(A)[0] / trace < -0.5e-11
     with pytest.raises(NumericIntegrityError, match="semidefinite"):
         galerkin._ritz(A, {32: math.fsum(np.diag(A))})
 

@@ -82,6 +82,23 @@ def test_order_doubling_serves_only_the_two_witnesses():
         assert "MOMENT_RTOL" not in set(_names(tree)), name
 
 
+def test_the_noise_floor_rule_is_written_once():
+    # a Ritz value meets the noise floor in MomentMatrix.resolved only:
+    # floor_crossings and cusp-galerkin ask it, so a proven bound in place
+    # of the floor would land in one method
+    for name, tree in _module_trees():
+        if name != "galerkin.py":
+            named = {"noise_floor", "TRIANGLE_RTOL"} & set(_names(tree))
+            assert not named, (name, named)
+            continue
+        reads = {fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr == "noise_floor"}
+        assert reads == {"resolved"}, reads
+
+
 ROW_FIELDS = {"x1", "x2", "lo", "hi", "count", "first", "pipe"}
 
 
@@ -172,12 +189,15 @@ def test_reference_routes_live_in_the_tests():
 
 # general forms replaced by the one form their callers use, by the module
 # that held them: the Neumann floor is one number of the Gram certificate,
-# the Gauss rule one cached table on [0, 1] (quad._gl), and the entry
-# inequalities come back as check lines, as the certificate's do
+# the Gauss rule one cached table on [0, 1] (quad._gl), the entry
+# inequalities come back as check lines, as the certificate's do, a
+# Jacobi step is the closure that spectra._plan returns, and the scan of
+# nested truncations is the one moment matrix (galerkin.moment_matrix)
 REPLACED_FORMS = {
     "gram": ("TecReport",),
-    "spectra": ("NeumannBounds", "neumann_lower"),
+    "spectra": ("NeumannBounds", "neumann_lower", "_Plan", "_step"),
     "quad": ("QuadratureRule", "gauss_nodes", "_gauss_rule"),
+    "galerkin": ("CompressionScan", "compression_scan"),
 }
 
 

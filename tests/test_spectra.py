@@ -181,7 +181,8 @@ def test_eigh_cusp_moment_matrix_matches_lapack():
     from dirichletlab.seqs import dyadic
     M = moment_matrix(profile_make(dyadic(8), 1.0 / 200.0), 128)
     ref = np.linalg.eigvalsh(M.entries)[::-1]
-    assert np.all(np.abs(M.spectrum[:8] - ref[:8]) <= 1e-10 * ref[:8])
+    lam = M.spectrum_by_K[128]
+    assert np.all(np.abs(lam[:8] - ref[:8]) <= 1e-10 * ref[:8])
 
 
 def _rotations_per_step(app, aqq, apq):
@@ -358,13 +359,13 @@ def test_galerkin_ritz_values_within_the_weyl_allowance():
     # allowance of a backward-stable solve that tests/test_golden.py
     # applies; every Ritz value is a lower bound (interlacing) to that
     # allowance
-    from dirichletlab.galerkin import compression_scan
+    from dirichletlab.galerkin import moment_matrix
     from test_carleson import _seeded_profile
     for profile in (_cusp_profile(), _seeded_profile(3), _seeded_profile(7),
                     _seeded_profile(29)):
-        scan = compression_scan(profile, (32, 64, 128))
-        for K, ritz in scan.spectrum_by_K.items():
-            A = scan.matrix.entries[:K, :K]
+        M = moment_matrix(profile, (32, 64, 128))
+        for K, ritz in M.spectrum_by_K.items():
+            A = M.entries[:K, :K]
             lapack = np.linalg.eigvalsh(A)[::-1]
             allow = K * 2.0 ** -53 * lapack[0]
             assert np.all(np.abs(ritz[:8] - lapack[:8]) <= allow), K
@@ -377,7 +378,7 @@ def test_galerkin_eigensolves_are_at_most_32_by_32(monkeypatch):
     # on the default profile), solved in one call on a stack of depth 3
     # zero-padded to the largest r: Jacobi never sees a full truncation
     from dirichletlab import spectra
-    from dirichletlab.galerkin import compression_scan
+    from dirichletlab.galerkin import moment_matrix
     calls = []
     eigh_ = spectra.eigh
 
@@ -385,5 +386,5 @@ def test_galerkin_eigensolves_are_at_most_32_by_32(monkeypatch):
         calls.append((A.shape[0] if np.ndim(A) == 3 else 1, A.shape[-1]))
         return eigh_(A)
     monkeypatch.setattr(spectra, "eigh", recorded)
-    compression_scan(_cusp_profile(), (32, 64, 128))
+    moment_matrix(_cusp_profile(), (32, 64, 128))
     assert len(calls) == 1 and calls[0][0] == 3 and calls[0][1] <= 32, calls
