@@ -123,9 +123,10 @@ def cusp_window_report(profile: CuspProfile) -> WindowMeasureReport:
 # rectilinear windows W(1, h) and W'_n
 
 
-def half_window_area(n: int) -> float:
+def half_window_area(n):
     """A(W'_n) = 2^-n ((1 - 2^-(n+1))^2 - (1 - 2^-n)^2) = 2^-n (a - 3a^2/4)
-    with a = 2^-n, written in the cancellation-free polynomial form."""
+    with a = 2^-n, written in the cancellation-free polynomial form; an
+    integer array n gives one area per entry."""
     a = 2.0 ** -n
     return a * (a - 0.75 * a * a)
 

@@ -273,14 +273,16 @@ def _eksy_windows(args, log):
     M = _parse_targets(args.M)
     F = eksy_build(M, args.nmax)
     table = carleson.eksy_window_table(F)
-    for N, mu_half, _, _ in table:
-        l_N = F.l[N - 1]
-        closed = l_N * carleson.half_window_area(2 * N)
-        log.check(f"half_window_closed_form_N{N}",
-                  abs(mu_half - closed), 1e-12 * closed, "<=", "closed form")
-        log.check(f"half_window_ge_area_sum_N{N}", mu_half,
-                  closed * (1.0 - 1e-12), ">=", "closed form")
-    indices = [index for _, _, _, index in table]
+    Ns, mu_half, _, indices = zip(*table)
+    closed = (np.array(F.l, dtype=float)
+              * carleson.half_window_area(2 * np.array(Ns)))
+    for n, mu, gap, tol, area in zip(
+            Ns, mu_half, np.abs(np.array(mu_half) - closed).tolist(),
+            (1e-12 * closed).tolist(), (closed * (1.0 - 1e-12)).tolist()):
+        log.check(f"half_window_closed_form_N{n}", gap, tol, "<=",
+                  "closed form")
+        log.check(f"half_window_ge_area_sum_N{n}", mu, area, ">=",
+                  "closed form")
     log.check("index_threshold_exceeded", max(indices), args.threshold,
               ">=", "closed form")
     grow = [N for N in range(2, F.n_max + 1) if F.l[N - 1] > F.l[N - 2]]

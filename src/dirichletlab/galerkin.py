@@ -75,24 +75,35 @@ def _boundary_table(z, c, K: int, close=0.0):
     conj(z_l), the upper half gives T_jk = sum_l c_l conj(z_l)^j z_l^k
     (exact when the rule is exact for the integrand).  The mirrored lower
     half, run the other way, adds -conj(T), so both halves give 2i Im T.
-    Only Im T is formed, piece by piece, in three K x m work arrays: the
-    power table P = z^k of the piece's m nodes (z^(k+1) = z^k z), A =
-    conj(P) c and W = Im P + i Re P, and Im(A P^T) is one real GEMM on the
-    interleaved float views, [Re A | Im A] [Im P | Re P]^T.  ``close`` is
+    Only Im T is formed, piece by piece, in two K x m work arrays: the
+    conjugate power table C = conj(z)^k of the piece's m nodes, built by
+    halves (C[h] = C[h-1] conj(z), then C[h+1:2h] = C[1:h] C[h]), which
+    forms each power in k - 1 multiplications as the chain z^(k+1) = z^k z
+    does, so its error bound is the chain's (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3), and A = C (-i c).
+    Im(c conj(z)^j z^k) = Re(-i c conj(z)^j conj(conj(z)^k)) is the
+    interleaved dot of A[j] with C[k] on their float views, so Im T is one
+    real GEMM per piece, [Re A | Im A] [Re C | Im C]^T.  ``close`` is
     pi (j + 1) times the moment of any part of the boundary outside that
     pair (the cusp's closing edge).
     """
     m = z.shape[1]
-    P, A, W = (np.empty((K, m), dtype=complex) for _ in range(3))
+    C, A = np.empty((2, K, m), dtype=complex)
     T, piece = np.zeros((K, K)), np.empty((K, K))
-    P[0] = 1.0
+    C[0] = 1.0
     for zp, cp in zip(z, c):
-        np.cumprod(np.broadcast_to(zp, (K - 1, m)), axis=0, out=P[1:])
-        np.multiply(np.conjugate(P, out=A), cp, out=A)
-        W.real, W.imag = P.imag, P.real
-        T += np.matmul(A.view(float), W.view(float).T, out=piece)
-    j = np.arange(K)[:, None]
-    return (T / (j + 1.0) + close) / math.pi
+        w, h = zp.conj(), 1
+        while h < K:
+            np.multiply(C[h - 1], w, out=C[h])
+            top = min(2 * h, K)
+            np.multiply(C[1:top - h], C[h], out=C[h + 1:top])
+            h *= 2
+        np.multiply(C, -1j * cp, out=A)
+        T += np.matmul(A.view(float), C.view(float).T, out=piece)
+    T /= np.arange(1.0, K + 1)[:, None]
+    T += close
+    T /= math.pi
+    return T
 
 
 def _disk_table(K: int):
@@ -116,17 +127,24 @@ def _edge_table(profile: CuspProfile, K: int):
     integrand of _boundary_table has degree j + k + 1 <= 2K - 1 in s, so
     the order-K Gauss rule is exact.  The closing edge z = iy, y from
     eps_1 down to -eps_1, gives -(-1)^((k-j-1)/2) eps_1^(j+k+2) /
-    (pi (j+1)(j+k+2)) for odd j + k and 0 for even j + k.
+    (pi (j+1)(j+k+2)) for odd j + k and 0 for even j + k.  Along the
+    anti-diagonals n = j + k that is s_n / ((-1)^j (j+1)(n+2)), s_n =
+    -(-1)^((n-1)/2) eps_1^(n+2) for odd n and 0 for even n: the vector s
+    and the n + 2 of length 2K - 1 expand into Hankel views, and one
+    division forms the term; the sign flips and the integer product
+    (j+1)(n+2) are exact, so it equals the entrywise formula exactly (a
+    zero may carry a minus sign).
     """
     t, th = profile.knots, profile.thetas
     x, y, ws = profile.edge_points(K)
     z = x + 1j * y
     dz = (t[:-1] - t[1:]) + 1j * (th[1:] - th[:-1])
-    j, k = np.arange(K)[:, None], np.arange(K)[None, :]
-    sign = 1.0 - 2.0 * ((k - j - 1) // 2 % 2)
-    power = th[-1] ** np.arange(2.0, 2 * K + 1)     # eps_1^(j + k + 2)
-    close = np.where((j + k) % 2 == 1, -sign * power[j + k]
-                     / ((j + 1.0) * (j + k + 2.0)), 0.0)
+    hankel = np.lib.stride_tricks.sliding_window_view
+    n2 = np.arange(2.0, 2 * K + 1)                  # n + 2, n = 0..2K-2
+    s = th[-1] ** n2 * np.resize([0.0, -1.0, 0.0, 1.0], n2.size)
+    j = np.arange(K)
+    signed = (j + 1.0) * (1 - 2 * (j % 2))         # (-1)^j (j + 1)
+    close = hankel(s, K) / (signed[:, None] * hankel(n2, K))
     return _boundary_table(z, dz[:, None] * ws * z.conj(), K, close)
 
 
@@ -137,7 +155,7 @@ def _ritz(entries, traces: dict) -> list:
 
     Per truncation, a diagonal-pivoted Cholesky M = L L^T + S stops once
     no pivot left exceeds 2^-53 times the trace, at the numerical rank r
-    (17, 21 and 23 at K = 32, 64 and 128 on the default profile; Higham
+    (18, 20 and 23 at K = 32, 64 and 128 on the default profile; Higham
     1990).  Q spans L's columns: each column, as soon as it is made, is
     orthogonalized against the rows of Q so far by classical Gram-Schmidt
     run twice, which leaves it as orthogonal as modified Gram-Schmidt run

@@ -262,10 +262,18 @@ class RectilinearDomain:
         the rows on the last axis: xlo (k, 2, 1), xhi (k, 1, 1) and h
         (k, 1, 1) give k pairs of windows, a column xlo of shape (k, 1) k
         windows.  Each mass is one dot product over the rows (np.vecdot),
-        so a window rounds the same alone and inside a broadcast."""
+        so a window rounds the same alone and inside a broadcast.  Array
+        xlo, xhi and h must have one number of axes and length 1 on the
+        last, or a window would be paired with another's band or rows; a
+        ValidationError refuses any other layout."""
         h = np.asarray(h, dtype=float)
         if not (h.min() > 0.0 and h.max() <= 1.0):     # NaN fails too
             raise ValidationError(f"band half-height {h} outside (0, 1]")
+        shapes = [np.shape(v) for v in (xlo, xhi, h) if np.ndim(v)]
+        if any(len(sh) != len(shapes[0]) or sh[-1] != 1 for sh in shapes):
+            raise ValidationError(
+                f"window arrays xlo, xhi and h of shapes {shapes} do not line"
+                " up: they need one number of axes and length 1 on the last")
         a = np.maximum(self.x1, xlo)
         b = np.maximum(a, np.minimum(self.x2, xhi))
         w = np.maximum(0.0, np.minimum(h, self.hi) - self.lo) * self.count

@@ -4,7 +4,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +113,26 @@ def test_cusp_galerkin_artifacts(tmp_path):
     text = (tmp_path / "certificates.txt").read_text()
     assert "PASS eigenvalues_nondecreasing_in_K" in text
     assert "PASS trace_identity_rel_error" in text
+
+
+def test_cusp_galerkin_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the moment table is real GEMMs whose summation order OpenBLAS may
+    # pick by thread count; at default flags the outputs must not move
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dirichletlab.cli import main;"
+             " sys.exit(main(sys.argv[1:]))",
+             "cusp-galerkin", "--out", str(out)], env=env, check=True)
+        outs.append([(out / name).read_bytes()
+                     for name in ("certificates.txt", "galerkin.csv")])
+    assert outs[0] == outs[1]
 
 
 def test_cusp_galerkin_single_truncation(tmp_path):

@@ -301,6 +301,28 @@ def test_pullback_mass_broadcasts_xlo_xhi_and_h():
             F.pullback_mass(2.0, xlo, xhi, hb)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_pullback_mass_refuses_misaligned_windows(k):
+    # h as (k, 1) beside xlo (k, 2, 1) pairs bands across windows: at k = 2
+    # numpy broadcasts it to wrong masses, at k = 3 it fails to broadcast;
+    # both are refused, as is a window array that puts its windows on the
+    # rows' axis, while the documented layouts agree with the scalar calls
+    F = eksy_build(lambda n: n.bit_length(), 12)
+    xlo = np.array([[0.0, 0.01], [0.05, 0.0], [0.3, 1e-4]])[:k, :, None]
+    xhi = np.array([0.5, 1.0, math.inf])[:k, None, None]
+    h = np.array([1.0, 0.25, 2.0 ** -9])[:k]
+    for bad in ((xlo, xhi, h[:, None]), (xlo, xhi[:, 0], h[:, None, None]),
+                (xlo[..., 0], 1.0, 1.0), (0.0, 1.0, h)):
+        with pytest.raises(ValidationError, match="line"):
+            F.pullback_mass(2.0, *bad)
+    m = F.pullback_mass(2.0, xlo, xhi, h[:, None, None])
+    assert m.tolist() == [[F.pullback_mass(2.0, float(xlo[i, j, 0]),
+                                           float(xhi[i, 0, 0]), float(h[i]))
+                           for j in range(2)] for i in range(k)]
+    assert F.pullback_mass(2.0, xlo[:, 0], xhi[:, 0], h[:, None]).tolist() == \
+        m[:, 0].tolist()
+
+
 def test_eksy_validates_targets():
     with pytest.raises(ValidationError):
         eksy_build([3, 2, 1], 3)            # decreasing

@@ -374,7 +374,7 @@ def test_galerkin_ritz_values_within_the_weyl_allowance():
 
 
 def test_galerkin_eigensolves_are_at_most_32_by_32(monkeypatch):
-    # the Ritz matrices at K = 32, 64 and 128 are r x r (r = 17, 21 and 23
+    # the Ritz matrices at K = 32, 64 and 128 are r x r (r = 18, 20 and 23
     # on the default profile), solved in one call on a stack of depth 3
     # zero-padded to the largest r: Jacobi never sees a full truncation
     from dirichletlab import spectra
