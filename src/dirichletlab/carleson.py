@@ -31,7 +31,7 @@ from .geometry import CuspProfile, RectilinearDomain
 
 def window_area_cusp(profile, h: float) -> float:
     """Normalized area of S(1, h) intersected with the cusp domain, in
-    closed form over the profile's breakpoint table: (1/pi) int_0^t_hi
+    closed form over the profile's piece table (``pieces``): (1/pi) int_0^t_hi
     2 min(theta(t), r(t)) dt, r = sqrt(h^2 - t^2), t_hi = min(h, 1), for h
     up to 2 so that a window can cover the whole domain.  Trapezoids up to
     the one crossing c of the increasing theta^2 + t^2 with h^2 (else
@@ -44,22 +44,20 @@ def window_area_cusp(profile, h: float) -> float:
     ``NumericIntegrityError``."""
     if not (0.0 < h <= 2.0):
         raise ValidationError(f"h {h} outside (0, 2]")
-    knots, thetas = profile.knots, profile.thetas
-    trap = (thetas[1:] + thetas[:-1]) * np.diff(knots)   # 2 x piece areas
-    i = int(np.searchsorted(knots ** 2 + thetas ** 2, h * h, side="right"))
+    p = profile.pieces
+    i = int(np.searchsorted(p.radius2, h * h, side="right"))
     with np.errstate(all="ignore"):     # the guard below reports it
-        if i == len(knots):             # theta below the circle up to t = 1
-            area = float(np.sum(trap)) / math.pi
+        if i == len(p.radius2):         # theta below the circle up to t = 1
+            area = float(np.sum(p.trap)) / math.pi
         else:
-            k0, k1, t0, t1 = knots[i - 1], knots[i], thetas[i - 1], thetas[i]
-            s = (t1 - t0) / (k1 - k0)
+            k0, t0, dk = p.t0[i - 1], p.theta0[i - 1], p.dt[i - 1]
+            s = p.dtheta[i - 1] / dk
             b, c0 = t0 * s + k0, t0 * t0 + k0 * k0 - h * h
-            u = min(-c0 / (b + math.sqrt(b * b - (1.0 + s * s) * c0)),
-                    k1 - k0)
+            u = min(-c0 / (b + math.sqrt(b * b - (1.0 + s * s) * c0)), dk)
             c, r_c = k0 + u, t0 + s * u
             t_hi = min(h, 1.0)
             r_t = math.sqrt(h * h - t_hi * t_hi)
-            area = (float(np.sum(trap[:i - 1])) + (t0 + r_c) * u
+            area = (float(np.sum(p.trap[:i - 1])) + (t0 + r_c) * u
                     + h * h * (math.atan2(r_c, c) - math.atan2(r_t, t_hi))
                     + t_hi * r_t - c * r_c) / math.pi
     if not (math.isfinite(area) and area >= sys.float_info.min):

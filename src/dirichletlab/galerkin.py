@@ -135,13 +135,12 @@ def _edge_table(profile: CuspProfile, K: int):
     (j+1)(n+2) are exact, so it equals the entrywise formula exactly (a
     zero may carry a minus sign).
     """
-    t, th = profile.knots, profile.thetas
     x, y, ws = profile.edge_points(K)
     z = x + 1j * y
-    dz = (t[:-1] - t[1:]) + 1j * (th[1:] - th[:-1])
+    dz = -profile.pieces.dt + 1j * profile.pieces.dtheta
     hankel = np.lib.stride_tricks.sliding_window_view
     n2 = np.arange(2.0, 2 * K + 1)                  # n + 2, n = 0..2K-2
-    s = th[-1] ** n2 * np.resize([0.0, -1.0, 0.0, 1.0], n2.size)
+    s = profile.thetas[-1] ** n2 * np.resize([0.0, -1.0, 0.0, 1.0], n2.size)
     j = np.arange(K)
     signed = (j + 1.0) * (1 - 2 * (j % 2))         # (-1)^j (j + 1)
     close = hankel(s, K) / (signed[:, None] * hankel(n2, K))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,19 +28,65 @@ TWO_PI = 2.0 * math.pi
 # cusp profile
 
 
+class Pieces(NamedTuple):
+    """The piece table of a breakpoint table (t, theta), read-only.  Per
+    piece [t0, t1]: its left ends ``t0`` and ``theta0``, the steps
+    ``dt`` = t1 - t0 and ``dtheta`` = theta1 - theta0, the cross product
+    ``cross`` = (1 - t0) dtheta + theta0 dt of its ends P = (1 - t, theta),
+    a sum of non-negative terms, and the doubled trapezoid area ``trap`` =
+    (theta0 + theta1) dt.  Per knot: the squared radius ``radius2`` =
+    t^2 + theta^2."""
+
+    t0: np.ndarray
+    dt: np.ndarray
+    theta0: np.ndarray
+    dtheta: np.ndarray
+    cross: np.ndarray
+    trap: np.ndarray
+    radius2: np.ndarray
+
+
+def piece_table(knots: np.ndarray, thetas: np.ndarray) -> Pieces:
+    """The piece table of the breakpoints (knots, thetas): the one place
+    where their differences are formed."""
+    t0, th0 = knots[:-1], thetas[:-1]
+    dt, dth = np.diff(knots), np.diff(thetas)
+    pieces = Pieces(t0=t0, dt=dt, theta0=th0, dtheta=dth,
+                    cross=(1.0 - t0) * dth + th0 * dt,
+                    trap=(thetas[1:] + th0) * dt,
+                    radius2=knots ** 2 + thetas ** 2)
+    for a in pieces:
+        a.flags.writeable = False
+    return pieces
+
+
 @dataclass(frozen=True)
 class CuspProfile:
     """Piecewise-linear profile through (delta^j, eps_j delta^j).
 
     ``knots``/``thetas`` hold the full breakpoint table: t = 0, the anchors
     delta^n < ... < delta, and the right endpoint (1, eps_1).  Evaluation is
-    strictly increasing and satisfies theta(h) <= h.
+    strictly increasing and satisfies theta(h) <= h.  ``pieces`` is the
+    table's piece table (``piece_table``), formed once at construction;
+    the edge points, the flux moments, the window areas and the Galerkin
+    edge table read it.  ``moment_memo`` maps q to the flux moment
+    int |w|^{2q} dA that ``powers.region_moment`` summed on this profile
+    (at most ORDER_CAP entries); ``dataclasses.replace`` starts a new one,
+    empty.  ``profile_make`` makes the breakpoint table read-only, so
+    neither can go stale.
     """
 
     delta: float
     eps: DecaySequence
     knots: np.ndarray = field(repr=False)
     thetas: np.ndarray = field(repr=False)
+    pieces: Pieces = field(init=False, repr=False, compare=False)
+    moment_memo: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pieces",
+                           piece_table(self.knots, self.thetas))
 
     @property
     def n(self) -> int:
@@ -59,17 +106,19 @@ class CuspProfile:
         (pieces, m) and the m weights.  Each point is rounded once from its
         own t, as 1 - t, rather than interpolated between the rounded ends
         1 - t0 and 1 - t1."""
-        t, th = self.knots, self.thetas
+        p = self.pieces
         s, w = _gl(m)
-        x = 1.0 - (t[:-1, None] + (t[1:] - t[:-1])[:, None] * s)
-        y = th[:-1, None] + (th[1:] - th[:-1])[:, None] * s
+        x = 1.0 - (p.t0[:, None] + p.dt[:, None] * s)
+        y = p.theta0[:, None] + p.dtheta[:, None] * s
         return x, y, w
 
 
 def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
     """Build the cusp profile for the given targets and aperture delta: the
     one place where delta^j and eps_j delta^j are formed.  A height that
-    rounds to 0 is refused, so the profile stays strictly increasing."""
+    rounds to 0 is refused, so the profile stays strictly increasing.  The
+    breakpoint table is read-only, as is its piece table, so that no
+    memoised moment or trapezoid goes stale."""
     if not isinstance(eps, DecaySequence):
         eps = DecaySequence(tuple(eps))
     if not (0.0 < delta <= 1.0 / 200.0):
@@ -78,14 +127,16 @@ def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
     heights = np.array(eps.values) * pows
     knots = np.concatenate(([0.0], pows[::-1], [1.0]))
     thetas = np.concatenate(([0.0], heights[::-1], [eps.values[0]]))
-    if not np.all(np.diff(knots) > 0.0):
+    knots.flags.writeable = thetas.flags.writeable = False
+    profile = CuspProfile(delta=delta, eps=eps, knots=knots, thetas=thetas)
+    if not np.all(profile.pieces.dt > 0.0):
         raise ValidationError("anchor abscissae collapsed; delta too small for n")
     gone = np.flatnonzero(~(heights > 0.0))
     if gone.size:
         j = int(gone[0]) + 1
         raise ValidationError(f"anchor {j} has height 0: theta(delta^{j}) ="
                               f" eps_{j} delta^{j} underflows")
-    return CuspProfile(delta=delta, eps=eps, knots=knots, thetas=thetas)
+    return profile
 
 
 # ---------------------------------------------------------------------------

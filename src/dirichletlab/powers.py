@@ -37,14 +37,12 @@ def _boundary_moment(profile: CuspProfile, q: int, m: int) -> float:
     P(s) = P0 + s (P1 - P0) the form is (P0 x P1) ds, and |P(s)|^{2q} has
     degree 2q in s, so order q + 1 is exact.  With P = (1 - t, theta), the
     cross product (1 - t0) theta1 - theta0 (1 - t1) is written as the sum
-    of the non-negative terms (1 - t0)(theta1 - theta0) + theta0 (t1 - t0).
+    of the non-negative terms (1 - t0)(theta1 - theta0) + theta0 (t1 - t0),
+    read from the profile's piece table (``CuspProfile.pieces``).
     """
-    t, th = profile.knots, profile.thetas
-    t0, t1, th0, th1 = t[:-1], t[1:], th[:-1], th[1:]
     x, y, ws = profile.edge_points(m)
-    cross = (1.0 - t0) * (th1 - th0) + th0 * (t1 - t0)
     edge = (x * x + y * y) ** q @ ws
-    return float(cross @ edge) / ((q + 1) * math.pi)
+    return float(profile.pieces.cross @ edge) / ((q + 1) * math.pi)
 
 
 def _is_exponent(q, least: int) -> bool:
@@ -62,7 +60,8 @@ def region_moment(region, q):
     at s = 2(q + 1)), and an integer array q gives the moments in one
     broadcast.  Cusp route (mu = 1_Omega dA), scalar q only: a flux
     through the profile edges, exact at order q + 1 <= ORDER_CAP and
-    evaluated once (``_boundary_moment``).  Any other region raises
+    summed once per profile (``_boundary_moment``): the value is kept in
+    the profile's ``moment_memo`` under int(q).  Any other region raises
     ValidationError.
     """
     if not _is_exponent(q, 0):
@@ -70,7 +69,10 @@ def region_moment(region, q):
     if isinstance(region, CuspProfile):
         if isinstance(q, np.ndarray) or q >= ORDER_CAP:
             raise ValidationError(f"q {q} outside 0..{ORDER_CAP - 1} on a cusp")
-        return _boundary_moment(region, int(q), int(q) + 1)
+        q, memo = int(q), region.moment_memo
+        if q not in memo:
+            memo[q] = _boundary_moment(region, q, q + 1)
+        return memo[q]
     if not isinstance(region, RectilinearDomain):
         raise ValidationError("region must be a cusp profile or a staircase "
                               "domain")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dirichletlab.errors import NumericIntegrityError, ValidationError
-from dirichletlab.geometry import CuspProfile, RectilinearDomain
+from dirichletlab.geometry import CuspProfile, RectilinearDomain, piece_table
 from dirichletlab.powers import growth_term
 from dirichletlab.quad import ORDER_CAP, _gl
 from dirichletlab.spectra import _as_real, eigh
@@ -113,7 +113,8 @@ def integrate_rect(f, rect, m: int, tol: float = None) -> complex:
 @dataclass(frozen=True)
 class PowerProfile:
     """Lens profile theta(h) = scale * h, the non-compact contrast case of
-    criterion 4, with the one-piece breakpoint table (0, 0), (1, scale)."""
+    criterion 4, with the one-piece breakpoint table (0, 0), (1, scale)
+    and its piece table, as a cusp profile holds them."""
 
     scale: float = 1.0
 
@@ -123,6 +124,7 @@ class PowerProfile:
 
     knots = property(lambda self: np.array([0.0, 1.0]))
     thetas = property(lambda self: np.array([0.0, self.scale]))
+    pieces = property(lambda self: piece_table(self.knots, self.thetas))
 
     def eval(self, h):
         return self.scale * np.asarray(h, dtype=float)

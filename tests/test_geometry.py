@@ -34,6 +34,30 @@ def test_profile_anchors():
     assert np.array_equal(prof.eval(hs), thetas)
 
 
+def test_piece_table_holds_the_breakpoint_differences():
+    # formed once per profile, bit for bit the per-piece formulas its
+    # readers used to form on every call
+    prof = profile_make(dyadic(8), DELTA)
+    t, th = prof.knots, prof.thetas
+    p = prof.pieces
+    assert np.array_equal(p.t0, t[:-1]) and np.array_equal(p.theta0, th[:-1])
+    assert np.array_equal(p.dt, t[1:] - t[:-1])
+    assert np.array_equal(p.dtheta, th[1:] - th[:-1])
+    assert np.array_equal(
+        p.cross, (1.0 - t[:-1]) * (th[1:] - th[:-1]) + th[:-1] * (t[1:] - t[:-1]))
+    assert np.array_equal(p.trap, (th[1:] + th[:-1]) * (t[1:] - t[:-1]))
+    assert np.array_equal(p.radius2, t * t + th * th)
+
+
+def test_profile_arrays_are_read_only():
+    # memoised moments and the piece table are formed from the breakpoint
+    # table once, so no array of the profile may change after it
+    prof = profile_make(dyadic(3), DELTA)
+    for a in (prof.knots, prof.thetas, *prof.anchors, *prof.pieces):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_disk_family_reads_the_profile_scales():
     # the chain's powers and radii are the profile's knots and heights,
     # bit for bit, at every n

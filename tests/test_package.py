@@ -155,6 +155,65 @@ def test_cusp_scales_are_formed_in_the_profile_only():
                for node in ast.walk(make))
 
 
+def _is_slice(node):
+    return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+
+
+def _breakpoint_names(tree):
+    """(names, slices): knots, thetas and every name the module binds to an
+    expression that reads one of them, such as t in t, th = p.knots,
+    p.thetas; and the names among them bound to a slice, such as t0 in
+    t0 = t[:-1]."""
+    names, slices, grew = {"knots", "thetas"}, set(), True
+    while grew:
+        grew = False
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assign):
+                continue
+            pairs = [(target, node.value) for target in node.targets]
+            pairs += [pair for target, value in pairs
+                      if isinstance(target, ast.Tuple)
+                      and isinstance(value, ast.Tuple)
+                      for pair in zip(target.elts, value.elts)]
+            for target, value in pairs:
+                if (isinstance(target, ast.Name) and target.id not in names
+                        and names & set(_names(value))):
+                    names.add(target.id)
+                    grew = True
+                    if _is_slice(value):
+                        slices.add(target.id)
+    return names, slices
+
+
+def _breakpoint_differences(tree):
+    """Line numbers of an np.diff of the breakpoint table, or of a
+    difference of two of its slices, such as t[1:] - t[:-1] or t1 - t0
+    with t0 = t[:-1] and t1 = t[1:]."""
+    names, slices = _breakpoint_names(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and node.args and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "diff"):
+            if names & set(_names(node.args[0])):
+                yield node.lineno
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            sides = (node.left, node.right)
+            if all((_is_slice(side) and names & set(_names(side.value)))
+                   or getattr(side, "id", None) in slices for side in sides):
+                yield node.lineno
+
+
+def test_profile_pieces_are_formed_in_geometry_only():
+    # the steps, cross products, trapezoids and knot radii of the profile
+    # are its piece table (geometry.piece_table), formed once per profile;
+    # the edge points, the moments, the windows and the Galerkin table read
+    # it, so no second route can round them differently
+    for name, tree in _module_trees():
+        if name != "geometry.py":
+            assert not list(_breakpoint_differences(tree)), name
+    geometry = dict(_module_trees())["geometry.py"]
+    assert list(_breakpoint_differences(geometry))
+
+
 def test_quadrature_witness_stays_off_the_product_path():
     # the Gram witness backs acceptance criterion 1 from the tests only
     witness = {"build_gram", "kernel_centered", "_disk_rule", "_assemble"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirichletlab import powers
 from dirichletlab.errors import ValidationError
 from dirichletlab.galerkin import moment_matrix
 from dirichletlab.geometry import eksy_build, profile_make
@@ -20,6 +22,7 @@ from dirichletlab.powers import (
     power_norm_region,
     region_moment,
 )
+from dirichletlab.quad import ORDER_CAP
 from dirichletlab.seqs import clamp_monotone, dyadic, slow_decay
 
 from cusp_oracles import cusp_moment, fan_moment
@@ -194,6 +197,67 @@ def test_cusp_moment_top_of_range():
     assert math.isclose(top, fan_moment(profile, 511, 511), rel_tol=1e-12)
     with pytest.raises(ValidationError, match=r"^q 512 "):
         region_moment(profile, 512)
+
+
+def _counting_boundary_moment(monkeypatch):
+    calls = []
+    fresh = powers._boundary_moment
+
+    def counting(profile, q, m):
+        calls.append(q)
+        return fresh(profile, q, m)
+
+    monkeypatch.setattr(powers, "_boundary_moment", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["canonical", "dyadic:20", "seed 1"])
+def test_memoised_moment_is_the_fresh_sum(name):
+    # the memo hands back the value of a fresh sum at order q + 1, bit for
+    # bit, on the first call and on the next.  Every q below 128 and every
+    # seventh above, as building all 512 Gauss orders takes about 6 s.  The
+    # memo holds one entry per q asked for, and q = ORDER_CAP is refused
+    # before it adds one.
+    profile = dataclasses.replace(CUSP_PROFILES[name])
+    qs = [*range(128), *range(128, ORDER_CAP, 7), ORDER_CAP - 1]
+    for q in qs:
+        fresh = powers._boundary_moment(profile, q, q + 1)
+        assert region_moment(profile, q) == fresh, q
+        assert region_moment(profile, q) == fresh, q
+    assert sorted(profile.moment_memo) == qs
+    with pytest.raises(ValidationError):
+        region_moment(profile, ORDER_CAP)
+    assert len(profile.moment_memo) == len(qs)
+
+
+def test_jensen_loop_sums_each_moment_once(monkeypatch):
+    # p = 1..64 asks for q = 0 and 1 (mu(D) and m2) and q = p - 1 at every
+    # p, 192 moments in all, of which q = 0..63 are distinct
+    calls = _counting_boundary_moment(monkeypatch)
+    profile = profile_make(dyadic(8), DELTA)
+    for p in range(1, 65):
+        jensen_lower(profile, p)
+    assert sorted(calls) == list(range(64))
+
+
+def test_replaced_profile_starts_with_an_empty_memo():
+    profile = profile_make(dyadic(8), DELTA)
+    region_moment(profile, 3)
+    for other in (dataclasses.replace(profile),
+                  dataclasses.replace(profile, delta=profile.delta / 2)):
+        assert other.moment_memo == {}
+        assert other.moment_memo is not profile.moment_memo
+    assert list(profile.moment_memo) == [3]
+
+
+def test_integer_types_share_one_memo_entry(monkeypatch):
+    calls = _counting_boundary_moment(monkeypatch)
+    profile = profile_make(dyadic(8), DELTA)
+    first = region_moment(profile, np.int64(5))
+    assert region_moment(profile, 5) == first
+    assert region_moment(profile, np.int32(5)) == first
+    assert calls == [5]
+    assert [type(q) for q in profile.moment_memo] == [int]
 
 
 def test_cusp_moment_at_zero_is_the_area():

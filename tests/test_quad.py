@@ -156,11 +156,12 @@ def test_jensen_loop_builds_each_rule_once(monkeypatch):
     prof = profile_make(dyadic(8), DELTA)
     for p in range(1, 65):
         powers.jensen_lower(prof, p)
-    # each moment runs once, at its exact order q + 1: 1 and 2 for the
-    # Jensen bound, p for the norm
+    # each moment is summed once per profile, at its exact order q + 1:
+    # 1 and 2 for the Jensen bound, p for the norm
     assert calls == {m: 1 for m in range(1, 65)}
-    # the cache holds every order a moment loop asks for: a second pass
-    # and a second profile rebuild none of them
+    # the cache holds every order a moment loop asks for: a second
+    # profile rebuilds none of them, and a second pass reads the moments
+    # from each profile's memo
     calls.clear()
     quad._gl.cache_clear()
     profiles = (prof, profile_make(dyadic(20), DELTA))
