@@ -29,7 +29,7 @@ from .geometry import CuspProfile, RectilinearDomain
 # cusp windows S(xi, h)
 
 
-def window_area_cusp(profile, h: float) -> float:
+def window_area_cusp(profile, h):
     """Normalized area of S(1, h) intersected with the cusp domain, in
     closed form over the profile's piece table (``pieces``): (1/pi) int_0^t_hi
     2 min(theta(t), r(t)) dt, r = sqrt(h^2 - t^2), t_hi = min(h, 1), for h
@@ -40,30 +40,34 @@ def window_area_cusp(profile, h: float) -> float:
     r_c = theta(c).  On the piece [k0, k1] of slope s holding c, t = k0 + u
     solves (1 + s^2) u^2 + 2 B u + C = 0 with B = t0 s + k0 >= 0 and
     C = t0^2 + k0^2 - h^2 <= 0; its larger root is written without
-    cancellation.  A mass that is not a finite normal float raises
-    ``NumericIntegrityError``."""
-    if not (0.0 < h <= 2.0):
-        raise ValidationError(f"h {h} outside (0, 2]")
-    p = profile.pieces
-    i = int(np.searchsorted(p.radius2, h * h, side="right"))
+    cancellation.  An array h gives an array of areas in one pass, and a
+    float h a float, bit for bit its entry in an array.  An h outside
+    (0, 2] raises ``ValidationError``, and a mass that is not a finite
+    normal float ``NumericIntegrityError``, each naming the first one."""
+    hv = np.asarray(h, dtype=float).ravel()
+    ok = (hv > 0.0) & (hv <= 2.0)
+    if not ok.all():
+        raise ValidationError(f"h {hv[np.argmin(ok)].item()} outside (0, 2]")
+    p, h2, t_hi = profile.pieces, hv * hv, np.minimum(hv, 1.0)
+    i = np.searchsorted(p.radius2, h2, side="right")
+    k = np.minimum(i, len(p.trap)) - 1          # the piece holding c
+    k0, t0, dk = p.t0[k], p.theta0[k], p.dt[k]
     with np.errstate(all="ignore"):     # the guard below reports it
-        if i == len(p.radius2):         # theta below the circle up to t = 1
-            area = float(np.sum(p.trap)) / math.pi
-        else:
-            k0, t0, dk = p.t0[i - 1], p.theta0[i - 1], p.dt[i - 1]
-            s = p.dtheta[i - 1] / dk
-            b, c0 = t0 * s + k0, t0 * t0 + k0 * k0 - h * h
-            u = min(-c0 / (b + math.sqrt(b * b - (1.0 + s * s) * c0)), dk)
-            c, r_c = k0 + u, t0 + s * u
-            t_hi = min(h, 1.0)
-            r_t = math.sqrt(h * h - t_hi * t_hi)
-            area = (float(np.sum(p.trap[:i - 1])) + (t0 + r_c) * u
-                    + h * h * (math.atan2(r_c, c) - math.atan2(r_t, t_hi))
-                    + t_hi * r_t - c * r_c) / math.pi
-    if not (math.isfinite(area) and area >= sys.float_info.min):
-        raise NumericIntegrityError(
-            f"window area at h={h!r} is {float(area)!r}, not a normal float")
-    return float(area)
+        s = p.dtheta[k] / dk
+        b, c0 = t0 * s + k0, t0 * t0 + k0 * k0 - h2
+        u = np.minimum(-c0 / (b + np.sqrt(b * b - (1.0 + s * s) * c0)), dk)
+        c, r_c, r_t = k0 + u, t0 + s * u, np.sqrt(h2 - t_hi * t_hi)
+        prefix = np.cumsum(np.concatenate(([0.0], p.trap)))
+        whole = i == len(p.radius2)     # theta below the circle up to t = 1
+        area = np.where(whole, prefix[-1], prefix[k] + (t0 + r_c) * u
+                        + h2 * (np.arctan2(r_c, c) - np.arctan2(r_t, t_hi))
+                        + t_hi * r_t - c * r_c) / math.pi
+    ok = np.isfinite(area) & (area >= sys.float_info.min)
+    if not ok.all():
+        j = np.argmin(ok)
+        raise NumericIntegrityError(f"window area at h={hv[j].item()!r} is "
+                                    f"{area[j].item()!r}, not a normal float")
+    return area.reshape(np.shape(h)) if np.ndim(h) else area.item()
 
 
 def cone_constant(profile: CuspProfile) -> float:
@@ -109,8 +113,7 @@ def cusp_window_report(profile: CuspProfile) -> WindowMeasureReport:
     """Both ends of the rho(h) enclosure at every anchor of the profile."""
     hs, _ = profile.anchors
     C = cone_constant(profile)
-    lower = np.array([window_area_cusp(profile, h) for h in hs.tolist()])
-    upper = np.array([window_area_cusp(profile, C * h) for h in hs.tolist()])
+    lower, upper = window_area_cusp(profile, np.stack((hs, C * hs)))
     return WindowMeasureReport(
         hs=hs, lower=lower, upper=upper, cone_constant=C,
         bound=np.array(profile.eps.values) / profile.delta,

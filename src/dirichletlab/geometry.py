@@ -60,7 +60,7 @@ def piece_table(knots: np.ndarray, thetas: np.ndarray) -> Pieces:
     return pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CuspProfile:
     """Piecewise-linear profile through (delta^j, eps_j delta^j).
 
@@ -70,19 +70,18 @@ class CuspProfile:
     table's piece table (``piece_table``), formed once at construction;
     the edge points, the flux moments, the window areas and the Galerkin
     edge table read it.  ``moment_memo`` maps q to the flux moment
-    int |w|^{2q} dA that ``powers.region_moment`` summed on this profile
-    (at most ORDER_CAP entries); ``dataclasses.replace`` starts a new one,
-    empty.  ``profile_make`` makes the breakpoint table read-only, so
-    neither can go stale.
+    int |w|^{2q} dA that ``powers.region_moment`` summed on this profile, a
+    doubling block at a time (at most ORDER_CAP entries), empty again after
+    ``dataclasses.replace``.  ``profile_make`` makes the breakpoint table
+    read-only, so neither can go stale.  Profiles compare by identity.
     """
 
     delta: float
     eps: DecaySequence
     knots: np.ndarray = field(repr=False)
     thetas: np.ndarray = field(repr=False)
-    pieces: Pieces = field(init=False, repr=False, compare=False)
-    moment_memo: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    pieces: Pieces = field(init=False, repr=False)
+    moment_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pieces",
@@ -143,7 +142,7 @@ def profile_make(eps: DecaySequence, delta: float) -> CuspProfile:
 # disk family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskFamily:
     """Disks D(c_j, r_j), c_j = 1 - 2 delta^j, r_j = eps_j delta^j, j = 1..n.
 
@@ -232,7 +231,7 @@ class Rect:
     index: int          # box index m for boxes, depth n for pipes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectilinearDomain:
     """Truncated union F of boxes, towers and pipes in {Re u > 0}.
 

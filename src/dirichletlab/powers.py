@@ -26,23 +26,29 @@ from .quad import ORDER_CAP
 # region route
 
 
-def _boundary_moment(profile: CuspProfile, q: int, m: int) -> float:
-    """int |w|^{2q} dA over the cusp domain by the order-m Gauss rule on
-    the profile edges (``CuspProfile.edge_points``).
-
-    div(r^{2q} (x, y)) = (2q + 2) r^{2q}, so the integral is the flux
-    (1/((2q + 2) pi)) of r^{2q} (x dy - y dx) around the boundary.  The
-    closing edge x = 0 carries none, and the lower half mirrors the upper:
-    the upper edges count twice, with weight 1/((q + 1) pi).  On the edge
-    P(s) = P0 + s (P1 - P0) the form is (P0 x P1) ds, and |P(s)|^{2q} has
-    degree 2q in s, so order q + 1 is exact.  With P = (1 - t, theta), the
-    cross product (1 - t0) theta1 - theta0 (1 - t1) is written as the sum
-    of the non-negative terms (1 - t0)(theta1 - theta0) + theta0 (t1 - t0),
-    read from the profile's piece table (``CuspProfile.pieces``).
+def _boundary_moments(profile: CuspProfile, m: int) -> dict:
+    """{q: int |w|^{2q} dA} over the cusp domain for the doubling block
+    m/2 <= q < m, by one order-m Gauss rule on the profile edges
+    (``CuspProfile.edge_points``).  div(r^{2q} (x, y)) = (2q + 2) r^{2q}
+    makes it the flux (1/((2q + 2) pi)) of r^{2q} (x dy - y dx) around the
+    boundary; the closing edge x = 0 carries none, and the mirrored lower
+    edges double the upper ones.  On the edge P(s) = P0 + s (P1 - P0) the
+    form is (P0 x P1) ds, with |P(s)|^{2q} of degree 2q <= 2m - 2 in s, so
+    the rule is exact.  For P = (1 - t, theta) the cross product is the sum
+    of non-negative terms (1 - t0) dtheta + theta0 dt (``pieces.cross``).
+    The powers of |w|^2: successive products, at most 2^16 floats a chunk.
     """
     x, y, ws = profile.edge_points(m)
-    edge = (x * x + y * y) ** q @ ws
-    return float(profile.pieces.cross @ edge) / ((q + 1) * math.pi)
+    r2, qs = x * x + y * y, range(m // 2, m)
+    pw = np.empty((min(len(qs), max(1, 2 ** 16 // r2.size)), *r2.shape))
+    out = np.empty(len(qs))
+    for a in range(0, len(qs), len(pw)):
+        n = min(len(pw), len(qs) - a)
+        pw[0] = r2 ** qs[a]
+        for k in range(1, n):
+            np.multiply(pw[k - 1], r2, out=pw[k])
+        out[a:a + n] = (pw[:n] @ ws) @ profile.pieces.cross
+    return dict(zip(qs, (out / ((np.array(qs) + 1.0) * math.pi)).tolist()))
 
 
 def _is_exponent(q, least: int) -> bool:
@@ -58,11 +64,12 @@ def region_moment(region, q):
     Staircase route: w = e^{-u} turns the integrand into e^{-2(q+1)x}, a
     closed form over the level rows (``RectilinearDomain.pullback_mass``
     at s = 2(q + 1)), and an integer array q gives the moments in one
-    broadcast.  Cusp route (mu = 1_Omega dA), scalar q only: a flux
-    through the profile edges, exact at order q + 1 <= ORDER_CAP and
-    summed once per profile (``_boundary_moment``): the value is kept in
-    the profile's ``moment_memo`` under int(q).  Any other region raises
-    ValidationError.
+    broadcast.  Cusp route (mu = 1_Omega dA), scalar q < ORDER_CAP only: a
+    flux through the profile edges (``_boundary_moments``).  A q missing
+    from the profile's ``moment_memo`` (int keys) fills its doubling block
+    m/2 <= q < m, m = 2^bit_length(q), by the order-m rule, exact there, so
+    a value depends on q alone, never on the order of the calls.  Any other
+    region raises ValidationError.
     """
     if not _is_exponent(q, 0):
         raise ValidationError("q must be an integer >= 0")
@@ -71,7 +78,7 @@ def region_moment(region, q):
             raise ValidationError(f"q {q} outside 0..{ORDER_CAP - 1} on a cusp")
         q, memo = int(q), region.moment_memo
         if q not in memo:
-            memo[q] = _boundary_moment(region, q, q + 1)
+            memo.update(_boundary_moments(region, 1 << q.bit_length()))
         return memo[q]
     if not isinstance(region, RectilinearDomain):
         raise ValidationError("region must be a cusp profile or a staircase "

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import sys
 import tracemalloc
 
 import mpmath
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dirichletlab import cli
 from dirichletlab.carleson import (
     cone_constant,
     cusp_window_report,
@@ -23,6 +25,7 @@ from dirichletlab.seqs import (DecaySequence, clamp_monotone, dyadic,
 
 from reference_routes import PowerProfile, cusp_area, window_table_per_depth
 from test_acceptance import _band_measure_by_quadrature
+from test_powers import CUSP_PROFILES
 
 DELTA = 1.0 / 200.0
 
@@ -105,11 +108,53 @@ def test_window_covers_whole_cusp_at_h_two():
 
 
 def test_window_area_validates_h():
+    # a bad h is named, alone or as an entry of an array
     prof = profile_make(dyadic(2), DELTA)
-    with pytest.raises(ValidationError):
-        window_area_cusp(prof, 0.0)
-    with pytest.raises(ValidationError):
-        window_area_cusp(prof, 2.5)
+    for bad in (0.0, -1.0, 2.5, math.nan):
+        with pytest.raises(ValidationError, match=rf"^h {bad} outside"):
+            window_area_cusp(prof, bad)
+        with pytest.raises(ValidationError, match=rf"^h {bad} outside"):
+            window_area_cusp(prof, np.array([0.5, bad, 1.0, 3.0]))
+
+
+@pytest.mark.parametrize("name", CUSP_PROFILES)
+def test_scalar_window_is_its_array_entry(name):
+    # one array call and one scalar call per h agree bit for bit: random
+    # h over (0, 2], h on every knot and at C times it, h = 1 and h = 2;
+    # the array's shape comes back, and an empty array gives no areas
+    prof = CUSP_PROFILES[name]
+    rng = np.random.default_rng(11)
+    hs = np.concatenate((rng.uniform(0.0, 2.0, 40) + 1e-12,
+                         10.0 ** rng.uniform(-12.0, 0.0, 40),
+                         prof.knots[1:], cone_constant(prof) * prof.knots[1:],
+                         [1.0, 2.0]))
+    areas = window_area_cusp(prof, hs)
+    for h, area in zip(hs.tolist(), areas.tolist()):
+        one = window_area_cusp(prof, h)
+        assert type(one) is float
+        assert one == area, h
+    grid = window_area_cusp(prof, hs[:42].reshape(6, 7))
+    assert grid.shape == (6, 7)
+    assert np.array_equal(grid.ravel(), areas[:42])
+    assert window_area_cusp(prof, np.array([])).shape == (0,)
+
+
+def test_window_guard_names_the_first_subnormal_mass(tmp_path, capsys):
+    # at dyadic:63 the masses at delta^63 and C delta^63 are subnormal;
+    # the guard names whichever of them comes first in the array
+    prof = profile_make(dyadic(63), DELTA)
+    hs = prof.anchors[0].tolist()
+    deep = cone_constant(prof) * hs[-1]
+    assert window_area_cusp(prof, hs[:-1]).min() >= sys.float_info.min
+    for order in ((hs[0], hs[-1], deep), (hs[0], deep, hs[-1])):
+        with pytest.raises(NumericIntegrityError) as caught:
+            window_area_cusp(prof, np.array(order))
+        message = str(caught.value)
+        assert message.startswith(f"window area at h={order[1]!r} is ")
+        assert message.endswith(", not a normal float")
+    assert cli.main(["cusp-rho", "--eps", "dyadic:63",
+                     "--out", str(tmp_path)]) == 3
+    assert f"at h={hs[-1]!r} is" in capsys.readouterr().err
 
 
 def _seeded_profile(seed):

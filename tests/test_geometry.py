@@ -58,6 +58,26 @@ def test_profile_arrays_are_read_only():
             a[0] = 0.0
 
 
+def test_array_holding_regions_compare_by_identity():
+    # equality on their array fields would be ambiguous and their hash would
+    # fail, so the profile, the disk family and the staircase domain compare
+    # and hash as objects; a replaced profile is a new object with a new,
+    # empty memo
+    builds = [lambda: profile_make(dyadic(8), 1.0 / 200.0),
+              lambda: disk_family(dyadic(8), 1.0 / 200.0, 8),
+              lambda: eksy_build(lambda n: n.bit_length(), 6)]
+    for build in builds:
+        a, b = build(), build()
+        assert a == a and not (a == b) and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+    profile = builds[0]()
+    powers.region_moment(profile, 3)
+    other = dataclasses.replace(profile)
+    assert other != profile and other.moment_memo == {}
+    assert list(profile.moment_memo) == [2, 3]
+
+
 def test_disk_family_reads_the_profile_scales():
     # the chain's powers and radii are the profile's knots and heights,
     # bit for bit, at every n

@@ -22,7 +22,7 @@ from dirichletlab.powers import (
     power_norm_region,
     region_moment,
 )
-from dirichletlab.quad import ORDER_CAP
+from dirichletlab.quad import ORDER_CAP, _gl
 from dirichletlab.seqs import clamp_monotone, dyadic, slow_decay
 
 from cusp_oracles import cusp_moment, fan_moment
@@ -154,7 +154,11 @@ CUSP_PROFILES = {
 @pytest.mark.parametrize("name", CUSP_PROFILES)
 def test_cusp_moment_matches_fan_integral(name):
     profile = CUSP_PROFILES[name]
-    for q in (0, 1, 2, 5, 31, 63, 100, 300):
+    # every block edge m/2 and m - 1 of the doubling blocks, where the
+    # order-m rule is exact with no degree to spare (q = m - 1) or with
+    # the most (q = m/2)
+    for q in (0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 100, 127, 128,
+              255, 256, 300, 511):
         assert math.isclose(region_moment(profile, q),
                             fan_moment(profile, q, q), rel_tol=1e-12), q
 
@@ -199,45 +203,58 @@ def test_cusp_moment_top_of_range():
         region_moment(profile, 512)
 
 
-def _counting_boundary_moment(monkeypatch):
+def _counting_boundary_moments(monkeypatch):
     calls = []
-    fresh = powers._boundary_moment
+    fresh = powers._boundary_moments
 
-    def counting(profile, q, m):
-        calls.append(q)
-        return fresh(profile, q, m)
+    def counting(profile, m):
+        calls.append(m)
+        return fresh(profile, m)
 
-    monkeypatch.setattr(powers, "_boundary_moment", counting)
+    monkeypatch.setattr(powers, "_boundary_moments", counting)
     return calls
+
+
+BLOCKS = [1 << k for k in range(ORDER_CAP.bit_length())]     # 1, 2, .., 512
 
 
 @pytest.mark.parametrize("name", ["canonical", "dyadic:20", "seed 1"])
 def test_memoised_moment_is_the_fresh_sum(name):
-    # the memo hands back the value of a fresh sum at order q + 1, bit for
-    # bit, on the first call and on the next.  Every q below 128 and every
-    # seventh above, as building all 512 Gauss orders takes about 6 s.  The
-    # memo holds one entry per q asked for, and q = ORDER_CAP is refused
-    # before it adds one.
+    # the memo hands back the value of a fresh block sum at the block's
+    # order m = 2^bit_length(q), bit for bit, on the first call and on the
+    # next, for every q < ORDER_CAP.  The first call in a block fills the
+    # whole block, whichever q it asks for, so a second profile asked in
+    # the reverse order holds the same memo.  q = ORDER_CAP is refused
+    # before it adds an entry.
     profile = dataclasses.replace(CUSP_PROFILES[name])
-    qs = [*range(128), *range(128, ORDER_CAP, 7), ORDER_CAP - 1]
-    for q in qs:
-        fresh = powers._boundary_moment(profile, q, q + 1)
-        assert region_moment(profile, q) == fresh, q
-        assert region_moment(profile, q) == fresh, q
-    assert sorted(profile.moment_memo) == qs
+    for m in BLOCKS:
+        fresh = powers._boundary_moments(profile, m)
+        assert list(fresh) == list(range(m // 2, m))
+        for q in range(m // 2, m):
+            assert region_moment(profile, q) == fresh[q], q
+            assert region_moment(profile, q) == fresh[q], q
+    assert sorted(profile.moment_memo) == list(range(ORDER_CAP))
     with pytest.raises(ValidationError):
         region_moment(profile, ORDER_CAP)
-    assert len(profile.moment_memo) == len(qs)
+    assert len(profile.moment_memo) == ORDER_CAP
+    backwards = dataclasses.replace(profile)
+    for q in reversed(range(ORDER_CAP)):
+        region_moment(backwards, q)
+    assert backwards.moment_memo == profile.moment_memo
 
 
 def test_jensen_loop_sums_each_moment_once(monkeypatch):
     # p = 1..64 asks for q = 0 and 1 (mu(D) and m2) and q = p - 1 at every
-    # p, 192 moments in all, of which q = 0..63 are distinct
-    calls = _counting_boundary_moment(monkeypatch)
+    # p, 192 moments in all, of which q = 0..63 are distinct: 7 block sums,
+    # at orders 1, 2, .., 64, cover each of them once
+    calls = _counting_boundary_moments(monkeypatch)
     profile = profile_make(dyadic(8), DELTA)
     for p in range(1, 65):
         jensen_lower(profile, p)
-    assert sorted(calls) == list(range(64))
+    assert calls == BLOCKS[:7]
+    covered = [q for m in calls for q in range(m // 2, m)]
+    assert covered == list(range(64))
+    assert list(profile.moment_memo) == covered
 
 
 def test_replaced_profile_starts_with_an_empty_memo():
@@ -247,17 +264,33 @@ def test_replaced_profile_starts_with_an_empty_memo():
                   dataclasses.replace(profile, delta=profile.delta / 2)):
         assert other.moment_memo == {}
         assert other.moment_memo is not profile.moment_memo
-    assert list(profile.moment_memo) == [3]
+    assert list(profile.moment_memo) == [2, 3]
 
 
 def test_integer_types_share_one_memo_entry(monkeypatch):
-    calls = _counting_boundary_moment(monkeypatch)
+    calls = _counting_boundary_moments(monkeypatch)
     profile = profile_make(dyadic(8), DELTA)
     first = region_moment(profile, np.int64(5))
     assert region_moment(profile, 5) == first
     assert region_moment(profile, np.int32(5)) == first
-    assert calls == [5]
-    assert [type(q) for q in profile.moment_memo] == [int]
+    assert region_moment(profile, np.int32(6)) == profile.moment_memo[6]
+    assert calls == [8]
+    assert [type(q) for q in profile.moment_memo] == [int] * 4
+
+
+def test_block_sum_temporaries_are_bounded():
+    # the top block q = 256..511 is summed in chunks of at most 2^16
+    # floats (512 KB); held whole it traces at 9.6 MB on these 9 pieces
+    _gl(ORDER_CAP)
+    profile = profile_make(dyadic(8), DELTA)
+    tracemalloc.start()
+    try:
+        region_moment(profile, ORDER_CAP - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(profile.moment_memo) == ORDER_CAP // 2
+    assert peak <= 1_000_000, peak
 
 
 def test_cusp_moment_at_zero_is_the_area():

@@ -156,9 +156,9 @@ def test_jensen_loop_builds_each_rule_once(monkeypatch):
     prof = profile_make(dyadic(8), DELTA)
     for p in range(1, 65):
         powers.jensen_lower(prof, p)
-    # each moment is summed once per profile, at its exact order q + 1:
-    # 1 and 2 for the Jensen bound, p for the norm
-    assert calls == {m: 1 for m in range(1, 65)}
+    # each moment is summed once per profile, in its doubling block
+    # m/2 <= q < m at the block's order m: the powers of two 1..64
+    assert calls == {1 << k: 1 for k in range(7)}
     # the cache holds every order a moment loop asks for: a second
     # profile rebuilds none of them, and a second pass reads the moments
     # from each profile's memo
@@ -169,7 +169,7 @@ def test_jensen_loop_builds_each_rule_once(monkeypatch):
         for profile in profiles:
             for q in range(128):
                 powers.region_moment(profile, q)
-    assert calls == {m: 1 for m in range(1, 129)}
+    assert calls == {1 << k: 1 for k in range(8)}
 
 
 # -- order-doubling verifier -------------------------------------------------
